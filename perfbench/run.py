@@ -10,7 +10,10 @@ the seed before timing starts.  Each command runs in a fresh interpreter
 checked; a non-zero exit or a failed check counts as a failed run.
 
 With ``--trace 0`` the end-to-end metrics are medians over the repeats
-that fit in ``--seconds``.  With ``--trace 1`` untraced and traced repeats
+that fit in ``--seconds``.  Each repeat's times are taken as multiples of
+the time of ``reference.py``'s fixed kernel, timed just before and just
+after the repeat, so that the host's own changes of speed cancel out.
+With ``--trace 1`` untraced and traced repeats
 alternate; the traced ones run through ``trace_cli.py``, and the per-layer
 metrics come from the traced repeat with the median wall time.  The last
 line of standard output is one JSON object: correct, attempted, failed,
@@ -34,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from reference import reference_seconds
 from trace_cli import LAYERS
 from workloads import WORKLOADS, lr_failures, output_digests
 
@@ -47,9 +51,9 @@ TIMESTAMP = "2000-01-01T00:00:00+00:00"
 CLI = [sys.executable, "-m", "calibwalk.cli"]
 
 END_TO_END_UNITS = {
-    "wall_s": "s",
-    "work_per_s": "1/s",
-    "cpu_s": "s",
+    "wall_ref": "1",
+    "work_per_ref": "1/ref",
+    "cpu_ref": "1",
     "peak_rss_mb": "MB",
     "output_bytes": "bytes",
     "setup_s": "s",
@@ -122,6 +126,9 @@ class Runner:
         self.workload, self.workdir = workload, workdir
         self.env = child_env()
         self.repeats = []
+        # outputs digest -> problems: byte-identical outputs get the same
+        # verdict, so each distinct set of outputs is checked once
+        self.verdicts = {}
 
     def setup_sample(self):
         result = run_child(CLI + ["--version"], self.env,
@@ -146,10 +153,13 @@ class Runner:
         if code != 0:
             record["problems"] = [f"exit code {code}: {_tail(log)}"]
         else:
-            record["problems"] = self.workload.check(outdir)
+            record["digests"] = output_digests(outdir)
+            key = json.dumps(record["digests"], sort_keys=True)
+            if key not in self.verdicts:
+                self.verdicts[key] = self.workload.check(outdir)
+            record["problems"] = list(self.verdicts[key])
             files = [p for p in outdir.rglob("*") if p.is_file()]
             record["output_bytes"] = sum(p.stat().st_size for p in files)
-            record["digests"] = output_digests(outdir)
             if traced:
                 trace = json.loads(spans_path.read_text(encoding="utf-8"))
                 record["trace"] = trace
@@ -168,9 +178,10 @@ def end_to_end_metrics(runner, untraced, setup):
     # failed repeats count only when none passed, so the result stays numeric
     ok = [r for r in untraced if not r["problems"]] or untraced
     values = {
-        "wall_s": _median([r["wall_s"] for r in ok]),
-        "work_per_s": _median([work / r["wall_s"] for r in ok]),
-        "cpu_s": _median([r["cpu_s"] for r in ok]),
+        "wall_ref": _median([r["wall_s"] / r["reference_s"] for r in ok]),
+        "work_per_ref": _median([work * r["reference_s"] / r["wall_s"]
+                                 for r in ok]),
+        "cpu_ref": _median([r["cpu_s"] / r["reference_s"] for r in ok]),
         "peak_rss_mb": _median([r["peak_rss_bytes"] / 2**20 for r in ok]),
         "output_bytes": _median([r.get("output_bytes", 0) for r in ok]),
         "setup_s": _median(setup),
@@ -275,19 +286,25 @@ def run_workload(workload, seed, seconds, trace, workdir):
     print("input: " + json.dumps(input_facts))
 
     start = time.perf_counter()
-    setup = []
+    setup, reference = [], []
     minimum = 2 * MIN_REPEATS - 2 if trace else MIN_REPEATS
     while True:
         before = time.perf_counter()
         setup += [runner.setup_sample()
                   for _ in range(SETUP_SAMPLES_PER_REPEAT)]
+        reference.append(reference_seconds())
         runner.repeat(traced=bool(trace) and len(runner.repeats) % 2 == 1)
         took = time.perf_counter() - before
+        # stop when the next repeat would end more than half-way past the
+        # deadline, so runs of long repeats last about `seconds` on average
         if (len(runner.repeats) >= minimum
-                and time.perf_counter() - start + took > seconds):
+                and time.perf_counter() - start + took / 2 > seconds):
             break
+    reference.append(reference_seconds())
 
     repeats = runner.repeats
+    for record, before, after in zip(repeats, reference, reference[1:]):
+        record["reference_s"] = (before + after) / 2
     failed = [r for r in repeats if r["problems"]]
     for index, record in enumerate(repeats):
         for problem in record["problems"]:
@@ -303,16 +320,20 @@ def run_workload(workload, seed, seconds, trace, workdir):
         metrics = per_layer_metrics(untraced, traced)
     else:
         metrics = end_to_end_metrics(runner, untraced, setup)
+        walls = [r["wall_s"] for r in untraced]
         samples = {
-            "wall_s": [r["wall_s"] for r in untraced],
+            "wall_s": walls,
+            "work_per_s": [workload.work / wall for wall in walls],
             "cpu_s": [r["cpu_s"] for r in untraced],
-            "setup_s": setup,
+            "reference_s": reference,
         }
+        for name, values in samples.items():
+            unit = workload.work_unit if name == "work_per_s" else "s"
+            print(f"{name:<14} {_median(values):>14.6g} {unit:<13}"
+                  + _samples(values))
         for name, entry in metrics.items():
-            unit = (workload.work_unit if name == "work_per_s"
-                    else entry["unit"])
-            print(f"{name:<14} {entry['value']:>14.6g} {unit:<13}"
-                  + _samples(samples.get(name, [])))
+            print(f"{name:<14} {entry['value']:>14.6g} {entry['unit']:<13}"
+                  + _samples(setup if name == "setup_s" else []))
     if trace:
         for name, entry in metrics.items():
             print(f"{name:<52} {entry['value']:>14.6g} {entry['unit']}")

@@ -326,13 +326,13 @@ WORKLOADS = {
             n=1_000_000, intercept=0.1, slope=0.9),
         AnalysisWorkload(
             "mc-1e5",
-            "1e5 calibrated rows with --mc 2000: the Monte Carlo engine "
+            "1e5 calibrated rows with --mc 1000: the Monte Carlo engine "
             "dominates; ingest and render run at a tenth of the size",
-            n=100_000, intercept=0.0, slope=1.0, mc=2000),
+            n=100_000, intercept=0.0, slope=1.0, mc=1000),
         PowerGridWorkload(
             "power-grid",
-            "simulate power, 3x3 grid at n=1000, 3600 replicates: per-call "
+            "simulate power, 3x3 grid at n=1000, 1800 replicates: per-call "
             "overhead of LR, generation, validate+sort, HL and the walk",
-            n=1000, reps=400),
+            n=1000, reps=200),
     )
 }
