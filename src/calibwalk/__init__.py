@@ -62,7 +62,7 @@ from .svgplot import (
 from .dataio import (
     AnalysisReport,
     DatasetSummary,
-    read_config,
+    analyze,
     read_dataset_csv,
     read_report_json,
     write_report_json,
@@ -112,7 +112,7 @@ __all__ = [
     "render_study_figures",
     "AnalysisReport",
     "DatasetSummary",
-    "read_config",
+    "analyze",
     "read_dataset_csv",
     "read_report_json",
     "write_report_json",

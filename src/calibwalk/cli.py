@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +19,14 @@ import numpy as np
 from ._version import __version__
 from .data import build_dataset, cumulative_process, walk_statistics
 from .dataio import (
-    AnalysisReport,
+    analyze,
     read_dataset_csv,
     read_report_json,
-    summarize_dataset,
     write_report_json,
     write_study_json,
 )
 from .simulation import run_null_study, run_power_study
-from .stattests import (
-    bb_test_from_process,
-    bm_test_from_process,
-    fit_logistic_recalibration,
-    hosmer_lemeshow_test,
-    monte_carlo_test,
-    weak_calibration_lr_test,
-)
+from .stattests import _expit, fit_logistic_recalibration
 from .svgplot import (
     PlotStyle,
     render_binned_calibration_plot,
@@ -51,45 +42,19 @@ def _default_outdir():
     return os.environ.get("CALIBWALK_OUTDIR", ".")
 
 
-def _timestamp():
-    stamp = os.environ.get("CALIBWALK_TIMESTAMP")
-    if stamp:
-        return stamp
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _analyze(data, groups, df_rule, mc, seed, with_hl=True, with_lr=True):
-    proc = cumulative_process(data)
-    stats = walk_statistics(proc)
-    bm = bm_test_from_process(proc, stats)
-    bb = bb_test_from_process(proc, stats)
-    hl = None
-    if with_hl and data.n >= groups:
-        hl = hosmer_lemeshow_test(data, groups, df_rule)
-    weak = weak_calibration_lr_test(data) if with_lr else None
-    monte_carlo = None
-    if mc:
-        monte_carlo = {
-            "replications": mc,
-            "seed": seed,
-            "bm_p_value": monte_carlo_test(data, "bm", mc, seed),
-            "bb_p_value": monte_carlo_test(data, "bb", mc, seed),
-        }
-    report = AnalysisReport(
-        dataset=summarize_dataset(data, proc),
-        bm=bm,
-        bb=bb,
-        hl=hl,
-        weak_calibration=weak,
-        monte_carlo=monte_carlo,
-        timestamp=_timestamp(),
-    )
-    return proc, report
+def _write_cumulative_plots(outdir: Path, proc, report, style, prefix=""):
+    """Write ``{prefix}cumulative_bm.svg`` and ``..._bb.svg``; return paths."""
+    paths = []
+    for mode, result in (("bm", report.bm), ("bb", report.bb)):
+        path = outdir / f"{prefix}cumulative_{mode}.svg"
+        _write_text(path, render_cumulative_plot(proc, mode, result, style))
+        paths.append(str(path))
+    return paths
 
 
 def _print_report(report, out=None):
@@ -167,9 +132,9 @@ def cmd_test(args) -> int:
         outcome_column=args.outcome_column,
         clamp_epsilon=args.clamp,
     )
-    proc, report = _analyze(
-        data, args.groups, _DF_RULES[args.df_rule], args.mc, args.seed,
-        with_hl=not args.no_hl, with_lr=not args.no_lr,
+    proc, report = analyze(
+        data, groups=args.groups, df_rule=_DF_RULES[args.df_rule],
+        hl=not args.no_hl, lr=not args.no_lr, mc=args.mc, seed=args.seed,
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -179,10 +144,7 @@ def cmd_test(args) -> int:
     artifacts = [str(report_path)]
     if not args.no_plots:
         style = PlotStyle(significance_level=args.alpha)
-        for mode, result in (("bm", report.bm), ("bb", report.bb)):
-            path = outdir / f"cumulative_{mode}.svg"
-            _write_text(path, render_cumulative_plot(proc, mode, result, style))
-            artifacts.append(str(path))
+        artifacts += _write_cumulative_plots(outdir, proc, report, style)
     print("wrote " + ", ".join(artifacts))
     return 0
 
@@ -234,10 +196,8 @@ def cmd_plot(args) -> int:
             "re-run the test subcommand"
         )
     outdir = Path(args.out)
-    style = PlotStyle(significance_level=args.alpha)
-    for mode, result in (("bm", report.bm), ("bb", report.bb)):
-        _write_text(outdir / f"cumulative_{mode}.svg",
-                    render_cumulative_plot(proc, mode, result, style))
+    _write_cumulative_plots(outdir, proc, report,
+                            PlotStyle(significance_level=args.alpha))
     print(f"re-rendered figures in {outdir}")
     return 0
 
@@ -257,17 +217,17 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
         raise ValueError("small_n cannot exceed dev_n")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xCA5E)))
     x_dev = rng.standard_normal(dev_n)
-    y_dev = (rng.random(dev_n) < _expit_scalar_array(-2.0 + x_dev)).astype(float)
+    y_dev = (rng.random(dev_n) < _expit(-2.0 + x_dev)).astype(float)
     x_hold = rng.standard_normal(holdout_n)
-    y_hold = (rng.random(holdout_n) < _expit_scalar_array(-2.0 + x_hold)).astype(float)
+    y_hold = (rng.random(holdout_n) < _expit(-2.0 + x_hold)).astype(float)
 
     results = {}
     for label, rows in (("full", slice(None)), ("small", slice(0, small_n))):
-        carrier = build_dataset(_expit_scalar_array(x_dev[rows]), y_dev[rows])
+        carrier = build_dataset(_expit(x_dev[rows]), y_dev[rows])
         fit = fit_logistic_recalibration(carrier)
-        predictions = _expit_scalar_array(fit.intercept + fit.slope * x_hold)
+        predictions = _expit(fit.intercept + fit.slope * x_hold)
         holdout = build_dataset(predictions, y_hold)
-        proc, report = _analyze(holdout, groups, "g", mc=0, seed=seed)
+        proc, report = analyze(holdout, groups=groups, df_rule="g")
         results[label] = {"fit": fit, "report": report, "process": proc,
                           "dataset": holdout}
         if out_dir is not None:
@@ -276,28 +236,14 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
             write_report_json(report, outdir / f"{label}_report.json")
             if render_figures:
                 style = PlotStyle(significance_level=alpha)
-                figures = {
-                    f"{label}_binned_deciles.svg":
-                        render_binned_calibration_plot(holdout, groups, style),
-                    f"{label}_binned_fine.svg":
-                        render_binned_calibration_plot(holdout, 2 * groups, style),
-                    f"{label}_cumulative_bm.svg":
-                        render_cumulative_plot(proc, "bm", report.bm, style),
-                    f"{label}_cumulative_bb.svg":
-                        render_cumulative_plot(proc, "bb", report.bb, style),
-                }
-                for name, svg in figures.items():
-                    _write_text(outdir / name, svg)
+                for name, bins in (("deciles", groups), ("fine", 2 * groups)):
+                    _write_text(
+                        outdir / f"{label}_binned_{name}.svg",
+                        render_binned_calibration_plot(holdout, bins, style),
+                    )
+                _write_cumulative_plots(outdir, proc, report, style,
+                                        prefix=f"{label}_")
     return results
-
-
-def _expit_scalar_array(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def cmd_casestudy(args) -> int:

@@ -1,6 +1,7 @@
-"""Dataset ingestion and report serialization.
+"""Dataset ingestion, analysis assembly and report serialization.
 
-CSV in (named prediction/outcome columns, extra columns ignored), JSON out
+CSV in (named prediction/outcome columns, extra columns ignored), one
+``analyze`` call that runs every test into an ``AnalysisReport``, JSON out
 (schema version 1, stable key order, floats at shortest round-trip
 precision so identical reports serialize to identical bytes).
 """
@@ -9,14 +10,23 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from ._version import __version__
-from .data import CalibrationDataset, CumulativeProcess, WalkLocation, build_dataset
+from .data import (
+    CalibrationDataset,
+    CumulativeProcess,
+    WalkLocation,
+    build_dataset,
+    cumulative_process,
+    walk_statistics,
+)
 from .stattests import (
     BBTestResult,
     BMTestResult,
@@ -24,6 +34,11 @@ from .stattests import (
     HLTestResult,
     SMALL_SAMPLE_VARIANCE,
     WeakCalibResult,
+    _monte_carlo_p_values,
+    bb_test_from_process,
+    bm_test_from_process,
+    hosmer_lemeshow_test,
+    weak_calibration_lr_test,
 )
 
 SCHEMA_VERSION = 1
@@ -61,6 +76,51 @@ def summarize_dataset(data: CalibrationDataset,
         tie_flag=data.tie_flag,
         small_sample_warning=proc.total_variance < SMALL_SAMPLE_VARIANCE,
     )
+
+
+def _timestamp():
+    stamp = os.environ.get("CALIBWALK_TIMESTAMP")
+    if stamp:
+        return stamp
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def analyze(data: CalibrationDataset, *, groups: int = 10,
+            df_rule: str = "g_minus_2", hl: bool = True, lr: bool = True,
+            mc: int = 0, seed: int = 0
+            ) -> tuple[CumulativeProcess, AnalysisReport]:
+    """Run every calibration test on one dataset.
+
+    Returns the cumulative process (for plotting) and the report: the BM
+    and BB walk tests, Hosmer-Lemeshow with ``groups`` rank groups and
+    ``df_rule`` (skipped when ``hl`` is false or n < groups), the
+    recalibration LR test (unless ``lr`` is false), and with ``mc > 0``
+    both Monte Carlo p-values from one seeded null draw.  The timestamp is
+    ``$CALIBWALK_TIMESTAMP`` when set, else the current UTC time.
+    """
+    proc = cumulative_process(data)
+    stats = walk_statistics(proc)
+    bm = bm_test_from_process(proc, stats)
+    bb = bb_test_from_process(proc, stats)
+    hl_result = None
+    if hl and data.n >= groups:
+        hl_result = hosmer_lemeshow_test(data, groups, df_rule)
+    weak = weak_calibration_lr_test(data) if lr else None
+    monte_carlo = None
+    if mc:
+        bm_p, bb_p = _monte_carlo_p_values(data, stats, mc, seed)
+        monte_carlo = {"replications": mc, "seed": seed,
+                       "bm_p_value": bm_p, "bb_p_value": bb_p}
+    report = AnalysisReport(
+        dataset=summarize_dataset(data, proc),
+        bm=bm,
+        bb=bb,
+        hl=hl_result,
+        weak_calibration=weak,
+        monte_carlo=monte_carlo,
+        timestamp=_timestamp(),
+    )
+    return proc, report
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +177,34 @@ def _parse_number(cell, column, row_number):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def _location_to_dict(location: WalkLocation) -> dict:
-    return {
-        "index": location.index,
-        "time": location.time,
-        "prediction": location.prediction,
-    }
+# JSON section name, AnalysisReport attribute, result class
+_SECTIONS = (
+    ("dataset", "dataset", DatasetSummary),
+    ("bm_test", "bm", BMTestResult),
+    ("bb_test", "bb", BBTestResult),
+    ("hosmer_lemeshow", "hl", HLTestResult),
+    ("weak_calibration", "weak_calibration", WeakCalibResult),
+)
 
 
-def _location_from_dict(d) -> WalkLocation:
-    return WalkLocation(d["index"], d["time"], d["prediction"])
+def _section_to_dict(result) -> dict:
+    d = {k: v for k, v in asdict(result).items() if v is not None}
+    if isinstance(result, WeakCalibResult) and "p_value" in d:
+        # schema 1 writes the LR p-value after the fit diagnostics
+        d["p_value"] = d.pop("p_value")
+    return d
+
+
+def _section_from_dict(cls, d):
+    d = dict(d)
+    for name in ("location", "location_bridge"):
+        if name in d:
+            d[name] = WalkLocation(**d[name])
+    if "group_table" in d:
+        d["group_table"] = tuple(HLGroup(**g) for g in d["group_table"])
+    if cls is WeakCalibResult:
+        d.setdefault("p_value", None)
+    return cls(**d)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -134,58 +212,11 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "schema": SCHEMA_VERSION,
         "tool": {"name": "calibwalk", "version": report.tool_version},
         "timestamp": report.timestamp,
-        "dataset": {
-            "n": report.dataset.n,
-            "events": report.dataset.events,
-            "mean_prediction": report.dataset.mean_prediction,
-            "total_variance": report.dataset.total_variance,
-            "tie_flag": report.dataset.tie_flag,
-            "small_sample_warning": report.dataset.small_sample_warning,
-        },
-        "bm_test": {
-            "c_star": report.bm.c_star,
-            "s_star": report.bm.s_star,
-            "location": _location_to_dict(report.bm.location),
-            "p_value": report.bm.p_value,
-        },
-        "bb_test": {
-            "c_n": report.bb.c_n,
-            "s_n": report.bb.s_n,
-            "p_a": report.bb.p_a,
-            "b_star": report.bb.b_star,
-            "p_b": report.bb.p_b,
-            "location_bridge": _location_to_dict(report.bb.location_bridge),
-            "p_unified": report.bb.p_unified,
-        },
     }
-    if report.hl is not None:
-        d["hosmer_lemeshow"] = {
-            "statistic": report.hl.statistic,
-            "groups": report.hl.groups,
-            "df": report.hl.df,
-            "p_value": report.hl.p_value,
-            "group_table": [
-                {
-                    "size": g.size,
-                    "observed": g.observed,
-                    "expected": g.expected,
-                    "mean_prediction": g.mean_prediction,
-                }
-                for g in report.hl.group_table
-            ],
-        }
-    if report.weak_calibration is not None:
-        w = report.weak_calibration
-        section = {
-            "intercept": w.intercept,
-            "slope": w.slope,
-            "lr_statistic": w.lr_statistic,
-            "converged": w.converged,
-            "iterations": w.iterations,
-        }
-        if w.p_value is not None:
-            section["p_value"] = w.p_value
-        d["weak_calibration"] = section
+    for key, attribute, _ in _SECTIONS:
+        section = getattr(report, attribute)
+        if section is not None:
+            d[key] = _section_to_dict(section)
     if report.monte_carlo is not None:
         d["monte_carlo"] = dict(report.monte_carlo)
     return d
@@ -194,60 +225,10 @@ def report_to_dict(report: AnalysisReport) -> dict:
 def report_from_dict(d) -> AnalysisReport:
     if d.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema {d.get('schema')!r}")
-    ds = d["dataset"]
-    bm = d["bm_test"]
-    bb = d["bb_test"]
-    hl = None
-    if "hosmer_lemeshow" in d:
-        h = d["hosmer_lemeshow"]
-        hl = HLTestResult(
-            statistic=h["statistic"],
-            groups=h["groups"],
-            df=h["df"],
-            p_value=h["p_value"],
-            group_table=tuple(
-                HLGroup(g["size"], g["observed"], g["expected"],
-                        g["mean_prediction"])
-                for g in h["group_table"]
-            ),
-        )
-    weak = None
-    if "weak_calibration" in d:
-        w = d["weak_calibration"]
-        weak = WeakCalibResult(
-            intercept=w["intercept"],
-            slope=w["slope"],
-            lr_statistic=w["lr_statistic"],
-            p_value=w.get("p_value"),
-            converged=w["converged"],
-            iterations=w["iterations"],
-        )
+    sections = {attribute: _section_from_dict(cls, d[key])
+                for key, attribute, cls in _SECTIONS if key in d}
     return AnalysisReport(
-        dataset=DatasetSummary(
-            n=ds["n"],
-            events=ds["events"],
-            mean_prediction=ds["mean_prediction"],
-            total_variance=ds["total_variance"],
-            tie_flag=ds["tie_flag"],
-            small_sample_warning=ds["small_sample_warning"],
-        ),
-        bm=BMTestResult(
-            c_star=bm["c_star"],
-            s_star=bm["s_star"],
-            location=_location_from_dict(bm["location"]),
-            p_value=bm["p_value"],
-        ),
-        bb=BBTestResult(
-            c_n=bb["c_n"],
-            s_n=bb["s_n"],
-            p_a=bb["p_a"],
-            b_star=bb["b_star"],
-            p_b=bb["p_b"],
-            location_bridge=_location_from_dict(bb["location_bridge"]),
-            p_unified=bb["p_unified"],
-        ),
-        hl=hl,
-        weak_calibration=weak,
+        **sections,
         monte_carlo=d.get("monte_carlo"),
         tool_version=d["tool"]["version"],
         timestamp=d["timestamp"],
@@ -277,30 +258,16 @@ def read_report_json(source) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 # study serialization
 
-def _scenario_to_dict(scenario) -> dict:
-    return {
-        "family": scenario.family,
-        "n": scenario.n,
-        "replications": scenario.replications,
-        "seed": scenario.seed,
-        "beta0": scenario.beta0,
-        "a": scenario.a,
-        "b": scenario.b,
-        "alpha": scenario.alpha,
-    }
-
-
 def study_to_dict(summaries) -> dict:
     cells = []
     for summary in summaries:
         cell = {
-            "scenario": _scenario_to_dict(summary.scenario),
+            "scenario": asdict(summary.scenario),
             "rejections": {k: summary.rejections[k]
                            for k in sorted(summary.rejections)},
             "standard_errors": {k: summary.standard_errors[k]
                                 for k in sorted(summary.standard_errors)},
             "lr_failures": summary.lr_failures,
-            "wall_time": summary.wall_time,
         }
         if summary.pvalues is not None:
             cell["pvalues"] = {
@@ -326,23 +293,3 @@ def read_study_json(source) -> dict:
     with open(source, encoding="utf-8") as handle:
         return json.load(handle)
 
-
-# ---------------------------------------------------------------------------
-# config
-
-def read_config(source) -> dict:
-    """Parse ``key = value`` lines; ``#`` comments and blank lines ignored."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8-sig")
-    options = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line {line_number}: {raw!r}")
-        key, _, value = line.partition("=")
-        options[key.strip()] = value.strip()
-    return options

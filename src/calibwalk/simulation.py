@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -32,6 +31,7 @@ import numpy as np
 from .data import CalibrationDataset, build_dataset, cumulative_process, walk_statistics
 from .stattests import (
     SmallEffectiveSampleWarning,
+    _expit,
     bb_test_from_process,
     bm_test_from_process,
     hosmer_lemeshow_test,
@@ -75,9 +75,8 @@ class SimulationSummary:
     standard_errors: dict
     lr_failures: int = 0
     # excluded from equality: raw samples carry no extra information beyond
-    # the seeded scenario, and wall time is never reproducible
+    # the seeded scenario
     pvalues: Optional[dict] = field(default=None, compare=False)
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def _cell_key(scenario: SimulationScenario) -> int:
@@ -89,15 +88,6 @@ def _cell_key(scenario: SimulationScenario) -> int:
 def _replicate_rng(scenario: SimulationScenario, replicate_index: int):
     entropy = (scenario.seed, _cell_key(scenario), replicate_index)
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def family_risk_and_predictions(scenario: SimulationScenario, x):
@@ -144,7 +134,6 @@ def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
     replicate's outcomes.  A non-converged LR fit counts as a non-rejection
     and increments ``lr_failures``.
     """
-    start = time.perf_counter()
     samples = {name: np.empty(scenario.replications) for name in tests}
     lr_failures = 0
     with warnings.catch_warnings():
@@ -177,7 +166,6 @@ def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
         standard_errors=standard_errors,
         lr_failures=lr_failures,
         pvalues=samples if keep_pvalues else None,
-        wall_time=time.perf_counter() - start,
     )
 
 

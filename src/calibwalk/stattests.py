@@ -216,21 +216,23 @@ def _reg_upper_gamma(s, x):
 def _chi_square_sf(x, df):
     """Survival function of chi-square with ``df`` degrees of freedom.
 
-    Even df uses the finite closed-form sum; odd df falls back to the
-    regularized upper incomplete gamma.
+    Even df with x < 1400 uses the finite closed-form sum; odd df and
+    larger x fall back to the regularized upper incomplete gamma.
     """
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if df < 1:
         raise ValueError(f"df must be positive, got {df}")
-    if df % 2 == 0:
+    # exp(-x / 2) underflows past x ~ 1400, so larger x (and with it large
+    # even df, whose mass sits near x = df) goes through log space
+    if df % 2 == 0 and x < 1400:
         half = 0.5 * x
         term = 1.0
         total = 1.0
         for j in range(1, df // 2):
             term *= half / j
             total += term
-        return min(1.0, math.exp(-half) * total) if half < 700 else 0.0
+        return min(1.0, math.exp(-half) * total)
     return _reg_upper_gamma(0.5 * df, 0.5 * x)
 
 
@@ -432,6 +434,32 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     return s_star, b_star, s_n
 
 
+def _monte_carlo_p_values(data: CalibrationDataset, observed: WalkStatistics,
+                          replications: int, seed: int,
+                          include_bridge: bool = True):
+    """Add-one BM and BB p-values from one resampled null.
+
+    Both tests read the same null walks, so one draw serves both; the BB
+    p-value is None when the bridge statistic is not requested.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    s_star, b_star, s_n = _simulate_null_statistics(
+        data, replications, seed, include_bridge=include_bridge
+    )
+
+    def add_one(exceeds):
+        return (1 + int(np.count_nonzero(exceeds))) / (replications + 1)
+
+    p_bm = add_one(s_star >= observed.s_star)
+    if not include_bridge:
+        return p_bm, None
+    p_a = add_one(np.abs(s_n) >= abs(observed.s_n))
+    p_b = add_one(b_star >= observed.b_star)
+    fisher = -2.0 * (math.log(p_a) + math.log(p_b))
+    return p_bm, dist.chi_square4_sf(fisher)
+
+
 def monte_carlo_test(data: CalibrationDataset, which: str,
                      replications: int, seed: int) -> float:
     """Simulation-based p-value with the null resampled from the predictions.
@@ -441,20 +469,10 @@ def monte_carlo_test(data: CalibrationDataset, which: str,
     bridged-maximum p).  Uses the add-one estimator, so the p-value is
     never exactly zero and the test is finite-sample valid.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
     if which not in ("bm", "bb"):
         raise ValueError(f"which must be 'bm' or 'bb', got {which!r}")
     observed = walk_statistics(cumulative_process(data))
-    s_star, b_star, s_n = _simulate_null_statistics(
-        data, replications, seed, include_bridge=(which == "bb")
+    p_bm, p_bb = _monte_carlo_p_values(
+        data, observed, replications, seed, include_bridge=(which == "bb")
     )
-    if which == "bm":
-        exceed = int(np.count_nonzero(s_star >= observed.s_star))
-        return (1 + exceed) / (replications + 1)
-    p_a = (1 + int(np.count_nonzero(np.abs(s_n) >= abs(observed.s_n)))) \
-        / (replications + 1)
-    p_b = (1 + int(np.count_nonzero(b_star >= observed.b_star))) \
-        / (replications + 1)
-    fisher = -2.0 * (math.log(p_a) + math.log(p_b))
-    return dist.chi_square4_sf(fisher)
+    return p_bm if which == "bm" else p_bb

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from calibwalk import analyze, read_dataset_csv, write_report_json
 from calibwalk.cli import main
 from calibwalk.dataio import read_report_json, read_study_json
 
@@ -101,6 +102,18 @@ class TestCmdTest:
         assert reports[0].monte_carlo == reports[1].monte_carlo
         assert 0.0 < reports[0].monte_carlo["bm_p_value"] <= 1.0
 
+    def test_report_is_library_analysis(self, tmp_path):
+        rows = "".join(f"{0.05 + 0.9 * i / 59:.6f},{i % 3 == 0:d}\n"
+                       for i in range(60))
+        csv = _write_csv(tmp_path, "p,y\n" + rows)
+        out = tmp_path / "o"
+        assert main(["test", str(csv), "--mc", "200", "--seed", "3",
+                     "--no-plots", "--out", str(out)]) == 0
+        _, report = analyze(read_dataset_csv(csv), mc=200, seed=3)
+        write_report_json(report, tmp_path / "library.json")
+        assert (out / "report.json").read_bytes() == \
+            (tmp_path / "library.json").read_bytes()
+
     def test_no_plots_suppresses_svg(self, tmp_path):
         csv = _write_csv(tmp_path)
         out = tmp_path / "o"
@@ -135,6 +148,15 @@ class TestCmdSimulate:
         cell = read_study_json(out / "study.json")["cells"][0]
         for name in ("lr", "hl", "bm", "bb"):
             assert cell["rejections"][name] == pytest.approx(0.05, abs=0.03)
+
+    def test_same_seed_identical_study(self, tmp_path):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            assert main(["simulate", "null", "--beta0", "-1", "--n", "50",
+                         "--reps", "20", "--seed", "2",
+                         "--out", str(d)]) == 0
+        assert (dirs[0] / "study.json").read_bytes() == \
+            (dirs[1] / "study.json").read_bytes()
 
     def test_bad_replication_count_exits_two(self, tmp_path):
         assert main(["simulate", "null", "--beta0", "-1", "--n", "100",

@@ -1,4 +1,4 @@
-"""CSV ingestion, JSON report/study round trips, config parsing."""
+"""CSV ingestion, analysis assembly, JSON report/study round trips."""
 
 import io
 import json
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from calibwalk import (
+    analyze,
     bb_test,
     bm_test,
     build_dataset,
     cumulative_process,
     hosmer_lemeshow_test,
-    read_config,
+    monte_carlo_test,
     read_dataset_csv,
     read_report_json,
     weak_calibration_lr_test,
@@ -28,6 +29,7 @@ from calibwalk.dataio import (
     study_to_dict,
     summarize_dataset,
 )
+from calibwalk import stattests
 from calibwalk.simulation import SimulationScenario, run_null_study, run_scenario
 
 
@@ -178,18 +180,42 @@ class TestStudyRoundTrip:
         assert d1 == d2
 
 
-class TestReadConfig:
-    def test_key_value_lines(self):
-        options = read_config(io.StringIO(
-            "alpha = 0.05\n# comment\n\ngroups=10  # trailing\n"
-        ))
-        assert options == {"alpha": "0.05", "groups": "10"}
+class TestAnalyze:
+    def test_matches_single_test_calls(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0.1, 0.9, 300)
+        data = build_dataset(p, (rng.random(300) < p).astype(float))
+        proc, report = analyze(data, mc=200, seed=3)
+        assert report.bm == bm_test(data)
+        assert report.bb == bb_test(data)
+        assert report.hl == hosmer_lemeshow_test(data)
+        assert report.weak_calibration == weak_calibration_lr_test(data)
+        assert report.dataset == summarize_dataset(data, proc)
+        assert report.monte_carlo == {
+            "replications": 200,
+            "seed": 3,
+            "bm_p_value": monte_carlo_test(data, "bm", 200, 3),
+            "bb_p_value": monte_carlo_test(data, "bb", 200, 3),
+        }
 
-    def test_malformed_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            read_config(io.StringIO("a = 1\nnot a pair\n"))
+    def test_one_null_draw_serves_both_tests(self, monkeypatch):
+        calls = []
+        simulate = stattests._simulate_null_statistics
 
-    def test_from_path(self, tmp_path):
-        path = tmp_path / "calib.cfg"
-        path.write_text("seed = 7\n")
-        assert read_config(path) == {"seed": "7"}
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("include_bridge"))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(stattests, "_simulate_null_statistics", counting)
+        data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
+        analyze(data, mc=50, seed=1)
+        assert calls == [True]
+
+    def test_optional_sections_and_validation(self):
+        data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
+        _, report = analyze(data, groups=50, lr=False)
+        assert report.hl is None
+        assert report.weak_calibration is None
+        assert report.monte_carlo is None
+        with pytest.raises(ValueError, match="replications"):
+            analyze(data, mc=-1)

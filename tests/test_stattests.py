@@ -207,6 +207,16 @@ class TestChiSquareSF:
                     float(scipy_stats.chi2.sf(x, df)), rel=1e-9, abs=1e-300
                 )
 
+    def test_large_df_against_scipy(self):
+        # x / 2 >= 700 underflowed the even-df closed form to p = 0
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in (1400, 1498, 3000):
+            for x in (0.95 * df, float(df), 1.0062 * df, 1.05 * df):
+                assert _chi_square_sf(x, df) == pytest.approx(
+                    float(scipy_stats.chi2.sf(x, df)), rel=1e-9
+                )
+        assert _chi_square_sf(1507.2, 1498) == pytest.approx(0.4286, abs=1e-4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _chi_square_sf(-1.0, 4)
