@@ -20,8 +20,7 @@ from .data import (
     walk_statistics,
 )
 from .distributions import (
-    SeriesConfig,
-    chi_square4_sf,
+    chi_square_sf,
     conditional_sup_cdf,
     critical_value,
     kolmogorov_cdf,
@@ -78,8 +77,7 @@ __all__ = [
     "build_dataset",
     "cumulative_process",
     "walk_statistics",
-    "SeriesConfig",
-    "chi_square4_sf",
+    "chi_square_sf",
     "conditional_sup_cdf",
     "critical_value",
     "kolmogorov_cdf",

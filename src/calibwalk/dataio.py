@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -195,15 +195,39 @@ def _section_to_dict(result) -> dict:
     return d
 
 
-def _section_from_dict(cls, d):
-    d = dict(d)
+def _checked(cls, d, where, optional=()):
+    """``d`` itself, once it is a JSON object holding the fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"{where} must be a JSON object, got {type(d).__name__}"
+        )
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        if name not in d and name not in optional:
+            raise ValueError(f"{where} is missing key {name!r}")
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    return d
+
+
+def _section_from_dict(cls, d, key):
+    where = f"report section {key!r}"
+    # schema 1 omits the LR p-value when the fit did not converge
+    optional = ("p_value",) if cls is WeakCalibResult else ()
+    d = dict(_checked(cls, d, where, optional))
     for name in ("location", "location_bridge"):
         if name in d:
-            d[name] = WalkLocation(**d[name])
+            d[name] = WalkLocation(
+                **_checked(WalkLocation, d[name], f"{where} {name}")
+            )
     if "group_table" in d:
-        d["group_table"] = tuple(HLGroup(**g) for g in d["group_table"])
-    if cls is WeakCalibResult:
-        d.setdefault("p_value", None)
+        d["group_table"] = tuple(
+            HLGroup(**_checked(HLGroup, g, f"{where} group_table row"))
+            for g in d["group_table"]
+        )
+    for name in optional:
+        d.setdefault(name, None)
     return cls(**d)
 
 
@@ -223,9 +247,19 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 
 def report_from_dict(d) -> AnalysisReport:
+    """Rebuild a report; a malformed one raises ValueError naming the fault."""
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"report must be a JSON object, got {type(d).__name__}"
+        )
     if d.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema {d.get('schema')!r}")
-    sections = {attribute: _section_from_dict(cls, d[key])
+    for key in ("tool", "timestamp", "dataset", "bm_test", "bb_test"):
+        if key not in d:
+            raise ValueError(f"report is missing section {key!r}")
+    if not isinstance(d["tool"], dict) or "version" not in d["tool"]:
+        raise ValueError("report section 'tool' is missing key 'version'")
+    sections = {attribute: _section_from_dict(cls, d[key], key)
                 for key, attribute, cls in _SECTIONS if key in d}
     return AnalysisReport(
         **sections,

@@ -5,13 +5,13 @@ from alternating exponential series; each has a second, theta-transformed
 form that converges quickly exactly where the first one does not, so the
 implementations switch forms at a fixed crossover.  Survival functions are
 computed directly (not as ``1 - cdf``) so that extreme statistics do not
-lose precision to cancellation.
+lose precision to cancellation.  The chi-square survival serves Fisher's
+combination in the bridge test and the Hosmer-Lemeshow and LR comparators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -28,22 +28,10 @@ _KOLMOGOROV_CROSSOVER = 1.0
 # Symmetric-k cap for the conditional sup series.
 _CONDITIONAL_MAX_K = 50
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation policy for the exponential series."""
-
-    term_tolerance: float = 1e-16
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not self.term_tolerance > 0:
-            raise ValueError("term_tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# Series truncation: stop at the first term below the tolerance, and sum
+# at most _MAX_TERMS terms of the exponential series.
+_TERM_TOLERANCE = 1e-16
+_MAX_TERMS = 200
 
 
 def _check_nonnegative(a, name="a"):
@@ -55,7 +43,7 @@ def _clip_probability(p):
     return min(1.0, max(0.0, p))
 
 
-def sup_abs_bm_cdf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def sup_abs_bm_cdf(a: float) -> float:
     """CDF of the supremum of |W(t)| over [0, 1] for standard BM W.
 
     F(a) = (4/pi) * sum_{k>=0} (-1)^k / (2k+1) * exp(-(2k+1)^2 pi^2 / (8 a^2))
@@ -67,16 +55,16 @@ def sup_abs_bm_cdf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
         return 1.0
     coeff = math.pi * math.pi / (8.0 * a * a)
     total = 0.0
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         m = 2 * k + 1
         term = math.exp(-coeff * m * m) / m
         total += term if k % 2 == 0 else -term
-        if term < config.term_tolerance:
+        if term < _TERM_TOLERANCE:
             break
     return _clip_probability(4.0 / math.pi * total)
 
 
-def sup_abs_bm_sf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def sup_abs_bm_sf(a: float) -> float:
     """P(sup |W(t)| >= a), via the reflection series.
 
     1 - F(a) = 4 * sum_{k>=0} (-1)^k * Phi(-(2k+1) a).  Evaluating the
@@ -86,76 +74,73 @@ def sup_abs_bm_sf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
     if a < _TINY_STAT:
         return 1.0
     total = 0.0
-    for k in range(config.max_terms):
+    for k in range(_MAX_TERMS):
         term = std_normal_cdf(-(2 * k + 1) * a)
         total += term if k % 2 == 0 else -term
-        if term < config.term_tolerance:
+        if term < _TERM_TOLERANCE:
             break
     return _clip_probability(4.0 * total)
 
 
-def _kolmogorov_cdf_alternating(a: float, config: SeriesConfig) -> float:
-    # G(a) = sum_{k in Z} (-1)^k exp(-2 a^2 k^2); fast for a above ~1.
-    total = 1.0
-    for k in range(1, config.max_terms + 1):
+def _kolmogorov_sf_alternating(a: float) -> float:
+    # 1 - G(a) = 2 sum_{k>=1} (-1)^(k-1) exp(-2 a^2 k^2); fast for a above ~1.
+    total = 0.0
+    for k in range(1, _MAX_TERMS + 1):
         term = 2.0 * math.exp(-2.0 * a * a * k * k)
-        total += term if k % 2 == 0 else -term
-        if term < config.term_tolerance:
+        total += -term if k % 2 == 0 else term
+        if term < _TERM_TOLERANCE:
             break
     return total
 
 
-def _kolmogorov_cdf_theta(a: float, config: SeriesConfig) -> float:
+def _kolmogorov_cdf_alternating(a: float) -> float:
+    return 1.0 - _kolmogorov_sf_alternating(a)
+
+
+def _kolmogorov_cdf_theta(a: float) -> float:
     # Theta-transformed dual: (sqrt(2 pi)/a) sum_{k>=1} exp(-(2k-1)^2 pi^2/(8 a^2));
     # fast for a below ~1.
     coeff = math.pi * math.pi / (8.0 * a * a)
     total = 0.0
-    for k in range(1, config.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         m = 2 * k - 1
         term = math.exp(-coeff * m * m)
         total += term
-        if term < config.term_tolerance:
+        if term < _TERM_TOLERANCE:
             break
     return _SQRT_2PI / a * total
 
 
-def kolmogorov_cdf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def kolmogorov_cdf(a: float) -> float:
     """CDF of the Kolmogorov distribution (sup |Brownian bridge|)."""
     _check_nonnegative(a)
     if a < _TINY_STAT:
         return 0.0
     if a < _KOLMOGOROV_CROSSOVER:
-        return _clip_probability(_kolmogorov_cdf_theta(a, config))
-    return _clip_probability(_kolmogorov_cdf_alternating(a, config))
+        return _clip_probability(_kolmogorov_cdf_theta(a))
+    return _clip_probability(_kolmogorov_cdf_alternating(a))
 
 
-def kolmogorov_sf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def kolmogorov_sf(a: float) -> float:
     """P(sup |B(t)| >= a), computed without cancellation for large a."""
     _check_nonnegative(a)
     if a < _TINY_STAT:
         return 1.0
     if a < _KOLMOGOROV_CROSSOVER:
         # G < 0.73 here, so the complement is well conditioned.
-        return _clip_probability(1.0 - _kolmogorov_cdf_theta(a, config))
-    total = 0.0
-    for k in range(1, config.max_terms + 1):
-        term = 2.0 * math.exp(-2.0 * a * a * k * k)
-        total += -term if k % 2 == 0 else term
-        if term < config.term_tolerance:
-            break
-    return _clip_probability(total)
+        return _clip_probability(1.0 - _kolmogorov_cdf_theta(a))
+    return _clip_probability(_kolmogorov_sf_alternating(a))
 
 
-def _kolmogorov_log_sf(a: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def _kolmogorov_log_sf(a: float) -> float:
     """log P(sup |B(t)| >= a); finite even when the survival underflows."""
-    sf = kolmogorov_sf(a, config)
+    sf = kolmogorov_sf(a)
     if sf > 0.0:
         return math.log(sf)
     return math.log(2.0) - 2.0 * a * a
 
 
-def conditional_sup_cdf(a: float, b: float,
-                        config: SeriesConfig = DEFAULT_SERIES) -> float:
+def conditional_sup_cdf(a: float, b: float) -> float:
     """P(sup |W(t)| < a | W(1) = b) for standard BM on [0, 1].
 
     Series: sum_{k in Z} (-1)^k exp(2 a b k - 2 a^2 k^2).  The path ends at
@@ -174,7 +159,7 @@ def conditional_sup_cdf(a: float, b: float,
         # both exponents are <= 0 because |b| < a, so no overflow
         pair = math.exp(r - q) + math.exp(-r - q)
         total += pair if k % 2 == 0 else -pair
-        if pair < config.term_tolerance:
+        if pair < _TERM_TOLERANCE:
             break
     return _clip_probability(total)
 
@@ -193,14 +178,73 @@ def _normal_two_sided_log_p(x: float) -> float:
     return -0.5 * x * x - math.log(x * math.sqrt(math.pi / 2.0))
 
 
-def chi_square4_sf(x: float) -> float:
-    """Survival function of chi-square with 4 df: exp(-x/2) * (1 + x/2)."""
+def _reg_upper_gamma(s, x):
+    # Regularized upper incomplete gamma Q(s, x); series for the lower tail,
+    # Lentz continued fraction for the upper.  Relative accuracy ~1e-14.
+    if x == 0.0:
+        return 1.0
+    if x < s + 1.0:
+        # the term ratio x / (s + k) is below 1 from the first term on, so
+        # the series converges; large s needs up to a few thousand terms
+        term = 1.0 / s
+        total = term
+        k = 1
+        while True:
+            term *= x / (s + k)
+            total += term
+            if term < total * _TERM_TOLERANCE:
+                break
+            k += 1
+        log_p = s * math.log(x) - x - math.lgamma(s) + math.log(total)
+        return max(0.0, 1.0 - math.exp(log_p))
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    log_prefactor = -x + s * math.log(x) - math.lgamma(s)
+    return min(1.0, math.exp(log_prefactor) * h)
+
+
+def chi_square_sf(x: float, df: int) -> float:
+    """Survival function of chi-square with ``df`` degrees of freedom.
+
+    Even df with x < 1400 uses the finite closed-form sum, e.g.
+    exp(-x/2) * (1 + x/2) for 4 df; odd df and larger x fall back to the
+    regularized upper incomplete gamma.
+    """
     _check_nonnegative(x, "x")
-    return math.exp(-0.5 * x + math.log1p(0.5 * x))
+    if not 1 <= df < math.inf:
+        # an infinite df would never end the lower-tail series
+        raise ValueError(f"df must be positive and finite, got {df}")
+    # exp(-x / 2) underflows past x ~ 1400, so larger x (and with it large
+    # even df, whose mass sits near x = df) goes through log space
+    if df % 2 == 0 and x < 1400:
+        half = 0.5 * x
+        term = 1.0
+        total = 1.0
+        for j in range(1, df // 2):
+            term *= half / j
+            total += term
+        return min(1.0, math.exp(-half) * total)
+    return _reg_upper_gamma(0.5 * df, 0.5 * x)
 
 
-def critical_value(distribution: str, level: float,
-                   config: SeriesConfig = DEFAULT_SERIES) -> float:
+def critical_value(distribution: str, level: float) -> float:
     """Invert a sup-statistic CDF: the a with CDF(a) = level.
 
     ``distribution`` is ``"sup_abs_bm"`` or ``"kolmogorov"``.  Bisection on
@@ -217,7 +261,7 @@ def critical_value(distribution: str, level: float,
     lo, hi = 1e-6, 10.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if cdf(mid, config) < level:
+        if cdf(mid) < level:
             lo = mid
         else:
             hi = mid

@@ -125,11 +125,10 @@ def _rejection_summary(pvalue_samples, alpha):
 
 
 def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
-                 keep_pvalues: bool = True,
-                 hl_groups: int = 10) -> SimulationSummary:
+                 keep_pvalues: bool = True) -> SimulationSummary:
     """Run one cell: every requested test on every replicate.
 
-    The Hosmer-Lemeshow comparator runs with ``df = groups`` here because
+    The Hosmer-Lemeshow comparator uses 10 groups and ``df = groups`` because
     the simulated predictions are externally fixed, never fitted to the
     replicate's outcomes.  A non-converged LR fit counts as a non-rejection
     and increments ``lr_failures``.
@@ -148,7 +147,7 @@ def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
                 elif name == "bb":
                     p = bb_test_from_process(proc, stats).p_unified
                 elif name == "hl":
-                    p = hosmer_lemeshow_test(data, hl_groups, "g").p_value
+                    p = hosmer_lemeshow_test(data, 10, "g").p_value
                 elif name == "lr":
                     result = weak_calibration_lr_test(data)
                     if result.converged:

@@ -139,7 +139,7 @@ def bb_test_from_process(proc: CumulativeProcess,
         b_star=stats.b_star,
         p_b=p_b,
         location_bridge=stats.argmax_bb,
-        p_unified=dist.chi_square4_sf(max(fisher, 0.0)),
+        p_unified=dist.chi_square_sf(max(fisher, 0.0), 4),
     )
 
 
@@ -168,72 +168,6 @@ def conditional_bm_test(data: CalibrationDataset) -> tuple[float, float]:
     p_a = min(1.0, 2.0 * dist.std_normal_cdf(-abs(stats.s_n)))
     p_conditional = 1.0 - dist.conditional_sup_cdf(stats.s_star, stats.s_n)
     return p_a, p_conditional
-
-
-# ---------------------------------------------------------------------------
-# chi-square survival for arbitrary df (Hosmer-Lemeshow, LR test)
-
-def _reg_upper_gamma(s, x):
-    # Regularized upper incomplete gamma Q(s, x); series for the lower tail,
-    # Lentz continued fraction for the upper.  Relative accuracy ~1e-14.
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        term = 1.0 / s
-        total = term
-        k = 1
-        while k < 500:
-            term *= x / (s + k)
-            total += term
-            if term < total * 1e-16:
-                break
-            k += 1
-        log_p = s * math.log(x) - x - math.lgamma(s) + math.log(total)
-        return max(0.0, 1.0 - math.exp(log_p))
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    log_prefactor = -x + s * math.log(x) - math.lgamma(s)
-    return min(1.0, math.exp(log_prefactor) * h)
-
-
-def _chi_square_sf(x, df):
-    """Survival function of chi-square with ``df`` degrees of freedom.
-
-    Even df with x < 1400 uses the finite closed-form sum; odd df and
-    larger x fall back to the regularized upper incomplete gamma.
-    """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if df < 1:
-        raise ValueError(f"df must be positive, got {df}")
-    # exp(-x / 2) underflows past x ~ 1400, so larger x (and with it large
-    # even df, whose mass sits near x = df) goes through log space
-    if df % 2 == 0 and x < 1400:
-        half = 0.5 * x
-        term = 1.0
-        total = 1.0
-        for j in range(1, df // 2):
-            term *= half / j
-            total += term
-        return min(1.0, math.exp(-half) * total)
-    return _reg_upper_gamma(0.5 * df, 0.5 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +222,7 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
         statistic=statistic,
         groups=groups,
         df=df,
-        p_value=_chi_square_sf(statistic, df),
+        p_value=dist.chi_square_sf(statistic, df),
         group_table=tuple(table),
     )
 
@@ -382,7 +316,7 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
     fit = fit_logistic_recalibration(data)
     null_deviance = _bernoulli_deviance(data.outcomes, data.predictions)
     lr = null_deviance - fit.deviance
-    p_value = _chi_square_sf(max(lr, 0.0), 2) if fit.converged else None
+    p_value = dist.chi_square_sf(max(lr, 0.0), 2) if fit.converged else None
     return WeakCalibResult(
         intercept=fit.intercept,
         slope=fit.slope,
@@ -457,7 +391,7 @@ def _monte_carlo_p_values(data: CalibrationDataset, observed: WalkStatistics,
     p_a = add_one(np.abs(s_n) >= abs(observed.s_n))
     p_b = add_one(b_star >= observed.b_star)
     fisher = -2.0 * (math.log(p_a) + math.log(p_b))
-    return p_bm, dist.chi_square4_sf(fisher)
+    return p_bm, dist.chi_square_sf(fisher, 4)
 
 
 def monte_carlo_test(data: CalibrationDataset, which: str,

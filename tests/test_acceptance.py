@@ -17,7 +17,6 @@ import calibwalk as cw
 from calibwalk.distributions import (
     _kolmogorov_cdf_alternating,
     _kolmogorov_cdf_theta,
-    DEFAULT_SERIES,
 )
 from calibwalk.simulation import SimulationScenario, generate_dataset
 from calibwalk.stattests import _simulate_null_statistics, bb_test_from_process
@@ -49,15 +48,15 @@ def test_c01_cdf_oracle_regression():
     assert 1 - cw.kolmogorov_cdf(1.0284) == pytest.approx(0.2407, abs=5e-4)
     assert 1 - cw.kolmogorov_cdf(3.3381) < 0.001
     fisher = -2 * (math.log(0.3129) + math.log(0.2407))
-    assert cw.chi_square4_sf(fisher) == pytest.approx(0.2701, abs=1e-3)
+    assert cw.chi_square_sf(fisher, 4) == pytest.approx(0.2701, abs=1e-3)
     _passed("C1", "all seven reference statistics within tolerance")
 
 
 def test_c02_dual_form_consistency():
     """The two series forms agree, and the conditional CDF nests them."""
     for a in np.linspace(0.3, 3.0, 1000):
-        assert abs(_kolmogorov_cdf_theta(a, DEFAULT_SERIES)
-                   - _kolmogorov_cdf_alternating(a, DEFAULT_SERIES)) < 1e-10
+        assert abs(_kolmogorov_cdf_theta(a)
+                   - _kolmogorov_cdf_alternating(a)) < 1e-10
     for a in np.linspace(0.0, 5.0, 1001):
         assert abs(cw.conditional_sup_cdf(a, 0.0)
                    - cw.kolmogorov_cdf(a)) < 1e-12

@@ -191,6 +191,15 @@ class TestCmdPlot:
                      "--data", str(other), "--out", str(tmp_path)]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    def test_malformed_report_exits_two(self, tmp_path, capsys):
+        csv = _write_csv(tmp_path)
+        report = tmp_path / "report.json"
+        report.write_text('{"schema": 1}')
+        assert main(["plot", "--report", str(report),
+                     "--data", str(csv), "--out", str(tmp_path)]) == 2
+        assert "error: report is missing section 'tool'" in \
+            capsys.readouterr().err
+
 
 class TestCmdCasestudy:
     def test_same_seed_identical_artifacts(self, tmp_path):

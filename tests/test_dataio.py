@@ -150,6 +150,27 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             report_from_dict({"schema": 99})
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"schema": 1, "tool": {"version": "x"}, "timestamp": "",
+          "dataset": {}}, "missing section 'bm_test'"),
+        ({"schema": 1}, "missing section 'tool'"),
+        ([1, 2], "JSON object, got list"),
+    ], ids=["empty-dataset", "schema-only", "list"])
+    def test_malformed_report_names_fault(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            report_from_dict(payload)
+
+    def test_malformed_section_names_key(self):
+        d = report_to_dict(_sample_report())
+        del d["bb_test"]["location_bridge"]["index"]
+        with pytest.raises(ValueError, match="'bb_test' location_bridge is "
+                                             "missing key 'index'"):
+            report_from_dict(d)
+        d = report_to_dict(_sample_report())
+        d["dataset"]["extra"] = 1
+        with pytest.raises(ValueError, match="unknown key 'extra'"):
+            report_from_dict(d)
+
 
 class TestStudyRoundTrip:
     def test_single_cell_roundtrip(self, tmp_path):

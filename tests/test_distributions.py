@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibwalk.distributions import (
-    SeriesConfig,
     _kolmogorov_cdf_alternating,
     _kolmogorov_cdf_theta,
     _kolmogorov_log_sf,
     _normal_two_sided_log_p,
-    chi_square4_sf,
+    chi_square_sf,
     conditional_sup_cdf,
     critical_value,
     kolmogorov_cdf,
@@ -22,8 +21,6 @@ from calibwalk.distributions import (
     sup_abs_bm_cdf,
     sup_abs_bm_sf,
 )
-
-CFG = SeriesConfig()
 
 
 def barrier_survival_mc(a, b=None, paths=150_000, steps=400, seed=7):
@@ -101,8 +98,8 @@ class TestKolmogorov:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.5])
     def test_dual_forms_agree(self, a):
-        assert _kolmogorov_cdf_theta(a, CFG) == pytest.approx(
-            _kolmogorov_cdf_alternating(a, CFG), abs=1e-10
+        assert _kolmogorov_cdf_theta(a) == pytest.approx(
+            _kolmogorov_cdf_alternating(a), abs=1e-10
         )
 
     def test_against_scipy(self):
@@ -196,20 +193,20 @@ class TestStdNormal:
 
 class TestChiSquare4:
     def test_at_origin(self):
-        assert chi_square4_sf(0.0) == 1.0
+        assert chi_square_sf(0.0, 4) == 1.0
 
     def test_paper_fisher_value(self):
         # 5.1726 when computed from unrounded components
         x = -2.0 * (math.log(0.3129) + math.log(0.2407))
         assert x == pytest.approx(5.1726, abs=1e-3)
-        assert chi_square4_sf(x) == pytest.approx(0.2701, abs=1e-3)
+        assert chi_square_sf(x, 4) == pytest.approx(0.2701, abs=1e-3)
 
     def test_limit(self):
-        assert chi_square4_sf(4000.0) == 0.0
+        assert chi_square_sf(4000.0, 4) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            chi_square4_sf(-1.0)
+            chi_square_sf(-1.0, 4)
 
 
 class TestCriticalValue:
@@ -245,20 +242,6 @@ class TestCriticalValue:
             critical_value("kolmogorov", 1.0)
         with pytest.raises(ValueError):
             critical_value("gamma", 0.5)
-
-
-class TestSeriesConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(term_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(max_terms=0)
-
-    def test_loose_config_still_in_range(self):
-        loose = SeriesConfig(term_tolerance=1e-4, max_terms=3)
-        for a in np.linspace(0.1, 4.0, 40):
-            assert 0.0 <= sup_abs_bm_cdf(a, loose) <= 1.0
-            assert 0.0 <= kolmogorov_cdf(a, loose) <= 1.0
 
 
 @given(st.floats(0.0, 50.0, allow_nan=False))

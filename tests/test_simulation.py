@@ -126,8 +126,7 @@ class TestStudies:
         # tiny samples make complete separation likely
         scenario = SimulationScenario(family="logit_linear", n=8,
                                       replications=60, seed=3, a=0.0, b=1.0)
-        summary = run_scenario(scenario, tests=("lr",), keep_pvalues=True,
-                               hl_groups=2)
+        summary = run_scenario(scenario, tests=("lr",), keep_pvalues=True)
         assert summary.lr_failures > 0
         failures = int(np.count_nonzero(summary.pvalues["lr"] == 1.0))
         assert failures >= summary.lr_failures

@@ -11,7 +11,7 @@ from calibwalk import (
     bb_test,
     bm_test,
     build_dataset,
-    chi_square4_sf,
+    chi_square_sf,
     conditional_bm_test,
     cumulative_process,
     fit_logistic_recalibration,
@@ -24,7 +24,6 @@ from calibwalk import (
     weak_calibration_lr_test,
 )
 from calibwalk.simulation import SimulationScenario, generate_dataset
-from calibwalk.stattests import _chi_square_sf
 
 PI_GRID_5 = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -93,11 +92,11 @@ class TestBBTest:
             )
             fisher = -2.0 * (math.log(result.p_a) + math.log(result.p_b))
             assert result.p_unified == pytest.approx(
-                chi_square4_sf(fisher), abs=1e-12
+                chi_square_sf(fisher, 4), abs=1e-12
             )
 
     def test_degenerate_components_combine_to_one(self):
-        assert chi_square4_sf(0.0) == 1.0
+        assert chi_square_sf(0.0, 4) == 1.0
 
     def test_underflowing_components_stay_defined(self):
         # constant predictions with all events: the terminal value is huge
@@ -194,34 +193,37 @@ class TestHosmerLemeshow:
 
 class TestChiSquareSF:
     def test_even_df_closed_forms(self):
-        assert _chi_square_sf(0.0, 2) == 1.0
-        assert _chi_square_sf(5.1726, 4) == pytest.approx(
-            chi_square4_sf(5.1726), abs=1e-14
+        assert chi_square_sf(0.0, 2) == 1.0
+        assert chi_square_sf(5.1726, 4) == pytest.approx(
+            math.exp(-0.5 * 5.1726) * (1.0 + 0.5 * 5.1726), abs=1e-14
         )
 
     def test_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         for df in (1, 2, 3, 4, 5, 8, 9, 10):
             for x in (0.01, 0.5, 2.0, 7.7, 15.0, 40.0):
-                assert _chi_square_sf(x, df) == pytest.approx(
+                assert chi_square_sf(x, df) == pytest.approx(
                     float(scipy_stats.chi2.sf(x, df)), rel=1e-9, abs=1e-300
                 )
 
     def test_large_df_against_scipy(self):
-        # x / 2 >= 700 underflowed the even-df closed form to p = 0
+        # x / 2 >= 700 underflowed the even-df closed form to p = 0, and
+        # a 500-term cap cut the lower-tail series short for df >= ~10000
         scipy_stats = pytest.importorskip("scipy.stats")
-        for df in (1400, 1498, 3000):
+        for df in (1400, 1498, 3000, 20000, 100000):
             for x in (0.95 * df, float(df), 1.0062 * df, 1.05 * df):
-                assert _chi_square_sf(x, df) == pytest.approx(
+                assert chi_square_sf(x, df) == pytest.approx(
                     float(scipy_stats.chi2.sf(x, df)), rel=1e-9
                 )
-        assert _chi_square_sf(1507.2, 1498) == pytest.approx(0.4286, abs=1e-4)
+        assert chi_square_sf(1507.2, 1498) == pytest.approx(0.4286, abs=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _chi_square_sf(-1.0, 4)
+            chi_square_sf(-1.0, 4)
         with pytest.raises(ValueError):
-            _chi_square_sf(1.0, 0)
+            chi_square_sf(1.0, 0)
+        with pytest.raises(ValueError):
+            chi_square_sf(1.0, math.inf)
 
 
 class TestLogisticRecalibration:
