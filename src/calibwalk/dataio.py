@@ -9,8 +9,10 @@ precision so identical reports serialize to identical bytes).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -133,7 +135,8 @@ def read_dataset_csv(source, prediction_column: str = "p",
 
     Accepts a path or an open text stream.  LF and CRLF line endings and a
     UTF-8 byte-order mark are all tolerated; extra columns are ignored.
-    Parse errors name the offending data row (1-based, header excluded).
+    Parse errors name the offending data row (1-based, header and blank
+    lines excluded).
     """
     if hasattr(source, "read"):
         return _read_csv_stream(source, prediction_column, outcome_column,
@@ -144,34 +147,57 @@ def read_dataset_csv(source, prediction_column: str = "p",
 
 
 def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    try:
+        start = stream.tell()
+    except OSError:  # a pipe, or a file already iterated with next()
+        stream = io.StringIO(stream.read())
+        start = 0
+    header = next(csv.reader(stream), None)
+    if header is None:
         raise ValueError("empty file: no header row")
+    # a repeated name resolves to its last column, as csv.DictReader does
+    position = {name: i for i, name in enumerate(header)}
     for column in (prediction_column, outcome_column):
-        if column not in reader.fieldnames:
-            raise ValueError(
-                f"missing column {column!r} (found {reader.fieldnames})"
+        if column not in position:
+            raise ValueError(f"missing column {column!r} (found {header})")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            predictions, outcomes = np.loadtxt(
+                stream, dtype=np.float64, delimiter=",", quotechar='"',
+                comments=None, ndmin=2, unpack=True,
+                usecols=(position[prediction_column],
+                         position[outcome_column]),
             )
-    predictions, outcomes = [], []
-    for row_number, row in enumerate(reader, start=1):
-        predictions.append(
-            _parse_number(row[prediction_column], prediction_column, row_number)
-        )
-        outcomes.append(
-            _parse_number(row[outcome_column], outcome_column, row_number)
-        )
-    if not predictions:
+    except ValueError:
+        # numpy does not say which data row failed: rescan to name it
+        stream.seek(start)
+        _check_rows(stream, prediction_column, outcome_column)
+        raise
+    if predictions.size == 0:
         raise ValueError("no data rows")
     return build_dataset(predictions, outcomes, clamp_epsilon)
 
 
-def _parse_number(cell, column, row_number):
+def _check_rows(stream, prediction_column, outcome_column):
+    for row_number, row in enumerate(csv.DictReader(stream), start=1):
+        for column in (prediction_column, outcome_column):
+            _check_number(row[column], column, row_number)
+
+
+def _check_number(cell, column, row_number):
+    # the grammar np.loadtxt parses: float()'s inside any str.isspace()
+    # padding, minus digit-group underscores and non-ASCII digits
     try:
-        return float(cell)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"non-numeric value {cell!r} in column {column!r} at row {row_number}"
-        ) from None
+        core = cell.strip()
+        if core.isascii() and "_" not in core:
+            float(core)
+            return
+    except (AttributeError, ValueError):  # a short row leaves None
+        pass
+    raise ValueError(
+        f"non-numeric value {cell!r} in column {column!r} at row {row_number}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ combination in the bridge test and the Hosmer-Lemeshow and LR comparators.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -33,9 +34,13 @@ _CONDITIONAL_MAX_K = 50
 _TERM_TOLERANCE = 1e-16
 _MAX_TERMS = 200
 
+# Gamma shape from which the incomplete-gamma prefactor uses Stirling's
+# series (chi-square df >= 20000); below it lgamma is exact enough.
+_STIRLING_MIN_SHAPE = 1e4
+
 
 def _check_nonnegative(a, name="a"):
-    if a < 0:
+    if not a >= 0:  # also rejects NaN
         raise ValueError(f"{name} must be nonnegative, got {a}")
 
 
@@ -178,6 +183,21 @@ def _normal_two_sided_log_p(x: float) -> float:
     return -0.5 * x * x - math.log(x * math.sqrt(math.pi / 2.0))
 
 
+def _log_gamma_prefactor(s, x):
+    # log(x^s exp(-x) / Gamma(s)).  Its terms are ~s log x, so for large s
+    # the direct form cancels to an absolute error ~s * 1e-16; the Stirling
+    # form s * (u - log1p(u)), u = (x - s) / s, does not.
+    if s < _STIRLING_MIN_SHAPE:
+        return s * math.log(x) - x - math.lgamma(s)
+    u = (x - s) / s
+    s2 = s * s
+    # lgamma(s) - [(s - 1/2) log s - s + log(2 pi) / 2], asymptotic series
+    correction = (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0
+                  - 1.0 / (1680.0 * s2)) / s2) / s2) / s
+    return (-s * (u - math.log1p(u)) + 0.5 * math.log(s / (2.0 * math.pi))
+            - correction)
+
+
 def _reg_upper_gamma(s, x):
     # Regularized upper incomplete gamma Q(s, x); series for the lower tail,
     # Lentz continued fraction for the upper.  Relative accuracy ~1e-14.
@@ -195,14 +215,16 @@ def _reg_upper_gamma(s, x):
             if term < total * _TERM_TOLERANCE:
                 break
             k += 1
-        log_p = s * math.log(x) - x - math.lgamma(s) + math.log(total)
+        log_p = _log_gamma_prefactor(s, x) + math.log(total)
         return max(0.0, 1.0 - math.exp(log_p))
+    # the fraction converges for every finite x >= s + 1, just above s in
+    # about sqrt(s) steps, so it runs to its tolerance with no step cap
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
+    for i in itertools.count(1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -216,8 +238,7 @@ def _reg_upper_gamma(s, x):
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             break
-    log_prefactor = -x + s * math.log(x) - math.lgamma(s)
-    return min(1.0, math.exp(log_prefactor) * h)
+    return min(1.0, math.exp(_log_gamma_prefactor(s, x)) * h)
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -231,6 +252,8 @@ def chi_square_sf(x: float, df: int) -> float:
     if not 1 <= df < math.inf:
         # an infinite df would never end the lower-tail series
         raise ValueError(f"df must be positive and finite, got {df}")
+    if x == math.inf:
+        return 0.0
     # exp(-x / 2) underflows past x ~ 1400, so larger x (and with it large
     # even df, whose mass sits near x = df) goes through log space
     if df % 2 == 0 and x < 1400:

@@ -4,6 +4,14 @@ Pure string assembly, no plotting framework: identical inputs produce
 byte-identical documents.  Coordinates are written with 8 decimals, so a
 parsed document reproduces the data-to-pixel transform to well below a
 millionth of a pixel.
+
+A cumulative plot draws every walk vertex up to 4 vertices per pixel of
+plot width (n + 1 <= 4 * width).  Above that the walk is M4-decimated
+(Jugel et al., VLDB 2014): per pixel column it keeps the first, last,
+lowest and highest vertex, plus the origin and the vertex the test's
+marker points at, so the line drawn at the panel's resolution is
+unchanged.  Kept vertices are written exactly as the full polyline would
+write them.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ _PI_TICKS = (0.01, 0.05, 0.1, 0.25, 0.5)
 _MIN_LABEL_SPACING = 20.0
 
 _TRIANGLE_BASE_TIME = 0.1
+
+# walks with more vertices than this many per pixel of plot width are
+# drawn M4-decimated
+_M4_VERTICES_PER_PX = 4
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,10 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;").replace('"', "&quot;"))
 
 
+def _points_attr(points_px) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points_px)
+
+
 def _nice_step(span: float) -> float:
     # smallest 10^k * {1, 2, 5} giving at most ~6 ticks across the span
     if span <= 0:
@@ -123,17 +139,16 @@ class _Document:
         )
 
     def polyline(self, points_px, color, width=1.5):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points_px)
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}" points="{coords}"/>'
+            f'stroke-width="{_fmt(width)}" '
+            f'points="{_points_attr(points_px)}"/>'
         )
 
     def polygon(self, points_px, stroke, fill="none"):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points_px)
         self.parts.append(
             f'<polygon fill="{fill}" stroke="{stroke}" stroke-width="1" '
-            f'points="{coords}"/>'
+            f'points="{_points_attr(points_px)}"/>'
         )
 
     def rect(self, x, y, w, h, stroke, fill="none"):
@@ -234,6 +249,30 @@ def _cumulative_critical(mode, style):
     raise ValueError(f"mode must be 'bm' or 'bb', got {mode!r}")
 
 
+def _first_per_segment(mask, segment):
+    # the first index of each segment at which ``mask`` holds; every
+    # segment has one
+    hits = np.flatnonzero(mask)
+    return hits[np.diff(segment[hits], prepend=-1) != 0]
+
+
+def _m4_indices(amap, times, walk, marker):
+    """Walk indices M4 keeps: per pixel column the first, last, lowest and
+    highest vertex (ties to the first), plus ``marker``, in walk order."""
+    columns = np.floor(amap.x_offset + amap.x_scale * times)
+    starts = np.flatnonzero(np.diff(columns, prepend=-np.inf))
+    bounds = np.append(starts, columns.size)
+    segment = np.repeat(np.arange(starts.size), np.diff(bounds))
+    lowest = np.minimum.reduceat(walk, starts)[segment]
+    highest = np.maximum.reduceat(walk, starts)[segment]
+    return np.unique(np.concatenate([
+        starts, bounds[1:] - 1,
+        _first_per_segment(walk == lowest, segment),
+        _first_per_segment(walk == highest, segment),
+        [marker],
+    ]))
+
+
 def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
                            style: PlotStyle = PlotStyle()) -> str:
     """Cumulative calibration plot with one test's annotations.
@@ -302,10 +341,13 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
         _, by1 = amap.to_px(float(proc.times[i]), float(proc.walk[i]))
         doc.line(bx, by0, bx, by1, style.max_marker_color, width=2.0)
 
+    if proc.n + 1 > _M4_VERTICES_PER_PX * style.width:
+        kept = _m4_indices(amap, proc.times, proc.walk, marker=i)
+        times, walk = proc.times[kept], proc.walk[kept]
+    else:
+        times, walk = proc.times, proc.walk
     points = [amap.to_px(0.0, 0.0)]
-    points.extend(
-        amap.to_px(float(t), float(s)) for t, s in zip(proc.times, proc.walk)
-    )
+    points.extend(amap.to_px(float(t), float(s)) for t, s in zip(times, walk))
     doc.polyline(points, style.walk_color)
 
     if style.show_secondary_axis:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibwalk import (
     analyze,
@@ -99,6 +101,65 @@ class TestReadCsv:
         data = read_dataset_csv(io.StringIO("p,y\n1.0,1\n0.5,0\n"),
                                 clamp_epsilon=1e-6)
         assert data.predictions[-1] == 1.0 - 1e-6
+
+
+class TestCsvContract:
+    def test_quoted_numeric_cells(self):
+        data = read_dataset_csv(
+            io.StringIO('"p","y"\n"0.2","0"\n"0.6",1\n')
+        )
+        np.testing.assert_array_equal(data.predictions, [0.2, 0.6])
+        np.testing.assert_array_equal(data.outcomes, [0, 1])
+
+    def test_blank_lines_skipped_and_not_counted(self):
+        data = read_dataset_csv(io.StringIO("p,y\n0.2,0\n\n0.6,1\n\n"))
+        np.testing.assert_array_equal(data.predictions, [0.2, 0.6])
+        with pytest.raises(ValueError, match="'y' at row 2$"):
+            read_dataset_csv(io.StringIO("p,y\n0.2,0\n\n0.6,x\n"))
+
+    def test_short_row_names_row(self):
+        with pytest.raises(ValueError, match="in column 'y' at row 2$"):
+            read_dataset_csv(io.StringIO("p,y\n0.2,0\n0.6\n0.7,1\n"))
+
+    def test_cells_with_surrounding_spaces(self):
+        data = read_dataset_csv(io.StringIO("p,y\n 0.2 , 1 \n0.6,0\n"))
+        np.testing.assert_array_equal(data.predictions, [0.2, 0.6])
+        np.testing.assert_array_equal(data.outcomes, [1, 0])
+
+    def test_hash_is_not_a_comment(self):
+        data = read_dataset_csv(io.StringIO("id,p,y\n#1,0.2,0\n#2,0.6,1\n"))
+        assert data.n == 2
+        with pytest.raises(
+                ValueError,
+                match=r"non-numeric value '0\.6#' in column 'p' at row 2$"):
+            read_dataset_csv(io.StringIO("p,y\n0.2,0\n0.6#,1\n"))
+
+    def test_bad_outcome_cell_names_row(self):
+        with pytest.raises(
+                ValueError,
+                match=r"^non-numeric value 'yes' in column 'y' at row 3$"):
+            read_dataset_csv(io.StringIO("p,y\n0.2,0\n0.3,1\n0.6,yes\n"))
+
+    def test_bom_crlf_and_extra_columns_together(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'\xef\xbb\xbfid,p,note,y\r\n1,0.2,"a,b",0\r\n'
+                         b'2,0.6,c,1\r\n')
+        data = read_dataset_csv(path)
+        np.testing.assert_array_equal(data.predictions, [0.2, 0.6])
+        np.testing.assert_array_equal(data.outcomes, [0, 1])
+
+    @given(st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.integers(0, 1)),
+        min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_repr_floats_read_back_bit_identical(self, rows):
+        text = "p,y\n" + "".join(f"{p!r},{y}\n" for p, y in rows)
+        data = read_dataset_csv(io.StringIO(text))
+        expected = build_dataset([p for p, _ in rows], [y for _, y in rows])
+        assert data.predictions.tobytes() == expected.predictions.tobytes()
+        assert data.outcomes.tobytes() == expected.outcomes.tobytes()
+        assert data.tie_flag == expected.tie_flag
 
 
 class TestReportRoundTrip:

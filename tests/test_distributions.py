@@ -75,6 +75,12 @@ class TestSupAbsBM:
         with pytest.raises(ValueError):
             sup_abs_bm_sf(-0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            sup_abs_bm_sf(math.nan)
+        with pytest.raises(ValueError):
+            sup_abs_bm_cdf(math.nan)
+
     def test_survival_complements_cdf(self):
         for a in np.linspace(0.06, 6.0, 121):
             assert sup_abs_bm_sf(a) == pytest.approx(
@@ -108,6 +114,12 @@ class TestKolmogorov:
             assert kolmogorov_sf(a) == pytest.approx(
                 float(scipy_special.kolmogorov(a)), abs=1e-12
             )
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            kolmogorov_sf(math.nan)
+        with pytest.raises(ValueError):
+            kolmogorov_cdf(math.nan)
 
     def test_log_sf_extends_past_underflow(self):
         a = 30.0

@@ -217,6 +217,22 @@ class TestChiSquareSF:
                 )
         assert chi_square_sf(1507.2, 1498) == pytest.approx(0.4286, abs=1e-4)
 
+    def test_huge_df_against_scipy(self):
+        # just above x = df the continued fraction needs ~sqrt(df) steps,
+        # more than a fixed iteration cap allows past df ~ 1e6
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in (2_000_000, 4_000_000, 10_000_000):
+            for x in (df + 2.0, 0.999 * df, float(df), 1.001 * df):
+                assert chi_square_sf(x, df) == pytest.approx(
+                    float(scipy_stats.chi2.sf(x, df)), rel=1e-9
+                )
+
+    def test_non_finite_statistic(self):
+        for df in (1, 2, 4, 7, 8, 100, 10_000_000):
+            assert chi_square_sf(math.inf, df) == 0.0
+            with pytest.raises(ValueError):
+                chi_square_sf(math.nan, df)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             chi_square_sf(-1.0, 4)

@@ -21,7 +21,7 @@ from calibwalk import (
     walk_statistics,
 )
 from calibwalk.stattests import _rank_group_bounds
-from calibwalk.svgplot import binned_plot_map, cumulative_plot_map
+from calibwalk.svgplot import _fmt, binned_plot_map, cumulative_plot_map
 
 STYLE = PlotStyle()
 
@@ -178,6 +178,80 @@ class TestCumulativePlot:
         with pytest.raises(ValueError, match="mode"):
             render_cumulative_plot(rendered["proc"], "loess", rendered["bm"],
                                    STYLE)
+
+
+class TestM4Decimation:
+    """Above 4 vertices per pixel of width the walk is drawn M4-decimated."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        # events run 0.1 above the predictions; the bridged maximum then
+        # is no extreme of its pixel column and is kept only as a marker
+        rng = np.random.default_rng(3)
+        p = np.sort(rng.uniform(0.05, 0.6, 20_000))
+        y = (rng.random(20_000) < p + 0.1).astype(float)
+        data = build_dataset(p, y)
+        return cumulative_process(data), bm_test(data), bb_test(data)
+
+    @pytest.mark.parametrize("mode", ["bm", "bb"])
+    def test_envelope_and_marker_match_full_walk(self, large, mode):
+        proc, bm, bb = large
+        result = bm if mode == "bm" else bb
+        marker = (bm.location if mode == "bm" else bb.location_bridge).index
+        amap = cumulative_plot_map(proc, mode, STYLE)
+        full = [amap.to_px(0.0, 0.0)] + [
+            amap.to_px(float(t), float(s))
+            for t, s in zip(proc.times, proc.walk)
+        ]
+        full_text = [f"{_fmt(x)},{_fmt(y)}" for x, y in full]
+        # full[k], k >= 1, is walk vertex k - 1; column[k] is its pixel column
+        column = [None] + [
+            math.floor(amap.x_offset + amap.x_scale * float(t))
+            for t in proc.times
+        ]
+        svg = render_cumulative_plot(proc, mode, result, STYLE)
+        kept_text = re.findall(r'<polyline[^>]*points="([^"]+)"',
+                               svg)[0].split()
+
+        assert proc.n + 1 > 4 * STYLE.width
+        assert kept_text[0] == full_text[0]
+        assert kept_text[-1] == full_text[-1]
+        assert full_text[marker] in kept_text
+        assert set(kept_text) <= set(full_text)
+        full_by_column = {}
+        for k in range(1, len(full)):
+            full_by_column.setdefault(column[k], []).append(k)
+        assert len(kept_text) <= 4 * len(full_by_column) + 2
+        xs = [float(v.split(",")[0]) for v in kept_text]
+        assert all(b >= a for a, b in zip(xs, xs[1:]))
+
+        # locate each kept vertex in the full list, in order
+        kept_by_column, k = {}, 0
+        for text in kept_text[1:]:
+            k += 1
+            while full_text[k] != text:
+                k += 1
+            kept_by_column.setdefault(column[k], []).append(k)
+        assert kept_by_column.keys() == full_by_column.keys()
+        for col, ks in full_by_column.items():
+            kept = kept_by_column[col]
+            assert (kept[0], kept[-1]) == (ks[0], ks[-1])
+            full_y = [full[k][1] for k in ks]
+            kept_y = [full[k][1] for k in kept]
+            assert min(kept_y) == min(full_y)
+            assert max(kept_y) == max(full_y)
+
+    def test_threshold_is_four_vertices_per_pixel(self):
+        style = PlotStyle(width=100)
+        for n, vertices in ((399, 400), (400, None)):
+            data = _dataset(seed=5, n=n)
+            proc = cumulative_process(data)
+            svg = render_cumulative_plot(proc, "bm", bm_test(data), style)
+            count = len(_polyline_points(svg))
+            if vertices is None:
+                assert count < n + 1
+            else:
+                assert count == vertices
 
 
 class TestBinnedPlot:
