@@ -152,7 +152,10 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
     except OSError:  # a pipe, or a file already iterated with next()
         stream = io.StringIO(stream.read())
         start = 0
-    header = next(csv.reader(stream), None)
+    try:
+        header = next(csv.reader(stream), None)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ValueError(f"unreadable header row: {exc}") from exc
     if header is None:
         raise ValueError("empty file: no header row")
     # a repeated name resolves to its last column, as csv.DictReader does
@@ -180,9 +183,15 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
 
 
 def _check_rows(stream, prediction_column, outcome_column):
-    for row_number, row in enumerate(csv.DictReader(stream), start=1):
-        for column in (prediction_column, outcome_column):
-            _check_number(row[column], column, row_number)
+    row_number = 0
+    try:
+        for row_number, row in enumerate(csv.DictReader(stream), start=1):
+            for column in (prediction_column, outcome_column):
+                _check_number(row[column], column, row_number)
+    except csv.Error as exc:  # raised while reading the row after the last
+        raise ValueError(
+            f"unreadable CSV at row {row_number + 1}: {exc}"
+        ) from exc
 
 
 def _check_number(cell, column, row_number):

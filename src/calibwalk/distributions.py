@@ -45,6 +45,8 @@ def _check_nonnegative(a, name="a"):
 
 
 def _clip_probability(p):
+    if math.isnan(p):  # min/max would turn it into 0.0
+        raise ValueError("probability evaluated to NaN")
     return min(1.0, max(0.0, p))
 
 
@@ -149,11 +151,17 @@ def conditional_sup_cdf(a: float, b: float) -> float:
     """P(sup |W(t)| < a | W(1) = b) for standard BM on [0, 1].
 
     Series: sum_{k in Z} (-1)^k exp(2 a b k - 2 a^2 k^2).  The path ends at
-    |b|, so the probability is 0 whenever a <= |b|.
+    |b|, so the probability is 0 whenever a <= |b|, and 1 for infinite a.
     """
     _check_nonnegative(a)
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if a <= abs(b):
         return 0.0
+    if a * (a - abs(b)) > 400.0:
+        # every term is below exp(-800): the sum is 1 to the last bit, and
+        # for huge or infinite a the series would evaluate exp(inf - inf)
+        return 1.0
     if a < 2.0 * _TINY_STAT:
         # true mass here is < 1e-50; the alternating sum would need |k| > 50
         return 0.0

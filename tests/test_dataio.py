@@ -148,6 +148,16 @@ class TestCsvContract:
         np.testing.assert_array_equal(data.predictions, [0.2, 0.6])
         np.testing.assert_array_equal(data.outcomes, [0, 1])
 
+    def test_oversized_field_is_an_input_error(self):
+        # 200 000 characters is over csv's default 131072 field limit
+        big = "x" * 200_000
+        with pytest.raises(ValueError, match="^unreadable header row: field"):
+            read_dataset_csv(io.StringIO(f"p,y,{big}\n0.2,0,a\n"))
+        text = f"p,y,note\n0.2,0,a\n\n0.3,1,{big}\n0.6,q,b\n"
+        with pytest.raises(ValueError, match="^unreadable CSV at row 2: field"):
+            read_dataset_csv(io.StringIO(text))
+        assert read_dataset_csv(io.StringIO(text.replace("q", "1"))).n == 3
+
     @given(st.lists(
         st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                   st.integers(0, 1)),

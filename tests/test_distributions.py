@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibwalk.distributions import (
+    _clip_probability,
     _kolmogorov_cdf_alternating,
     _kolmogorov_cdf_theta,
     _kolmogorov_log_sf,
@@ -150,6 +151,21 @@ class TestConditionalSup:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             conditional_sup_cdf(-1.0, 0.0)
+
+    def test_infinite_bound_is_certain(self):
+        for b in (0.0, 2.5, -40.0):
+            assert conditional_sup_cdf(math.inf, b) == 1.0
+        # 2 a b and 2 a^2 both overflow here
+        assert conditional_sup_cdf(1e200, 1e150) == 1.0
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_terminal_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be finite"):
+            conditional_sup_cdf(1.0, b)
+
+    def test_nan_probability_is_not_clipped(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _clip_probability(math.nan)
 
     def test_against_conditioned_path_simulation(self):
         value = conditional_sup_cdf(1.5, 0.8)

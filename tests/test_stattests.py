@@ -1,6 +1,7 @@
 """Walk tests, comparators, and simulation-based variants."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from calibwalk import (
     walk_statistics,
     weak_calibration_lr_test,
 )
+from calibwalk import stattests
 from calibwalk.simulation import SimulationScenario, generate_dataset
 
 PI_GRID_5 = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -336,3 +338,69 @@ class TestMonteCarloTest:
             if abs(p_asymptotic - p_mc) < 0.02:
                 agree += 1
         assert agree / 200 >= 0.95
+
+
+# values per block of the Monte Carlo engine; the oracle cases straddle it
+BLOCK_VALUES = 1 << 17
+
+
+def _per_replicate_null(data, replications, seed):
+    """The Monte Carlo null written one replicate at a time, as the oracle."""
+    p = data.predictions
+    variances = p * (1.0 - p)
+    times = np.cumsum(variances) / variances.sum()
+    sqrt_t = math.sqrt(variances.sum())
+    rng = np.random.default_rng(seed)
+    s_star, b_star, s_n = (np.empty(replications) for _ in range(3))
+    for r in range(replications):
+        u = rng.random(data.n)
+        w = np.cumsum((u < p) - p) / sqrt_t
+        s_star[r] = np.abs(w).max()
+        b_star[r] = np.abs(w - times * w[-1]).max()
+        s_n[r] = w[-1]
+    return s_star, b_star, s_n
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestMonteCarloEngine:
+    def test_cases_straddle_block_size(self):
+        assert stattests._BLOCK_VALUES == BLOCK_VALUES
+
+    @pytest.mark.parametrize("n, replications", [
+        (1, 10),  # the bridged walk is [0.0]: its maximum must be +0.0
+        (7, 50),
+        (1000, 300),  # blocks of 131 rows, the last one short
+        (BLOCK_VALUES // 3 + 1, 5),  # blocks of 2 rows, the last one short
+        (BLOCK_VALUES - 1, 3),
+        (BLOCK_VALUES, 3),
+        (BLOCK_VALUES + 1, 3),  # one-row blocks
+    ])
+    @pytest.mark.parametrize("include_bridge", [True, False])
+    def test_bit_identical_to_per_replicate_oracle(self, n, replications,
+                                                   include_bridge):
+        data = _random_dataset(n, n=n)
+        s_star, b_star, s_n = stattests._simulate_null_statistics(
+            data, replications, seed=11, include_bridge=include_bridge
+        )
+        want_s, want_b, want_n = _per_replicate_null(data, replications, 11)
+        np.testing.assert_array_equal(_bits(s_star), _bits(want_s))
+        np.testing.assert_array_equal(_bits(s_n), _bits(want_n))
+        if include_bridge:
+            np.testing.assert_array_equal(_bits(b_star), _bits(want_b))
+        else:
+            assert b_star is None
+
+    def test_scratch_memory_is_a_few_rows(self):
+        # fresh float64 temporaries per step of a 4e6-value block peak
+        # near 100 MB at this size
+        data = _random_dataset(3, n=100_000)
+        tracemalloc.start()
+        try:
+            stattests._simulate_null_statistics(data, 50, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
