@@ -183,15 +183,14 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
 
 
 def _check_rows(stream, prediction_column, outcome_column):
-    row_number = 0
     try:
         for row_number, row in enumerate(csv.DictReader(stream), start=1):
             for column in (prediction_column, outcome_column):
                 _check_number(row[column], column, row_number)
-    except csv.Error as exc:  # raised while reading the row after the last
-        raise ValueError(
-            f"unreadable CSV at row {row_number + 1}: {exc}"
-        ) from exc
+    except csv.Error:
+        # e.g. a field over csv's size limit, which numpy read past: the bad
+        # cell lies further on, and numpy's own error names its value
+        return
 
 
 def _check_number(cell, column, row_number):

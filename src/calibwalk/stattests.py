@@ -330,10 +330,9 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
 # ---------------------------------------------------------------------------
 # simulation-based variants
 
-# Values per Monte Carlo block: the walk, draw and bridge buffers of a
-# block stay cache-resident across the in-place passes.  On a 2-core Xeon
-# with 2 MB of L2, blocks of 2^15 to 2^18 values ran fastest at n = 1e3
-# to 1e6, and blocks of 2^22 or more up to 1.8x slower.
+# Values per Monte Carlo block.  On a 2-core Xeon, blocks of 2^15 to 2^18
+# values ran fastest at n = 1e3 to 1e6, and blocks of 2^22 or more up to
+# 1.8x slower.
 _BLOCK_VALUES = 1 << 17
 
 
@@ -379,19 +378,14 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
         np.less(w, p, out=drawn[:m])
         np.subtract(drawn[:m], p, out=w)
         np.cumsum(w, axis=1, out=w)
+        np.divide(w, sqrt_t, out=w)
+        s_n[rows] = w[:, -1]
         if include_bridge:
-            np.divide(w, sqrt_t, out=w)
-            s_n[rows] = w[:, -1]
             br = bridge[:m]
             np.multiply(times, s_n[rows, None], out=br)
             np.subtract(w, br, out=br)
             b_star[rows] = _max_abs_rows(br)
-            s_star[rows] = _max_abs_rows(w)
-        else:
-            # correctly rounded division by a positive constant is
-            # monotone, so max |w| / c is bit-identical to max |w / c|
-            s_n[rows] = w[:, -1] / sqrt_t
-            s_star[rows] = _max_abs_rows(w) / sqrt_t
+        s_star[rows] = _max_abs_rows(w)
     return s_star, b_star, s_n
 
 

@@ -95,7 +95,7 @@ class TestCmdTest:
         csv = _write_csv(tmp_path, "p,y,note\n0.2,0,"
                          + "x" * 200_000 + "\n0.6,q,b\n")
         assert main(["test", str(csv), "--out", str(tmp_path / "o")]) == 2
-        assert "error: unreadable CSV at row 1" in capsys.readouterr().err
+        assert "error: could not convert string 'q'" in capsys.readouterr().err
 
     def test_monte_carlo_deterministic(self, tmp_path):
         csv = _write_csv(tmp_path)

@@ -341,7 +341,7 @@ class TestMonteCarloTest:
 
 
 # values per block of the Monte Carlo engine; the oracle cases straddle it
-BLOCK_VALUES = 1 << 17
+BLOCK_VALUES = stattests._BLOCK_VALUES
 
 
 def _per_replicate_null(data, replications, seed):
@@ -366,13 +366,10 @@ def _bits(values):
 
 
 class TestMonteCarloEngine:
-    def test_cases_straddle_block_size(self):
-        assert stattests._BLOCK_VALUES == BLOCK_VALUES
-
     @pytest.mark.parametrize("n, replications", [
         (1, 10),  # the bridged walk is [0.0]: its maximum must be +0.0
         (7, 50),
-        (1000, 300),  # blocks of 131 rows, the last one short
+        (1000, 300),  # several blocks, the last one short
         (BLOCK_VALUES // 3 + 1, 5),  # blocks of 2 rows, the last one short
         (BLOCK_VALUES - 1, 3),
         (BLOCK_VALUES, 3),
