@@ -33,6 +33,7 @@ from .stattests import (
     BBTestResult,
     BMTestResult,
     HLTestResult,
+    MonteCarloResult,
     RecalibrationFit,
     SmallEffectiveSampleWarning,
     WeakCalibResult,
@@ -88,6 +89,7 @@ __all__ = [
     "BBTestResult",
     "BMTestResult",
     "HLTestResult",
+    "MonteCarloResult",
     "RecalibrationFit",
     "SmallEffectiveSampleWarning",
     "WeakCalibResult",

@@ -118,9 +118,9 @@ def _print_report(report, out=None):
     if report.monte_carlo is not None:
         mc = report.monte_carlo
         print(
-            f"Monte Carlo ({mc['replications']} replications, seed "
-            f"{mc['seed']}): BM p = {mc['bm_p_value']:.4f}, "
-            f"BB p = {mc['bb_p_value']:.4f}",
+            f"Monte Carlo ({mc.replications} replications, seed "
+            f"{mc.seed}): BM p = {mc.bm_p_value:.4f}, "
+            f"BB p = {mc.bb_p_value:.4f}",
             file=out,
         )
 

@@ -157,11 +157,6 @@ def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:
     )
 
 
-def _first_argmax(values: np.ndarray) -> int:
-    # np.argmax already returns the smallest index attaining the maximum
-    return int(np.argmax(values))
-
-
 def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     """Summary statistics of the walk and of its bridged transform.
 
@@ -171,12 +166,12 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     the smallest index.
     """
     abs_walk = np.abs(proc.walk)
-    i_bm = _first_argmax(abs_walk)
+    i_bm = int(np.argmax(abs_walk))
     s_n = float(proc.walk[-1])
     c_n = float(proc.raw_sums[-1])
 
     bridged = np.abs(proc.walk - proc.times * s_n)
-    i_bb = _first_argmax(bridged)
+    i_bb = int(np.argmax(bridged))
 
     p = proc.source.predictions
     return WalkStatistics(

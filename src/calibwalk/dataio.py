@@ -34,12 +34,13 @@ from .stattests import (
     BMTestResult,
     HLGroup,
     HLTestResult,
+    MonteCarloResult,
     SMALL_SAMPLE_VARIANCE,
     WeakCalibResult,
-    _monte_carlo_p_values,
     bb_test_from_process,
     bm_test_from_process,
     hosmer_lemeshow_test,
+    monte_carlo_test,
     weak_calibration_lr_test,
 )
 
@@ -63,7 +64,7 @@ class AnalysisReport:
     bb: BBTestResult
     hl: Optional[HLTestResult] = None
     weak_calibration: Optional[WeakCalibResult] = None
-    monte_carlo: Optional[dict] = None
+    monte_carlo: Optional[MonteCarloResult] = None
     tool_version: str = __version__
     timestamp: str = ""
 
@@ -102,24 +103,14 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     """
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
-    bm = bm_test_from_process(proc, stats)
-    bb = bb_test_from_process(proc, stats)
-    hl_result = None
-    if hl and data.n >= groups:
-        hl_result = hosmer_lemeshow_test(data, groups, df_rule)
-    weak = weak_calibration_lr_test(data) if lr else None
-    monte_carlo = None
-    if mc:
-        bm_p, bb_p = _monte_carlo_p_values(data, stats, mc, seed)
-        monte_carlo = {"replications": mc, "seed": seed,
-                       "bm_p_value": bm_p, "bb_p_value": bb_p}
     report = AnalysisReport(
         dataset=summarize_dataset(data, proc),
-        bm=bm,
-        bb=bb,
-        hl=hl_result,
-        weak_calibration=weak,
-        monte_carlo=monte_carlo,
+        bm=bm_test_from_process(proc, stats),
+        bb=bb_test_from_process(proc, stats),
+        hl=(hosmer_lemeshow_test(data, groups, df_rule)
+            if hl and data.n >= groups else None),
+        weak_calibration=weak_calibration_lr_test(data) if lr else None,
+        monte_carlo=monte_carlo_test(data, mc, seed, stats) if mc else None,
         timestamp=_timestamp(),
     )
     return proc, report
@@ -218,15 +209,12 @@ _SECTIONS = (
     ("bb_test", "bb", BBTestResult),
     ("hosmer_lemeshow", "hl", HLTestResult),
     ("weak_calibration", "weak_calibration", WeakCalibResult),
+    ("monte_carlo", "monte_carlo", MonteCarloResult),
 )
 
 
 def _section_to_dict(result) -> dict:
-    d = {k: v for k, v in asdict(result).items() if v is not None}
-    if isinstance(result, WeakCalibResult) and "p_value" in d:
-        # schema 1 writes the LR p-value after the fit diagnostics
-        d["p_value"] = d.pop("p_value")
-    return d
+    return {k: v for k, v in asdict(result).items() if v is not None}
 
 
 def _checked(cls, d, where, optional=()):
@@ -275,8 +263,6 @@ def report_to_dict(report: AnalysisReport) -> dict:
         section = getattr(report, attribute)
         if section is not None:
             d[key] = _section_to_dict(section)
-    if report.monte_carlo is not None:
-        d["monte_carlo"] = dict(report.monte_carlo)
     return d
 
 
@@ -297,7 +283,6 @@ def report_from_dict(d) -> AnalysisReport:
                 for key, attribute, cls in _SECTIONS if key in d}
     return AnalysisReport(
         **sections,
-        monte_carlo=d.get("monte_carlo"),
         tool_version=d["tool"]["version"],
         timestamp=d["timestamp"],
     )

@@ -150,7 +150,7 @@ def _kolmogorov_log_sf(a: float) -> float:
 def conditional_sup_cdf(a: float, b: float) -> float:
     """P(sup |W(t)| < a | W(1) = b) for standard BM on [0, 1].
 
-    Series: sum_{k in Z} (-1)^k exp(2 a b k - 2 a^2 k^2).  The path ends at
+    Series: sum_{k in Z} (-1)^k exp(-2 a k (a k - b)).  The path ends at
     |b|, so the probability is 0 whenever a <= |b|, and 1 for infinite a.
     """
     _check_nonnegative(a)
@@ -158,19 +158,15 @@ def conditional_sup_cdf(a: float, b: float) -> float:
         raise ValueError(f"b must be finite, got {b}")
     if a <= abs(b):
         return 0.0
-    if a * (a - abs(b)) > 400.0:
-        # every term is below exp(-800): the sum is 1 to the last bit, and
-        # for huge or infinite a the series would evaluate exp(inf - inf)
-        return 1.0
     if a < 2.0 * _TINY_STAT:
         # true mass here is < 1e-50; the alternating sum would need |k| > 50
         return 0.0
     total = 1.0
     for k in range(1, _CONDITIONAL_MAX_K + 1):
-        q = 2.0 * a * a * k * k
-        r = 2.0 * a * b * k
-        # both exponents are <= 0 because |b| < a, so no overflow
-        pair = math.exp(r - q) + math.exp(-r - q)
+        ak = a * k
+        # factored, the exponents keep their digits where a k is close to
+        # |b|; both are <= 0 because |b| < a, and -inf for infinite a
+        pair = math.exp(-2.0 * ak * (ak - b)) + math.exp(-2.0 * ak * (ak + b))
         total += pair if k % 2 == 0 else -pair
         if pair < _TERM_TOLERANCE:
             break

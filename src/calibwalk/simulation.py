@@ -22,21 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .data import CalibrationDataset, build_dataset, cumulative_process, walk_statistics
-from .stattests import (
-    SmallEffectiveSampleWarning,
-    _expit,
-    bb_test_from_process,
-    bm_test_from_process,
-    hosmer_lemeshow_test,
-    weak_calibration_lr_test,
-)
+from .data import CalibrationDataset, build_dataset
+from .dataio import analyze
+from .stattests import _expit
 
 FAMILIES = ("null", "logit_linear", "logit_power")
 
@@ -126,38 +119,34 @@ def _rejection_summary(pvalue_samples, alpha):
 
 def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
                  keep_pvalues: bool = True) -> SimulationSummary:
-    """Run one cell: every requested test on every replicate.
+    """Run one cell: ``analyze`` on every replicate, keeping ``tests``.
 
-    The Hosmer-Lemeshow comparator uses 10 groups and ``df = groups`` because
-    the simulated predictions are externally fixed, never fitted to the
-    replicate's outcomes.  A non-converged LR fit counts as a non-rejection
-    and increments ``lr_failures``.
+    ``tests`` names any of ``POWER_TESTS``.  The Hosmer-Lemeshow comparator
+    uses 10 groups and ``df = groups`` because the simulated predictions are
+    externally fixed, never fitted to the replicate's outcomes.  A
+    non-converged LR fit counts as a non-rejection and increments
+    ``lr_failures``.
     """
+    for name in tests:
+        if name not in POWER_TESTS:
+            raise ValueError(f"unknown test {name!r}")
+    if "hl" in tests and scenario.n < 10:
+        raise ValueError(f"n={scenario.n} is smaller than groups=10")
     samples = {name: np.empty(scenario.replications) for name in tests}
     lr_failures = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallEffectiveSampleWarning)
-        for r in range(scenario.replications):
-            data = generate_dataset(scenario, r)
-            proc = cumulative_process(data)
-            stats = walk_statistics(proc)
-            for name in tests:
-                if name == "bm":
-                    p = bm_test_from_process(proc, stats).p_value
-                elif name == "bb":
-                    p = bb_test_from_process(proc, stats).p_unified
-                elif name == "hl":
-                    p = hosmer_lemeshow_test(data, 10, "g").p_value
-                elif name == "lr":
-                    result = weak_calibration_lr_test(data)
-                    if result.converged:
-                        p = result.p_value
-                    else:
-                        lr_failures += 1
-                        p = 1.0
-                else:
-                    raise ValueError(f"unknown test {name!r}")
-                samples[name][r] = p
+    for r in range(scenario.replications):
+        _, report = analyze(generate_dataset(scenario, r), groups=10,
+                            df_rule="g", hl="hl" in tests, lr="lr" in tests)
+        pvalues = {"bm": report.bm.p_value, "bb": report.bb.p_unified}
+        if report.hl is not None:
+            pvalues["hl"] = report.hl.p_value
+        weak = report.weak_calibration
+        if weak is not None:
+            pvalues["lr"] = weak.p_value if weak.converged else 1.0
+            if not weak.converged:
+                lr_failures += 1
+        for name in tests:
+            samples[name][r] = pvalues[name]
     rejections, standard_errors = _rejection_summary(samples, scenario.alpha)
     return SimulationSummary(
         scenario=scenario,

@@ -87,9 +87,17 @@ class WeakCalibResult:
     intercept: float
     slope: float
     lr_statistic: float
-    p_value: Optional[float]
     converged: bool
     iterations: int
+    p_value: Optional[float]
+
+
+@dataclass(frozen=True)
+class MonteCarloResult:
+    replications: int
+    seed: int
+    bm_p_value: float
+    bb_p_value: float
 
 
 def _warn_if_small(total_variance):
@@ -179,6 +187,17 @@ def _rank_group_bounds(n, groups):
     return [i * n // groups for i in range(groups + 1)]
 
 
+def _rank_groups(data: CalibrationDataset, groups: int) -> tuple:
+    """One ``HLGroup`` row per rank group, lowest predictions first."""
+    bounds = _rank_group_bounds(data.n, groups)
+    table = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        p = data.predictions[lo:hi]
+        table.append(HLGroup(hi - lo, float(data.outcomes[lo:hi].sum()),
+                             float(p.sum()), float(p.mean())))
+    return tuple(table)
+
+
 def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
                          df_rule: str = "g_minus_2") -> HLTestResult:
     """Hosmer-Lemeshow chi-square test on rank-quantile groups.
@@ -203,27 +222,19 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
             "freedom; use df_rule='g'"
         )
 
-    bounds = _rank_group_bounds(data.n, groups)
+    table = _rank_groups(data, groups)
     statistic = 0.0
-    table = []
-    for g in range(groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        p = data.predictions[lo:hi]
-        y = data.outcomes[lo:hi]
-        size = hi - lo
-        observed = float(y.sum())
-        expected = float(p.sum())
-        variance = expected * (1.0 - expected / size)
+    for g, row in enumerate(table):
+        variance = row.expected * (1.0 - row.expected / row.size)
         if variance <= 0.0:
             raise ValueError(f"degenerate group {g}: zero binomial variance")
-        statistic += (observed - expected) ** 2 / variance
-        table.append(HLGroup(size, observed, expected, float(p.mean())))
+        statistic += (row.observed - row.expected) ** 2 / variance
     return HLTestResult(
         statistic=statistic,
         groups=groups,
         df=df,
         p_value=dist.chi_square_sf(statistic, df),
-        group_table=tuple(table),
+        group_table=table,
     )
 
 
@@ -343,7 +354,7 @@ def _max_abs_rows(block):
 
 
 def _simulate_null_statistics(data: CalibrationDataset, replications: int,
-                              seed: int, include_bridge: bool = True):
+                              seed: int):
     """Null samples of (max |walk|, max |bridged walk|, terminal value).
 
     Outcomes are redrawn as independent Bernoulli(p_i); the float64 walk
@@ -352,8 +363,7 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     blocks of about 2^17 values through buffers allocated once and updated
     in place, so scratch memory is a few rows of n floats.  The generator
     fills each block in row-major order, so replicate r sees the same
-    uniforms whatever the block size.  The bridged maximum (the costliest
-    reduction) is skipped when not requested.
+    uniforms whatever the block size.
     """
     p = data.predictions
     n = data.n
@@ -364,12 +374,12 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
 
     rng = np.random.default_rng(seed)
     s_star = np.empty(replications)
-    b_star = np.empty(replications) if include_bridge else None
+    b_star = np.empty(replications)
     s_n = np.empty(replications)
     block = max(1, min(replications, _BLOCK_VALUES // n))
     walk = np.empty((block, n))
     drawn = np.empty((block, n), dtype=bool)
-    bridge = np.empty((block, n)) if include_bridge else None
+    bridge = np.empty((block, n))
     for done in range(0, replications, block):
         m = min(block, replications - done)
         rows = slice(done, done + m)
@@ -380,54 +390,42 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
         np.cumsum(w, axis=1, out=w)
         np.divide(w, sqrt_t, out=w)
         s_n[rows] = w[:, -1]
-        if include_bridge:
-            br = bridge[:m]
-            np.multiply(times, s_n[rows, None], out=br)
-            np.subtract(w, br, out=br)
-            b_star[rows] = _max_abs_rows(br)
+        br = bridge[:m]
+        np.multiply(times, s_n[rows, None], out=br)
+        np.subtract(w, br, out=br)
+        b_star[rows] = _max_abs_rows(br)
         s_star[rows] = _max_abs_rows(w)
     return s_star, b_star, s_n
 
 
-def _monte_carlo_p_values(data: CalibrationDataset, observed: WalkStatistics,
-                          replications: int, seed: int,
-                          include_bridge: bool = True):
-    """Add-one BM and BB p-values from one resampled null.
+def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
+                     stats: Optional[WalkStatistics] = None
+                     ) -> MonteCarloResult:
+    """Simulation-based BM and BB p-values from one resampled null.
 
-    Both tests read the same null walks, so one draw serves both; the BB
-    p-value is None when the bridge statistic is not requested.
+    The null redraws the outcomes from the predictions.  The BM p-value
+    compares the maximum |walk|; the BB p-value is Fisher's combination of
+    the empirical two-sided terminal-value p and the empirical
+    bridged-maximum p.  Both read the same null walks and use the add-one
+    estimator, so neither is ever exactly zero and the tests are
+    finite-sample valid.  ``stats`` passes in the observed walk statistics
+    when they are already computed.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    s_star, b_star, s_n = _simulate_null_statistics(
-        data, replications, seed, include_bridge=include_bridge
-    )
+    if stats is None:
+        stats = walk_statistics(cumulative_process(data))
+    s_star, b_star, s_n = _simulate_null_statistics(data, replications, seed)
 
     def add_one(exceeds):
         return (1 + int(np.count_nonzero(exceeds))) / (replications + 1)
 
-    p_bm = add_one(s_star >= observed.s_star)
-    if not include_bridge:
-        return p_bm, None
-    p_a = add_one(np.abs(s_n) >= abs(observed.s_n))
-    p_b = add_one(b_star >= observed.b_star)
+    p_a = add_one(np.abs(s_n) >= abs(stats.s_n))
+    p_b = add_one(b_star >= stats.b_star)
     fisher = -2.0 * (math.log(p_a) + math.log(p_b))
-    return p_bm, dist.chi_square_sf(fisher, 4)
-
-
-def monte_carlo_test(data: CalibrationDataset, which: str,
-                     replications: int, seed: int) -> float:
-    """Simulation-based p-value with the null resampled from the predictions.
-
-    ``which`` is ``"bm"`` (maximum |walk|) or ``"bb"`` (Fisher combination
-    of the empirical two-sided terminal-value p and the empirical
-    bridged-maximum p).  Uses the add-one estimator, so the p-value is
-    never exactly zero and the test is finite-sample valid.
-    """
-    if which not in ("bm", "bb"):
-        raise ValueError(f"which must be 'bm' or 'bb', got {which!r}")
-    observed = walk_statistics(cumulative_process(data))
-    p_bm, p_bb = _monte_carlo_p_values(
-        data, observed, replications, seed, include_bridge=(which == "bb")
+    return MonteCarloResult(
+        replications=replications,
+        seed=seed,
+        bm_p_value=add_one(s_star >= stats.s_star),
+        bb_p_value=dist.chi_square_sf(fisher, 4),
     )
-    return p_bm if which == "bm" else p_bb

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import CalibrationDataset, CumulativeProcess
 from .distributions import critical_value
-from .stattests import BBTestResult, BMTestResult, _rank_group_bounds
+from .stattests import BBTestResult, BMTestResult, _rank_groups
 
 _MARGIN_LEFT = 56.0
 _MARGIN_RIGHT = 18.0
@@ -375,18 +375,13 @@ def binned_plot_map(data: CalibrationDataset, groups: int = 10,
 def _binned_points(data, groups):
     if groups < 1 or data.n < groups:
         raise ValueError(f"cannot form {groups} groups from n={data.n}")
-    bounds = _rank_group_bounds(data.n, groups)
     rows = []
     hi_value = 0.0
-    for g in range(groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        p = data.predictions[lo:hi]
-        y = data.outcomes[lo:hi]
-        size = hi - lo
-        mean_p = float(p.mean())
-        prop = float(y.mean())
-        half_whisker = math.sqrt(prop * (1.0 - prop) / size)
-        rows.append((mean_p, prop, half_whisker, size))
+    for group in _rank_groups(data, groups):
+        mean_p = group.mean_prediction
+        prop = group.observed / group.size
+        half_whisker = math.sqrt(prop * (1.0 - prop) / group.size)
+        rows.append((mean_p, prop, half_whisker, group.size))
         hi_value = max(hi_value, mean_p, prop + half_whisker)
     upper = min(1.0, hi_value * 1.08 + 1e-9)
     return rows, (0.0, upper)

@@ -106,7 +106,7 @@ class TestCmdTest:
                          "--no-plots", "--out", str(out)]) == 0
             reports.append(read_report_json(out / "report.json"))
         assert reports[0].monte_carlo == reports[1].monte_carlo
-        assert 0.0 < reports[0].monte_carlo["bm_p_value"] <= 1.0
+        assert 0.0 < reports[0].monte_carlo.bm_p_value <= 1.0
 
     def test_report_is_library_analysis(self, tmp_path):
         rows = "".join(f"{0.05 + 0.9 * i / 59:.6f},{i % 3 == 0:d}\n"
@@ -169,6 +169,11 @@ class TestCmdSimulate:
                      "--reps", "0", "--seed", "1",
                      "--out", str(tmp_path)]) == 2
 
+    def test_hl_with_too_few_rows_exits_two(self, tmp_path, capsys):
+        assert main(["simulate", "power", "--n", "5", "--reps", "3",
+                     "--out", str(tmp_path)]) == 2
+        assert "n=5 is smaller than groups=10" in capsys.readouterr().err
+
     def test_missing_grid_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "null", "--reps", "10",
@@ -205,6 +210,18 @@ class TestCmdPlot:
                      "--data", str(csv), "--out", str(tmp_path)]) == 2
         assert "error: report is missing section 'tool'" in \
             capsys.readouterr().err
+
+    def test_malformed_monte_carlo_section_exits_two(self, tmp_path, capsys):
+        csv = _write_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["monte_carlo"] = 5
+        (out / "report.json").write_text(json.dumps(report))
+        assert main(["plot", "--report", str(out / "report.json"),
+                     "--data", str(csv), "--out", str(tmp_path)]) == 2
+        assert "error: report section 'monte_carlo' must be a JSON object" \
+            in capsys.readouterr().err
 
 
 class TestCmdCasestudy:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibwalk import (
+    MonteCarloResult,
     analyze,
     bb_test,
     bm_test,
@@ -47,8 +48,7 @@ def _sample_report(seed=0, n=300, with_optional=True):
         bb=bb_test(data),
         hl=hosmer_lemeshow_test(data) if with_optional else None,
         weak_calibration=weak_calibration_lr_test(data) if with_optional else None,
-        monte_carlo={"replications": 100, "seed": 1,
-                     "bm_p_value": 0.5, "bb_p_value": 0.25}
+        monte_carlo=MonteCarloResult(100, 1, 0.5, 0.25)
         if with_optional else None,
         timestamp="2024-01-01T00:00:00+00:00",
     )
@@ -285,25 +285,20 @@ class TestAnalyze:
         assert report.hl == hosmer_lemeshow_test(data)
         assert report.weak_calibration == weak_calibration_lr_test(data)
         assert report.dataset == summarize_dataset(data, proc)
-        assert report.monte_carlo == {
-            "replications": 200,
-            "seed": 3,
-            "bm_p_value": monte_carlo_test(data, "bm", 200, 3),
-            "bb_p_value": monte_carlo_test(data, "bb", 200, 3),
-        }
+        assert report.monte_carlo == monte_carlo_test(data, 200, 3)
 
     def test_one_null_draw_serves_both_tests(self, monkeypatch):
         calls = []
         simulate = stattests._simulate_null_statistics
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("include_bridge"))
+            calls.append(args[1:])
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(stattests, "_simulate_null_statistics", counting)
         data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
         analyze(data, mc=50, seed=1)
-        assert calls == [True]
+        assert calls == [(50, 1)]
 
     def test_optional_sections_and_validation(self):
         data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)

@@ -158,6 +158,15 @@ class TestConditionalSup:
         # 2 a b and 2 a^2 both overflow here
         assert conditional_sup_cdf(1e200, 1e150) == 1.0
 
+    def test_large_bound_keeps_its_digits(self):
+        # a (a - b) = 10 at a = 1e8: the k = 1 term alone is the answer,
+        # and the unfactored exponent 2 a b - 2 a^2 lost 1e-9 to rounding
+        a = 1e8
+        b = a - 1e-7
+        assert conditional_sup_cdf(a, b) == pytest.approx(
+            1.0 - math.exp(-2.0 * a * (a - b)), abs=1e-15
+        )
+
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
     def test_non_finite_terminal_rejected(self, b):
         with pytest.raises(ValueError, match="b must be finite"):

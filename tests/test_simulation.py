@@ -122,6 +122,12 @@ class TestStudies:
         assert set(summary.rejections) == {"lr", "hl", "bm", "bb"}
         assert summary.lr_failures >= 0
 
+    def test_unknown_test_rejected_before_any_replicate(self):
+        scenario = SimulationScenario(family="null", n=20, replications=2,
+                                      seed=0)
+        with pytest.raises(ValueError, match="unknown test 'zz'"):
+            run_scenario(scenario, tests=("bm", "zz"))
+
     def test_lr_failures_counted_as_nonrejection(self):
         # tiny samples make complete separation likely
         scenario = SimulationScenario(family="logit_linear", n=8,

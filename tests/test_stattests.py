@@ -304,24 +304,20 @@ class TestWeakCalibrationLR:
 class TestMonteCarloTest:
     def test_seeded_determinism(self):
         data = _random_dataset(6, n=60)
-        p1 = monte_carlo_test(data, "bm", 2000, seed=7)
-        p2 = monte_carlo_test(data, "bm", 2000, seed=7)
-        assert p1 == p2
-        b1 = monte_carlo_test(data, "bb", 2000, seed=7)
-        b2 = monte_carlo_test(data, "bb", 2000, seed=7)
-        assert b1 == b2
+        first = monte_carlo_test(data, 2000, seed=7)
+        assert first == monte_carlo_test(data, 2000, seed=7)
+        assert (first.replications, first.seed) == (2000, 7)
 
     def test_add_one_estimator_bounds(self):
         data = _random_dataset(8, n=40)
-        p = monte_carlo_test(data, "bm", 99, seed=1)
-        assert 1.0 / 100.0 <= p <= 1.0
+        result = monte_carlo_test(data, 99, seed=1)
+        assert 1.0 / 100.0 <= result.bm_p_value <= 1.0
+        assert 0.0 < result.bb_p_value <= 1.0
 
     def test_validation(self):
         data = _random_dataset(0, n=10)
-        with pytest.raises(ValueError):
-            monte_carlo_test(data, "bm", 0, seed=1)
-        with pytest.raises(ValueError):
-            monte_carlo_test(data, "range", 10, seed=1)
+        with pytest.raises(ValueError, match="replications"):
+            monte_carlo_test(data, 0, seed=1)
 
     def test_agreement_with_asymptotic_at_large_n(self):
         # under the null at n = 1000 the exact p runs ~0.01 below the
@@ -334,7 +330,7 @@ class TestMonteCarloTest:
         for r in range(200):
             data = generate_dataset(scenario, r)
             p_asymptotic = bm_test(data).p_value
-            p_mc = monte_carlo_test(data, "bm", 20_000, seed=1000 + r)
+            p_mc = monte_carlo_test(data, 20_000, seed=1000 + r).bm_p_value
             if abs(p_asymptotic - p_mc) < 0.02:
                 agree += 1
         assert agree / 200 >= 0.95
@@ -375,20 +371,34 @@ class TestMonteCarloEngine:
         (BLOCK_VALUES, 3),
         (BLOCK_VALUES + 1, 3),  # one-row blocks
     ])
-    @pytest.mark.parametrize("include_bridge", [True, False])
+    @pytest.mark.parametrize("stats_given", [True, False])
     def test_bit_identical_to_per_replicate_oracle(self, n, replications,
-                                                   include_bridge):
+                                                   stats_given):
         data = _random_dataset(n, n=n)
         s_star, b_star, s_n = stattests._simulate_null_statistics(
-            data, replications, seed=11, include_bridge=include_bridge
+            data, replications, seed=11
         )
         want_s, want_b, want_n = _per_replicate_null(data, replications, 11)
         np.testing.assert_array_equal(_bits(s_star), _bits(want_s))
+        np.testing.assert_array_equal(_bits(b_star), _bits(want_b))
         np.testing.assert_array_equal(_bits(s_n), _bits(want_n))
-        if include_bridge:
-            np.testing.assert_array_equal(_bits(b_star), _bits(want_b))
-        else:
-            assert b_star is None
+        # the public test reads the same draw, with or without the
+        # observed statistics passed in
+        observed = walk_statistics(cumulative_process(data))
+        result = monte_carlo_test(data, replications, 11,
+                                  observed if stats_given else None)
+
+        def add_one(exceeds):
+            return (1 + int(np.sum(exceeds))) / (replications + 1)
+
+        p_a = add_one(np.abs(want_n) >= abs(observed.s_n))
+        p_b = add_one(want_b >= observed.b_star)
+        half = -math.log(p_a) - math.log(p_b)  # half of Fisher's statistic
+        assert result.bm_p_value == add_one(want_s >= observed.s_star)
+        # chi-square survival with 4 df at 2 h is exp(-h) (1 + h)
+        assert result.bb_p_value == pytest.approx(
+            math.exp(-half) * (1.0 + half), rel=1e-12
+        )
 
     def test_scratch_memory_is_a_few_rows(self):
         # fresh float64 temporaries per step of a 4e6-value block peak
