@@ -54,7 +54,6 @@ from .simulation import (
     run_power_study,
 )
 from .svgplot import (
-    PlotStyle,
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
@@ -106,7 +105,6 @@ __all__ = [
     "pvalue_ecdf",
     "run_null_study",
     "run_power_study",
-    "PlotStyle",
     "render_binned_calibration_plot",
     "render_cumulative_plot",
     "render_study_figures",

@@ -28,7 +28,6 @@ from .dataio import (
 from .simulation import run_null_study, run_power_study
 from .stattests import _expit, fit_logistic_recalibration
 from .svgplot import (
-    PlotStyle,
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
@@ -47,58 +46,51 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_cumulative_plots(outdir: Path, proc, report, style, prefix=""):
+def _write_cumulative_plots(outdir: Path, proc, report, alpha, prefix=""):
     """Write ``{prefix}cumulative_bm.svg`` and ``..._bb.svg``; return paths."""
     paths = []
     for mode, result in (("bm", report.bm), ("bb", report.bb)):
         path = outdir / f"{prefix}cumulative_{mode}.svg"
-        _write_text(path, render_cumulative_plot(proc, mode, result, style))
+        _write_text(path, render_cumulative_plot(proc, mode, result, alpha))
         paths.append(str(path))
     return paths
 
 
-def _print_report(report, out=None):
-    out = out if out is not None else sys.stdout
+def _print_report(report):
     ds = report.dataset
     print(
         f"n = {ds.n}, events = {ds.events} "
         f"({100.0 * ds.events / ds.n:.1f}%), mean prediction = "
-        f"{ds.mean_prediction:.4f}, total variance = {ds.total_variance:.2f}",
-        file=out,
+        f"{ds.mean_prediction:.4f}, total variance = {ds.total_variance:.2f}"
     )
     if ds.tie_flag:
         print(
             "warning: tied predictions present; statistics may depend on "
-            "the within-tie input order",
-            file=out,
+            "the within-tie input order"
         )
     if ds.small_sample_warning:
         print(
             "warning: total variance below 30; asymptotic p-values are "
-            "unreliable (consider --mc)",
-            file=out,
+            "unreliable (consider --mc)"
         )
     bm = report.bm
     print(
         f"BM test: max |walk| = {bm.s_star:.4f} (raw {bm.c_star:.4g}) at "
         f"prediction {bm.location.prediction:.4g} "
-        f"(t = {bm.location.time:.3f}), p = {bm.p_value:.4f}",
-        file=out,
+        f"(t = {bm.location.time:.3f}), p = {bm.p_value:.4f}"
     )
     bb = report.bb
     print(
         f"BB test: terminal = {bb.s_n:.4f} (mean error {bb.c_n:.4g}, "
         f"p_A = {bb.p_a:.4f}); bridged max = {bb.b_star:.4f} at prediction "
         f"{bb.location_bridge.prediction:.4g} (p_B = {bb.p_b:.4f}); "
-        f"unified p = {bb.p_unified:.4f}",
-        file=out,
+        f"unified p = {bb.p_unified:.4f}"
     )
     if report.hl is not None:
         hl = report.hl
         print(
             f"HL test: chi2 = {hl.statistic:.4f} ({hl.groups} groups, "
-            f"{hl.df} df), p = {hl.p_value:.4f}",
-            file=out,
+            f"{hl.df} df), p = {hl.p_value:.4f}"
         )
     if report.weak_calibration is not None:
         w = report.weak_calibration
@@ -106,22 +98,19 @@ def _print_report(report, out=None):
             print(
                 f"LR test: intercept = {w.intercept:.4f}, slope = "
                 f"{w.slope:.4f}, LR = {w.lr_statistic:.4f}, "
-                f"p = {w.p_value:.4f}",
-                file=out,
+                f"p = {w.p_value:.4f}"
             )
         else:
             print(
                 "LR test: fit did not converge (separation or degenerate "
-                "outcomes); no p-value",
-                file=out,
+                "outcomes); no p-value"
             )
     if report.monte_carlo is not None:
         mc = report.monte_carlo
         print(
             f"Monte Carlo ({mc.replications} replications, seed "
             f"{mc.seed}): BM p = {mc.bm_p_value:.4f}, "
-            f"BB p = {mc.bb_p_value:.4f}",
-            file=out,
+            f"BB p = {mc.bb_p_value:.4f}"
         )
 
 
@@ -143,8 +132,7 @@ def cmd_test(args) -> int:
     _print_report(report)
     artifacts = [str(report_path)]
     if not args.no_plots:
-        style = PlotStyle(significance_level=args.alpha)
-        artifacts += _write_cumulative_plots(outdir, proc, report, style)
+        artifacts += _write_cumulative_plots(outdir, proc, report, args.alpha)
     print("wrote " + ", ".join(artifacts))
     return 0
 
@@ -196,22 +184,21 @@ def cmd_plot(args) -> int:
             "re-run the test subcommand"
         )
     outdir = Path(args.out)
-    _write_cumulative_plots(outdir, proc, report,
-                            PlotStyle(significance_level=args.alpha))
+    _write_cumulative_plots(outdir, proc, report, args.alpha)
     print(f"re-rendered figures in {outdir}")
     return 0
 
 
 def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
-                   out_dir=None, alpha=0.05, groups=10,
-                   render_figures=True):
+                   out_dir=None, alpha=0.05):
     """Synthetic two-model contrast: large vs small development sample.
 
     Draws a population with true risk logit(p) = -2 + x, fits the
     single-predictor logistic model by IRLS on the full development split
     and on its first ``small_n`` rows, then evaluates both fits on a
     held-out split.  Returns per-model fits and analysis reports; artifacts
-    are written when ``out_dir`` is given.
+    (reports, binned plots with 10 and 20 rank groups, cumulative plots at
+    level ``alpha``) are written when ``out_dir`` is given.
     """
     if small_n > dev_n:
         raise ValueError("small_n cannot exceed dev_n")
@@ -227,22 +214,18 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
         fit = fit_logistic_recalibration(carrier)
         predictions = _expit(fit.intercept + fit.slope * x_hold)
         holdout = build_dataset(predictions, y_hold)
-        proc, report = analyze(holdout, groups=groups, df_rule="g")
+        proc, report = analyze(holdout, groups=10, df_rule="g")
         results[label] = {"fit": fit, "report": report, "process": proc,
                           "dataset": holdout}
         if out_dir is not None:
             outdir = Path(out_dir)
             outdir.mkdir(parents=True, exist_ok=True)
             write_report_json(report, outdir / f"{label}_report.json")
-            if render_figures:
-                style = PlotStyle(significance_level=alpha)
-                for name, bins in (("deciles", groups), ("fine", 2 * groups)):
-                    _write_text(
-                        outdir / f"{label}_binned_{name}.svg",
-                        render_binned_calibration_plot(holdout, bins, style),
-                    )
-                _write_cumulative_plots(outdir, proc, report, style,
-                                        prefix=f"{label}_")
+            for name, bins in (("deciles", 10), ("fine", 20)):
+                _write_text(outdir / f"{label}_binned_{name}.svg",
+                            render_binned_calibration_plot(holdout, bins))
+            _write_cumulative_plots(outdir, proc, report, alpha,
+                                    prefix=f"{label}_")
     return results
 
 

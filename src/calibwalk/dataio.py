@@ -322,7 +322,8 @@ def study_to_dict(summaries) -> dict:
                                 for k in sorted(summary.standard_errors)},
             "lr_failures": summary.lr_failures,
         }
-        if summary.pvalues is not None:
+        # null cells keep their samples for the ECDF figures
+        if summary.scenario.family == "null":
             cell["pvalues"] = {
                 k: np.asarray(summary.pvalues[k]).tolist()
                 for k in sorted(summary.pvalues)

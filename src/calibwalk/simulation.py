@@ -117,15 +117,15 @@ def _rejection_summary(pvalue_samples, alpha):
     return rejections, standard_errors
 
 
-def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
-                 keep_pvalues: bool = True) -> SimulationSummary:
+def run_scenario(scenario: SimulationScenario,
+                 tests=NULL_TESTS) -> SimulationSummary:
     """Run one cell: ``analyze`` on every replicate, keeping ``tests``.
 
     ``tests`` names any of ``POWER_TESTS``.  The Hosmer-Lemeshow comparator
     uses 10 groups and ``df = groups`` because the simulated predictions are
     externally fixed, never fitted to the replicate's outcomes.  A
     non-converged LR fit counts as a non-rejection and increments
-    ``lr_failures``.
+    ``lr_failures``.  The summary carries every replicate's p-values.
     """
     for name in tests:
         if name not in POWER_TESTS:
@@ -153,13 +153,13 @@ def run_scenario(scenario: SimulationScenario, tests=NULL_TESTS,
         rejections=rejections,
         standard_errors=standard_errors,
         lr_failures=lr_failures,
-        pvalues=samples if keep_pvalues else None,
+        pvalues=samples,
     )
 
 
 def run_null_study(beta0_grid, n_grid, replications: int = 10_000,
-                   seed: int = 0, alpha: float = 0.05,
-                   keep_pvalues: bool = True) -> list[SimulationSummary]:
+                   seed: int = 0,
+                   alpha: float = 0.05) -> list[SimulationSummary]:
     """Null behavior over a (beta0, n) grid: both walk tests per replicate."""
     beta0_grid, n_grid = list(beta0_grid), list(n_grid)
     if not beta0_grid or not n_grid:
@@ -171,14 +171,13 @@ def run_null_study(beta0_grid, n_grid, replications: int = 10_000,
                 family="null", n=n, replications=replications, seed=seed,
                 beta0=beta0, alpha=alpha,
             )
-            summaries.append(run_scenario(scenario, NULL_TESTS, keep_pvalues))
+            summaries.append(run_scenario(scenario, NULL_TESTS))
     return summaries
 
 
 def run_power_study(family: str, a_grid, b_grid, n_grid,
                     replications: int = 2_500, seed: int = 0,
-                    alpha: float = 0.05,
-                    keep_pvalues: bool = False) -> list[SimulationSummary]:
+                    alpha: float = 0.05) -> list[SimulationSummary]:
     """Power over a fully factorial (a, b, n) grid: LR, HL and walk tests."""
     if family not in ("logit_linear", "logit_power"):
         raise ValueError(f"family must be a power family, got {family!r}")
@@ -193,17 +192,15 @@ def run_power_study(family: str, a_grid, b_grid, n_grid,
                     family=family, n=n, replications=replications, seed=seed,
                     a=a, b=b, alpha=alpha,
                 )
-                summaries.append(
-                    run_scenario(scenario, POWER_TESTS, keep_pvalues)
-                )
+                summaries.append(run_scenario(scenario, POWER_TESTS))
     return summaries
 
 
-def pvalue_ecdf(pvalues, grid_points: int = 512):
-    """Right-continuous ECDF sampled on a uniform grid over [0, 1]."""
+def pvalue_ecdf(pvalues):
+    """Right-continuous ECDF sampled on a uniform 512-point grid over [0, 1]."""
     sample = np.sort(np.asarray(pvalues, dtype=np.float64))
     if sample.size == 0:
         raise ValueError("empty p-value sample")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 512)
     values = np.searchsorted(sample, grid, side="right") / sample.size
     return grid, values

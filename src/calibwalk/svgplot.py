@@ -1,12 +1,12 @@
 """Deterministic SVG rendering of calibration figures.
 
 Pure string assembly, no plotting framework: identical inputs produce
-byte-identical documents.  Coordinates are written with 8 decimals, so a
-parsed document reproduces the data-to-pixel transform to well below a
-millionth of a pixel.
+byte-identical documents.  Every figure is a fixed 720 x 480 pixel canvas.
+Coordinates are written with 8 decimals, so a parsed document reproduces
+the data-to-pixel transform to well below a millionth of a pixel.
 
 A cumulative plot draws every walk vertex up to 4 vertices per pixel of
-plot width (n + 1 <= 4 * width).  Above that the walk is M4-decimated
+canvas width (n + 1 <= 2880).  Above that the walk is M4-decimated
 (Jugel et al., VLDB 2014): per pixel column it keeps the first, last,
 lowest and highest vertex, plus the origin and the vertex the test's
 marker points at, so the line drawn at the panel's resolution is
@@ -25,6 +25,8 @@ from .data import CalibrationDataset, CumulativeProcess
 from .distributions import critical_value
 from .stattests import BBTestResult, BMTestResult, _rank_groups
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 56.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 38.0
@@ -37,30 +39,16 @@ _MIN_LABEL_SPACING = 20.0
 
 _TRIANGLE_BASE_TIME = 0.1
 
-# walks with more vertices than this many per pixel of plot width are
+# walks with more vertices than this many per pixel of canvas width are
 # drawn M4-decimated
 _M4_VERTICES_PER_PX = 4
 
-
-@dataclass(frozen=True)
-class PlotStyle:
-    width: int = 720
-    height: int = 480
-    significance_level: float = 0.05
-    show_triangle: bool = True
-    show_secondary_axis: bool = True
-    walk_color: str = "#333333"
-    bridge_color: str = "#9a9a9a"
-    mean_marker_color: str = "#1f77b4"
-    max_marker_color: str = "#d62728"
-    critical_color: str = "#d62728"
-    secondary_color: str = "#ff7f0e"
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("plot dimensions must be positive")
-        if not 0.0 < self.significance_level < 1.0:
-            raise ValueError("significance_level must be inside (0, 1)")
+_WALK_COLOR = "#333333"
+_BRIDGE_COLOR = "#9a9a9a"
+_MEAN_MARKER_COLOR = "#1f77b4"
+_MAX_MARKER_COLOR = "#d62728"
+_CRITICAL_COLOR = "#d62728"
+_SECONDARY_COLOR = "#ff7f0e"
 
 
 @dataclass(frozen=True)
@@ -106,28 +94,26 @@ def _nice_step(span: float) -> float:
     return magnitude * 10.0
 
 
-def _panel_map(style, x_range, y_range) -> AffineMap:
+def _panel_map(x_range, y_range) -> AffineMap:
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
-    x_scale = (style.width - _MARGIN_LEFT - _MARGIN_RIGHT) / (x_hi - x_lo)
-    y_scale = -(style.height - _MARGIN_TOP - _MARGIN_BOTTOM) / (y_hi - y_lo)
+    x_scale = (_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT) / (x_hi - x_lo)
+    y_scale = -(_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM) / (y_hi - y_lo)
     return AffineMap(
         x_scale=x_scale,
         x_offset=_MARGIN_LEFT - x_scale * x_lo,
         y_scale=y_scale,
-        y_offset=(style.height - _MARGIN_BOTTOM) - y_scale * y_lo,
+        y_offset=(_HEIGHT - _MARGIN_BOTTOM) - y_scale * y_lo,
     )
 
 
 class _Document:
-    def __init__(self, style):
-        self.style = style
+    def __init__(self):
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-            f'height="{style.height}" '
-            f'viewBox="0 0 {style.width} {style.height}">',
-            f'<rect x="0" y="0" width="{style.width}" '
-            f'height="{style.height}" fill="#ffffff"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+            f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'fill="#ffffff"/>',
         ]
 
     def line(self, x1, y1, x2, y2, color, width=1.0, dash=None):
@@ -176,7 +162,6 @@ class _Document:
 
 def _draw_frame(doc, amap, x_range, y_range, x_label, y_label,
                 x_tick_values=None):
-    style = doc.style
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
     left, top = amap.to_px(x_lo, y_hi)
@@ -199,7 +184,7 @@ def _draw_frame(doc, amap, x_range, y_range, x_label, y_label,
         doc.line(left - 5, py, left, py, "#000000")
         doc.text(left - 8, py + 4, f"{v:g}", size=11, anchor="end")
         k += 1
-    doc.text((left + right) / 2, style.height - 10, x_label, size=13)
+    doc.text((left + right) / 2, _HEIGHT - 10, x_label, size=13)
     doc.parts.append(
         f'<text x="14" y="{_fmt((top + bottom) / 2)}" text-anchor="middle" '
         f'font-family="Helvetica, Arial, sans-serif" font-size="13" '
@@ -227,25 +212,26 @@ def _draw_secondary_axis(doc, amap, proc, top):
 
 
 def cumulative_plot_map(proc: CumulativeProcess, mode: str,
-                        style: PlotStyle = PlotStyle()) -> AffineMap:
+                        alpha: float = 0.05) -> AffineMap:
     """The data-to-pixel transform a cumulative plot will use."""
-    crit = _cumulative_critical(mode, style)
-    extent = [float(np.max(np.abs(proc.walk))), 0.2]
-    if style.show_triangle:
-        extent.append(1.0)
+    crit = _cumulative_critical(mode, alpha)
+    # 1.0 keeps the unit triangle's apexes in view
+    extent = [float(np.max(np.abs(proc.walk))), 1.0]
     if mode == "bm":
         extent.append(crit)
     else:
         extent.append(abs(float(proc.walk[-1])) + crit)
     y_max = 1.1 * max(extent)
-    return _panel_map(style, (0.0, 1.0), (-y_max, y_max))
+    return _panel_map((0.0, 1.0), (-y_max, y_max))
 
 
-def _cumulative_critical(mode, style):
+def _cumulative_critical(mode, alpha):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be inside (0, 1), got {alpha!r}")
     if mode == "bm":
-        return critical_value("sup_abs_bm", 1.0 - style.significance_level)
+        return critical_value("sup_abs_bm", 1.0 - alpha)
     if mode == "bb":
-        return critical_value("kolmogorov", 1.0 - style.significance_level)
+        return critical_value("kolmogorov", 1.0 - alpha)
     raise ValueError(f"mode must be 'bm' or 'bb', got {mode!r}")
 
 
@@ -274,16 +260,18 @@ def _m4_indices(amap, times, walk, marker):
 
 
 def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
-                           style: PlotStyle = PlotStyle()) -> str:
+                           alpha: float = 0.05) -> str:
     """Cumulative calibration plot with one test's annotations.
 
     ``mode='bm'`` expects a BMTestResult and draws the maximum-|walk|
     marker plus horizontal critical lines; ``mode='bb'`` expects a
     BBTestResult and draws the chord to the terminal value, both component
     markers, and a critical line parallel to the chord on the side where
-    the bridged maximum occurred.
+    the bridged maximum occurred.  Critical lines are at significance
+    level ``alpha``.  Every plot has the unit triangle and the secondary
+    axis of prediction levels.
     """
-    crit = _cumulative_critical(mode, style)
+    crit = _cumulative_critical(mode, alpha)
     if mode == "bm":
         if not isinstance(result, BMTestResult) or not math.isclose(
                 result.s_star, float(np.max(np.abs(proc.walk))),
@@ -295,9 +283,9 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
                 rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError("result was not computed from this process")
 
-    amap = cumulative_plot_map(proc, mode, style)
+    amap = cumulative_plot_map(proc, mode, alpha)
     y_max = (_MARGIN_TOP - amap.y_offset) / amap.y_scale
-    doc = _Document(style)
+    doc = _Document()
     left, top, right, bottom = _draw_frame(
         doc, amap, (0.0, 1.0), (-y_max, y_max), "time", "cumulative error",
         x_tick_values=(0.0, 0.25, 0.5, 0.75, 1.0),
@@ -307,22 +295,21 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
     zx1, _ = amap.to_px(1.0, 0.0)
     doc.line(zx0, zy, zx1, zy, "#bbbbbb")
 
-    if style.show_triangle:
-        doc.polygon(
-            [amap.to_px(0.0, 1.0), amap.to_px(0.0, -1.0),
-             amap.to_px(_TRIANGLE_BASE_TIME, 0.0)],
-            stroke="#888888",
-        )
+    doc.polygon(
+        [amap.to_px(0.0, 1.0), amap.to_px(0.0, -1.0),
+         amap.to_px(_TRIANGLE_BASE_TIME, 0.0)],
+        stroke="#888888",
+    )
 
     if mode == "bm":
         for sign in (1.0, -1.0):
             x0, y0 = amap.to_px(0.0, sign * crit)
             x1, _ = amap.to_px(1.0, sign * crit)
-            doc.line(x0, y0, x1, y0, style.critical_color, dash="6 4")
+            doc.line(x0, y0, x1, y0, _CRITICAL_COLOR, dash="6 4")
         i = result.location.index - 1
         mx, my0 = amap.to_px(float(proc.times[i]), 0.0)
         _, my1 = amap.to_px(float(proc.times[i]), float(proc.walk[i]))
-        doc.line(mx, my0, mx, my1, style.max_marker_color, width=2.0)
+        doc.line(mx, my0, mx, my1, _MAX_MARKER_COLOR, width=2.0)
     else:
         s_n = result.s_n
         i = result.location_bridge.index - 1
@@ -330,28 +317,27 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
         side = 1.0 if float(proc.walk[i]) >= chord_at_max else -1.0
         x0, y0 = amap.to_px(0.0, side * crit)
         x1, y1 = amap.to_px(1.0, s_n + side * crit)
-        doc.line(x0, y0, x1, y1, style.critical_color, dash="6 4")
+        doc.line(x0, y0, x1, y1, _CRITICAL_COLOR, dash="6 4")
         cx0, cy0 = amap.to_px(0.0, 0.0)
         cx1, cy1 = amap.to_px(1.0, s_n)
-        doc.line(cx0, cy0, cx1, cy1, style.bridge_color, width=1.5)
+        doc.line(cx0, cy0, cx1, cy1, _BRIDGE_COLOR, width=1.5)
         tx, ty0 = amap.to_px(1.0, 0.0)
         _, ty1 = amap.to_px(1.0, s_n)
-        doc.line(tx, ty0, tx, ty1, style.mean_marker_color, width=2.5)
+        doc.line(tx, ty0, tx, ty1, _MEAN_MARKER_COLOR, width=2.5)
         bx, by0 = amap.to_px(float(proc.times[i]), chord_at_max)
         _, by1 = amap.to_px(float(proc.times[i]), float(proc.walk[i]))
-        doc.line(bx, by0, bx, by1, style.max_marker_color, width=2.0)
+        doc.line(bx, by0, bx, by1, _MAX_MARKER_COLOR, width=2.0)
 
-    if proc.n + 1 > _M4_VERTICES_PER_PX * style.width:
+    if proc.n + 1 > _M4_VERTICES_PER_PX * _WIDTH:
         kept = _m4_indices(amap, proc.times, proc.walk, marker=i)
         times, walk = proc.times[kept], proc.walk[kept]
     else:
         times, walk = proc.times, proc.walk
     points = [amap.to_px(0.0, 0.0)]
     points.extend(amap.to_px(float(t), float(s)) for t, s in zip(times, walk))
-    doc.polyline(points, style.walk_color)
+    doc.polyline(points, _WALK_COLOR)
 
-    if style.show_secondary_axis:
-        _draw_secondary_axis(doc, amap, proc, top)
+    _draw_secondary_axis(doc, amap, proc, top)
 
     if mode == "bm":
         note = (f"max |walk| = {result.s_star:.4f} at pred. "
@@ -365,11 +351,10 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
     return doc.render()
 
 
-def binned_plot_map(data: CalibrationDataset, groups: int = 10,
-                    style: PlotStyle = PlotStyle()) -> AffineMap:
+def binned_plot_map(data: CalibrationDataset, groups: int = 10) -> AffineMap:
     """Transform for the binned calibration plot (shared square axes)."""
     _, upper = _binned_points(data, groups)[1]
-    return _panel_map(style, (0.0, upper), (0.0, upper))
+    return _panel_map((0.0, upper), (0.0, upper))
 
 
 def _binned_points(data, groups):
@@ -388,16 +373,15 @@ def _binned_points(data, groups):
 
 
 def render_binned_calibration_plot(data: CalibrationDataset,
-                                   groups: int = 10,
-                                   style: PlotStyle = PlotStyle()) -> str:
+                                   groups: int = 10) -> str:
     """Observed event proportion vs mean prediction per rank group.
 
     Whiskers are one binomial standard error each side; the identity line
     marks perfect calibration.
     """
     rows, (_, upper) = _binned_points(data, groups)
-    amap = _panel_map(style, (0.0, upper), (0.0, upper))
-    doc = _Document(style)
+    amap = _panel_map((0.0, upper), (0.0, upper))
+    doc = _Document()
     left, top, right, bottom = _draw_frame(
         doc, amap, (0.0, upper), (0.0, upper),
         "mean prediction", "observed proportion",
@@ -410,11 +394,11 @@ def render_binned_calibration_plot(data: CalibrationDataset,
         _, wy1 = amap.to_px(mean_p, min(1.0, prop + half))
         doc.line(wx, wy0, wx, wy1, "#777777")
         cx, cy = amap.to_px(mean_p, prop)
-        doc.circle(cx, cy, 3.2, style.mean_marker_color)
+        doc.circle(cx, cy, 3.2, _MEAN_MARKER_COLOR)
     return doc.render()
 
 
-def render_study_figures(summaries, style: PlotStyle = PlotStyle()) -> dict:
+def render_study_figures(summaries) -> dict:
     """One panel per study cell, keyed by the cell's parameters.
 
     Null-study cells (which carry p-value samples) get ECDF panels with the
@@ -428,28 +412,28 @@ def render_study_figures(summaries, style: PlotStyle = PlotStyle()) -> dict:
         scenario = summary.scenario
         if scenario.family == "null":
             key = f"null_beta0={scenario.beta0:g}_n={scenario.n}"
-            panels[key] = _render_ecdf_panel(summary, style)
+            panels[key] = _render_ecdf_panel(summary)
         else:
             key = (f"{scenario.family}_a={scenario.a:g}"
                    f"_b={scenario.b:g}_n={scenario.n}")
-            panels[key] = _render_power_panel(summary, style)
+            panels[key] = _render_power_panel(summary)
     return panels
 
 
-def _render_ecdf_panel(summary, style):
+def _render_ecdf_panel(summary):
     from .simulation import pvalue_ecdf
 
     if summary.pvalues is None:
         raise ValueError("ECDF panel needs stored p-value samples")
-    doc = _Document(style)
-    amap = _panel_map(style, (0.0, 1.0), (0.0, 1.0))
+    doc = _Document()
+    amap = _panel_map((0.0, 1.0), (0.0, 1.0))
     left, top, right, bottom = _draw_frame(
         doc, amap, (0.0, 1.0), (0.0, 1.0), "p-value", "empirical CDF",
         x_tick_values=(0.0, 0.25, 0.5, 0.75, 1.0),
     )
     doc.line(*amap.to_px(0.0, 0.0), *amap.to_px(1.0, 1.0), "#aaaaaa",
              dash="4 4")
-    colors = {"bm": style.mean_marker_color, "bb": style.secondary_color}
+    colors = {"bm": _MEAN_MARKER_COLOR, "bb": _SECONDARY_COLOR}
     for name in sorted(summary.pvalues):
         grid, values = pvalue_ecdf(summary.pvalues[name])
         points = [amap.to_px(float(g), float(v))
@@ -470,11 +454,11 @@ _BAR_FILLS = {"lr": "#ffffff", "hl": "#bbbbbb", "bm": "#1f77b4",
               "bb": "#ff7f0e"}
 
 
-def _render_power_panel(summary, style):
-    doc = _Document(style)
+def _render_power_panel(summary):
+    doc = _Document()
     order = [name for name in ("lr", "hl", "bm", "bb")
              if name in summary.rejections]
-    amap = _panel_map(style, (0.0, float(len(order))), (0.0, 1.0))
+    amap = _panel_map((0.0, float(len(order))), (0.0, 1.0))
     left, top, right, bottom = _draw_frame(
         doc, amap, (0.0, float(len(order))), (0.0, 1.0), "",
         "rejection proportion", x_tick_values=(),

@@ -261,8 +261,7 @@ class TestCmdCasestudy:
         from calibwalk.cli import run_case_study
 
         rejections = sum(
-            run_case_study(seed, out_dir=None,
-                           render_figures=False)["full"]["report"]
+            run_case_study(seed, out_dir=None)["full"]["report"]
             .bb.p_unified < 0.05
             for seed in range(50)
         )

@@ -132,7 +132,7 @@ class TestStudies:
         # tiny samples make complete separation likely
         scenario = SimulationScenario(family="logit_linear", n=8,
                                       replications=60, seed=3, a=0.0, b=1.0)
-        summary = run_scenario(scenario, tests=("lr",), keep_pvalues=True)
+        summary = run_scenario(scenario, tests=("lr",))
         assert summary.lr_failures > 0
         failures = int(np.count_nonzero(summary.pvalues["lr"] == 1.0))
         assert failures >= summary.lr_failures
@@ -150,7 +150,7 @@ class TestPvalueEcdf:
         np.testing.assert_array_equal(values[inside], 0.5)
 
     def test_grid_size(self):
-        grid, values = pvalue_ecdf([0.1], grid_points=512)
+        grid, values = pvalue_ecdf([0.1])
         assert grid.shape == values.shape == (512,)
 
     def test_uniform_sample_tracks_identity(self):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from calibwalk import (
-    PlotStyle,
     bb_test,
     bm_test,
     build_dataset,
@@ -21,9 +20,16 @@ from calibwalk import (
     walk_statistics,
 )
 from calibwalk.stattests import _rank_group_bounds
-from calibwalk.svgplot import _fmt, binned_plot_map, cumulative_plot_map
-
-STYLE = PlotStyle()
+from calibwalk.svgplot import (
+    _BRIDGE_COLOR,
+    _CRITICAL_COLOR,
+    _M4_VERTICES_PER_PX,
+    _MAX_MARKER_COLOR,
+    _WIDTH,
+    _fmt,
+    binned_plot_map,
+    cumulative_plot_map,
+)
 
 
 def _dataset(seed=3, n=200, lo=0.05, hi=0.6):
@@ -59,8 +65,8 @@ def rendered():
         "proc": proc,
         "bm": bm,
         "bb": bb,
-        "svg_bm": render_cumulative_plot(proc, "bm", bm, STYLE),
-        "svg_bb": render_cumulative_plot(proc, "bb", bb, STYLE),
+        "svg_bm": render_cumulative_plot(proc, "bm", bm),
+        "svg_bb": render_cumulative_plot(proc, "bb", bb),
     }
 
 
@@ -76,9 +82,7 @@ class TestCumulativePlot:
             assert "url(" not in rendered[key]
 
     def test_deterministic(self, rendered):
-        again = render_cumulative_plot(
-            rendered["proc"], "bm", rendered["bm"], STYLE
-        )
+        again = render_cumulative_plot(rendered["proc"], "bm", rendered["bm"])
         assert again == rendered["svg_bm"]
 
     def test_polyline_vertex_count(self, rendered):
@@ -86,7 +90,7 @@ class TestCumulativePlot:
         assert len(points) == rendered["data"].n + 1
 
     def test_polyline_matches_transform(self, rendered):
-        amap = cumulative_plot_map(rendered["proc"], "bm", STYLE)
+        amap = cumulative_plot_map(rendered["proc"], "bm")
         points = _polyline_points(rendered["svg_bm"])
         assert points[0] == pytest.approx(amap.to_px(0.0, 0.0), abs=1e-6)
         proc = rendered["proc"]
@@ -98,7 +102,7 @@ class TestCumulativePlot:
     def test_transform_roundtrip(self, rendered):
         proc = rendered["proc"]
         for mode in ("bm", "bb"):
-            amap = cumulative_plot_map(proc, mode, STYLE)
+            amap = cumulative_plot_map(proc, mode)
             for t, s in zip(proc.times, proc.walk):
                 px, py = amap.to_px(float(t), float(s))
                 back = amap.to_data(px, py)
@@ -110,9 +114,8 @@ class TestCumulativePlot:
         # miscalibrated-shaped sample: the marker ordinate must equal the
         # transformed walk maximum to sub-pixel accuracy
         stats = walk_statistics(rendered["proc"])
-        amap = cumulative_plot_map(rendered["proc"], "bm", STYLE)
-        markers = [d for d in _lines(rendered["svg_bm"],
-                                     STYLE.max_marker_color)
+        amap = cumulative_plot_map(rendered["proc"], "bm")
+        markers = [d for d in _lines(rendered["svg_bm"], _MAX_MARKER_COLOR)
                    if d.get("stroke-width") == "2"]
         assert len(markers) == 1
         m = markers[0]
@@ -124,9 +127,9 @@ class TestCumulativePlot:
 
     def test_bb_markers_and_chord(self, rendered):
         svg = rendered["svg_bb"]
-        chord = _lines(svg, STYLE.bridge_color)
+        chord = _lines(svg, _BRIDGE_COLOR)
         assert len(chord) == 1
-        critical = [d for d in _lines(svg, STYLE.critical_color)
+        critical = [d for d in _lines(svg, _CRITICAL_COLOR)
                     if d.get("stroke-dasharray")]
         assert len(critical) == 1
         # critical line is parallel to the chord
@@ -143,14 +146,14 @@ class TestCumulativePlot:
         with pytest.warns(UserWarning):
             result = bb_test(data)
         assert result.s_n == 0.0
-        svg = render_cumulative_plot(proc, "bb", result, STYLE)
-        amap = cumulative_plot_map(proc, "bb", STYLE)
+        svg = render_cumulative_plot(proc, "bb", result)
+        amap = cumulative_plot_map(proc, "bb")
         _, zero_py = amap.to_px(0.0, 0.0)
-        chord = _lines(svg, STYLE.bridge_color)[0]
+        chord = _lines(svg, _BRIDGE_COLOR)[0]
         assert float(chord["y1"]) == pytest.approx(zero_py, abs=1e-6)
         assert float(chord["y2"]) == pytest.approx(zero_py, abs=1e-6)
         # bridged-maximum marker length equals b_star in data units
-        marker = [d for d in _lines(svg, STYLE.max_marker_color)
+        marker = [d for d in _lines(svg, _MAX_MARKER_COLOR)
                   if d.get("stroke-width") == "2"][0]
         length_px = abs(float(marker["y2"]) - float(marker["y1"]))
         assert length_px == pytest.approx(
@@ -158,26 +161,19 @@ class TestCumulativePlot:
         )
 
     def test_triangle_and_secondary_axis_toggles(self, rendered):
-        bare = PlotStyle(show_triangle=False, show_secondary_axis=False)
-        svg = render_cumulative_plot(rendered["proc"], "bm", rendered["bm"],
-                                     bare)
-        assert "<polygon" not in svg
-        assert 'fill="#555555"' not in svg  # secondary-axis labels
         assert "<polygon" in rendered["svg_bm"]
-        assert 'fill="#555555"' in rendered["svg_bm"]
+        assert 'fill="#555555"' in rendered["svg_bm"]  # secondary-axis labels
 
     def test_mismatched_result_rejected(self, rendered):
         other = bm_test(_dataset(seed=99))
         with pytest.raises(ValueError, match="not computed from"):
-            render_cumulative_plot(rendered["proc"], "bm", other, STYLE)
+            render_cumulative_plot(rendered["proc"], "bm", other)
         with pytest.raises(ValueError, match="not computed from"):
-            render_cumulative_plot(rendered["proc"], "bb", rendered["bm"],
-                                   STYLE)
+            render_cumulative_plot(rendered["proc"], "bb", rendered["bm"])
 
     def test_unknown_mode(self, rendered):
         with pytest.raises(ValueError, match="mode"):
-            render_cumulative_plot(rendered["proc"], "loess", rendered["bm"],
-                                   STYLE)
+            render_cumulative_plot(rendered["proc"], "loess", rendered["bm"])
 
 
 class TestM4Decimation:
@@ -198,7 +194,7 @@ class TestM4Decimation:
         proc, bm, bb = large
         result = bm if mode == "bm" else bb
         marker = (bm.location if mode == "bm" else bb.location_bridge).index
-        amap = cumulative_plot_map(proc, mode, STYLE)
+        amap = cumulative_plot_map(proc, mode)
         full = [amap.to_px(0.0, 0.0)] + [
             amap.to_px(float(t), float(s))
             for t, s in zip(proc.times, proc.walk)
@@ -209,11 +205,11 @@ class TestM4Decimation:
             math.floor(amap.x_offset + amap.x_scale * float(t))
             for t in proc.times
         ]
-        svg = render_cumulative_plot(proc, mode, result, STYLE)
+        svg = render_cumulative_plot(proc, mode, result)
         kept_text = re.findall(r'<polyline[^>]*points="([^"]+)"',
                                svg)[0].split()
 
-        assert proc.n + 1 > 4 * STYLE.width
+        assert proc.n + 1 > 4 * _WIDTH
         assert kept_text[0] == full_text[0]
         assert kept_text[-1] == full_text[-1]
         assert full_text[marker] in kept_text
@@ -242,11 +238,11 @@ class TestM4Decimation:
             assert max(kept_y) == max(full_y)
 
     def test_threshold_is_four_vertices_per_pixel(self):
-        style = PlotStyle(width=100)
-        for n, vertices in ((399, 400), (400, None)):
+        threshold = _M4_VERTICES_PER_PX * _WIDTH
+        for n, vertices in ((threshold - 1, threshold), (threshold, None)):
             data = _dataset(seed=5, n=n)
             proc = cumulative_process(data)
-            svg = render_cumulative_plot(proc, "bm", bm_test(data), style)
+            svg = render_cumulative_plot(proc, "bm", bm_test(data))
             count = len(_polyline_points(svg))
             if vertices is None:
                 assert count < n + 1
@@ -334,8 +330,7 @@ class TestStudyFigures:
 
 
 class TestPlotStyle:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PlotStyle(width=0)
-        with pytest.raises(ValueError):
-            PlotStyle(significance_level=0.0)
+    def test_validation(self, rendered):
+        with pytest.raises(ValueError, match="alpha"):
+            render_cumulative_plot(rendered["proc"], "bm", rendered["bm"],
+                                   alpha=0.0)
