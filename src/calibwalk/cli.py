@@ -10,6 +10,7 @@ usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,6 +38,20 @@ _DF_RULES = {"g-2": "g_minus_2", "g": "g"}
 _FAMILIES = {"logit-linear": "logit_linear", "logit-power": "logit_power"}
 
 
+def _alpha(text: str) -> float:
+    """``--alpha``: a significance level inside (0, 1), checked before any
+    output is written."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a number inside (0, 1), got {text!r}"
+        )
+    return value
+
+
 def _default_outdir():
     return os.environ.get("CALIBWALK_OUTDIR", ".")
 
@@ -47,11 +62,17 @@ def _write_text(path: Path, text: str):
 
 
 def _write_cumulative_plots(outdir: Path, proc, report, alpha, prefix=""):
-    """Write ``{prefix}cumulative_bm.svg`` and ``..._bb.svg``; return paths."""
+    """Write ``{prefix}cumulative_bm.svg`` and ``..._bb.svg``; return paths.
+
+    Both are rendered before either is written, so a result that fails the
+    renderer's checks leaves no figure behind.
+    """
+    svgs = [(mode, render_cumulative_plot(proc, mode, result, alpha))
+            for mode, result in (("bm", report.bm), ("bb", report.bb))]
     paths = []
-    for mode, result in (("bm", report.bm), ("bb", report.bb)):
+    for mode, svg in svgs:
         path = outdir / f"{prefix}cumulative_{mode}.svg"
-        _write_text(path, render_cumulative_plot(proc, mode, result, alpha))
+        _write_text(path, svg)
         paths.append(str(path))
     return paths
 
@@ -264,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Hosmer-Lemeshow group count")
     p_test.add_argument("--df-rule", choices=sorted(_DF_RULES), default="g-2",
                         help="Hosmer-Lemeshow degrees of freedom rule")
-    p_test.add_argument("--alpha", type=float, default=0.05,
+    p_test.add_argument("--alpha", type=_alpha, default=0.05,
                         help="significance level for critical lines")
     p_test.add_argument("--mc", type=int, default=0, metavar="N",
                         help="also run Monte Carlo variants with N "
@@ -297,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, required=True,
                        help="replications per cell")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
+    p_sim.add_argument("--alpha", type=_alpha, default=0.05)
     p_sim.add_argument("--out", default=_default_outdir())
     p_sim.set_defaults(handler=cmd_simulate)
 
@@ -307,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--prediction-column", default="p")
     p_plot.add_argument("--outcome-column", default="y")
     p_plot.add_argument("--clamp", type=float, default=None)
-    p_plot.add_argument("--alpha", type=float, default=0.05)
+    p_plot.add_argument("--alpha", type=_alpha, default=0.05)
     p_plot.add_argument("--out", default=_default_outdir())
     p_plot.set_defaults(handler=cmd_plot)
 
@@ -319,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_case.add_argument("--dev-n", type=int, default=50_000)
     p_case.add_argument("--small-n", type=int, default=500)
     p_case.add_argument("--holdout-n", type=int, default=10_000)
-    p_case.add_argument("--alpha", type=float, default=0.05)
+    p_case.add_argument("--alpha", type=_alpha, default=0.05)
     p_case.add_argument("--out", default=_default_outdir())
     p_case.set_defaults(handler=cmd_casestudy)
     return parser

@@ -217,8 +217,27 @@ def _section_to_dict(result) -> dict:
     return {k: v for k, v in asdict(result).items() if v is not None}
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# field annotation -> (JSON value test, what it accepts); the contents of
+# a location and of the HL group rows are checked where they are rebuilt
+_VALUE_TYPES = {
+    "float": (_is_number, "a number"),
+    "Optional[float]": (lambda v: v is None or _is_number(v),
+                        "a number or null"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+            "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)), "a list"),
+    "WalkLocation": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
 def _checked(cls, d, where, optional=()):
-    """``d`` itself, once it is a JSON object holding the fields of ``cls``."""
+    """``d`` itself, once it is a JSON object holding the fields of ``cls``
+    with values of their annotated types."""
     if not isinstance(d, dict):
         raise ValueError(
             f"{where} must be a JSON object, got {type(d).__name__}"
@@ -230,6 +249,13 @@ def _checked(cls, d, where, optional=()):
     for key in d:
         if key not in names:
             raise ValueError(f"{where} has unknown key {key!r}")
+    for f in fields(cls):
+        test, expected = _VALUE_TYPES[f.type]
+        if f.name in d and not test(d[f.name]):
+            raise ValueError(
+                f"{where} key {f.name!r} must be {expected}, "
+                f"got {d[f.name]!r}"
+            )
     return d
 
 
@@ -323,7 +349,7 @@ def study_to_dict(summaries) -> dict:
             "lr_failures": summary.lr_failures,
         }
         # null cells keep their samples for the ECDF figures
-        if summary.scenario.family == "null":
+        if summary.scenario.family == "null" and summary.pvalues is not None:
             cell["pvalues"] = {
                 k: np.asarray(summary.pvalues[k]).tolist()
                 for k in sorted(summary.pvalues)

@@ -197,7 +197,7 @@ def run_power_study(family: str, a_grid, b_grid, n_grid,
 
 
 def pvalue_ecdf(pvalues):
-    """Right-continuous ECDF sampled on a uniform 512-point grid over [0, 1]."""
+    """Right-continuous ECDF sampled on 512 evenly spaced points of [0, 1]."""
     sample = np.sort(np.asarray(pvalues, dtype=np.float64))
     if sample.size == 0:
         raise ValueError("empty p-value sample")

@@ -12,6 +12,7 @@ variant that replaces the asymptotic reference by a resampled null.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -411,6 +412,8 @@ def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
     finite-sample valid.  ``stats`` passes in the observed walk statistics
     when they are already computed.
     """
+    # Python ints, so that numpy integers do not reach the JSON report
+    replications, seed = operator.index(replications), operator.index(seed)
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     if stats is None:

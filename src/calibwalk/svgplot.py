@@ -273,15 +273,17 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
     """
     crit = _cumulative_critical(mode, alpha)
     if mode == "bm":
-        if not isinstance(result, BMTestResult) or not math.isclose(
-                result.s_star, float(np.max(np.abs(proc.walk))),
-                rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("result was not computed from this process")
+        matches = isinstance(result, BMTestResult) and math.isclose(
+            result.s_star, float(np.max(np.abs(proc.walk))),
+            rel_tol=1e-9, abs_tol=1e-12) and (
+            1 <= result.location.index <= proc.n)
     else:
-        if not isinstance(result, BBTestResult) or not math.isclose(
-                result.s_n, float(proc.walk[-1]),
-                rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("result was not computed from this process")
+        matches = isinstance(result, BBTestResult) and math.isclose(
+            result.s_n, float(proc.walk[-1]),
+            rel_tol=1e-9, abs_tol=1e-12) and (
+            1 <= result.location_bridge.index <= proc.n)
+    if not matches:
+        raise ValueError("result was not computed from this process")
 
     amap = cumulative_plot_map(proc, mode, alpha)
     y_max = (_MARGIN_TOP - amap.y_offset) / amap.y_scale

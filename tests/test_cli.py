@@ -62,6 +62,28 @@ class TestArgumentHandling:
         assert exc.value.code == 0
 
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "data.csv"],
+        ["test", "data.csv", "--no-plots"],
+        ["plot", "--report", "report.json", "--data", "data.csv"],
+        ["casestudy", "--seed", "1", "--dev-n", "200", "--small-n", "100",
+         "--holdout-n", "100"],
+        ["simulate", "null", "--n", "20", "--reps", "2"],
+    ], ids=["test", "test-no-plots", "plot", "casestudy", "simulate"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "nan", "x"])
+    def test_alpha_outside_unit_interval_exits_before_output(
+            self, tmp_path, monkeypatch, capsys, argv, alpha):
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--alpha", alpha, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "argument --alpha: must be a number inside (0, 1)" in \
+            capsys.readouterr().err
+
+
 class TestCmdTest:
     def test_two_point_demo(self, tmp_path, capsys):
         csv = _write_csv(tmp_path)
@@ -222,6 +244,34 @@ class TestCmdPlot:
                      "--data", str(csv), "--out", str(tmp_path)]) == 2
         assert "error: report section 'monte_carlo' must be a JSON object" \
             in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("bm_test", "s_star"), "x", "'s_star' must be a number"),
+        (("bb_test", "s_n"), None, "'s_n' must be a number"),
+        (("bm_test", "location", "index"), True, "'index' must be an integer"),
+        (("bm_test", "location", "index"), 0, "not computed from"),
+        (("bm_test", "location", "index"), 10**9, "not computed from"),
+        (("bb_test", "location_bridge", "index"), 0, "not computed from"),
+    ], ids=["string-s-star", "null-s-n", "bool-index", "zero-index",
+            "huge-index", "zero-bridge-index"])
+    def test_bad_report_value_exits_two(self, tmp_path, capsys, path, value,
+                                        message):
+        csv = _write_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        parent = report
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        (out / "report.json").write_text(json.dumps(report))
+        figures = tmp_path / "figures"
+        assert main(["plot", "--report", str(out / "report.json"),
+                     "--data", str(csv), "--out", str(figures)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not figures.exists()
 
 
 class TestCmdCasestudy:

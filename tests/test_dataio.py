@@ -244,6 +244,47 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError, match="unknown key 'extra'"):
             report_from_dict(d)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("bm_test", "s_star"), "x",
+         "'bm_test' key 's_star' must be a number"),
+        (("bb_test", "s_n"), None, "'bb_test' key 's_n' must be a number"),
+        (("bb_test", "p_a"), True, "'bb_test' key 'p_a' must be a number"),
+        (("bm_test", "location", "index"), True,
+         "'bm_test' location key 'index' must be an integer"),
+        (("bm_test", "location", "index"), 3.0,
+         "'bm_test' location key 'index' must be an integer"),
+        (("bm_test", "location"), [1, 0.5, 0.2],
+         "'bm_test' key 'location' must be a JSON object"),
+        (("dataset", "tie_flag"), 0,
+         "'dataset' key 'tie_flag' must be true or false"),
+        (("weak_calibration", "p_value"), "0.5",
+         "'weak_calibration' key 'p_value' must be a number or null"),
+        (("hosmer_lemeshow", "group_table"), {},
+         "'hosmer_lemeshow' key 'group_table' must be a list"),
+        (("hosmer_lemeshow", "group_table", 0, "size"), "30",
+         "group_table row key 'size' must be an integer"),
+        (("monte_carlo", "seed"), 1.0,
+         "'monte_carlo' key 'seed' must be an integer"),
+    ], ids=["string-float", "null-float", "bool-float", "bool-index",
+            "float-index", "list-location", "int-bool", "string-optional",
+            "dict-table", "string-group-size", "float-seed"])
+    def test_malformed_value_names_key(self, path, value, message):
+        d = report_to_dict(_sample_report())
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            report_from_dict(d)
+
+    def test_null_lr_p_value_accepted(self):
+        report = _sample_report()
+        d = report_to_dict(report)
+        d["weak_calibration"]["p_value"] = None
+        recovered = report_from_dict(d)
+        assert recovered.weak_calibration.p_value is None
+        assert recovered.bm == report.bm
+
 
 class TestStudyRoundTrip:
     def test_single_cell_roundtrip(self, tmp_path):
@@ -299,6 +340,20 @@ class TestAnalyze:
         data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
         analyze(data, mc=50, seed=1)
         assert calls == [(50, 1)]
+
+    def test_numpy_integer_arguments_write_the_same_report(self,
+                                                          monkeypatch):
+        monkeypatch.setenv("CALIBWALK_TIMESTAMP", "2024-01-01T00:00:00+00:00")
+        data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
+        texts = []
+        for mc, seed in ((50, 3), (np.int64(50), np.int64(3))):
+            _, report = analyze(data, mc=mc, seed=seed)
+            assert type(report.monte_carlo.replications) is int
+            assert type(report.monte_carlo.seed) is int
+            out = io.StringIO()
+            write_report_json(report, out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
 
     def test_optional_sections_and_validation(self):
         data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)

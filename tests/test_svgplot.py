@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from xml.dom import minidom
 
 import numpy as np
@@ -170,6 +171,16 @@ class TestCumulativePlot:
             render_cumulative_plot(rendered["proc"], "bm", other)
         with pytest.raises(ValueError, match="not computed from"):
             render_cumulative_plot(rendered["proc"], "bb", rendered["bm"])
+
+    @pytest.mark.parametrize("mode, field", [("bm", "location"),
+                                             ("bb", "location_bridge")])
+    def test_location_outside_walk_rejected(self, rendered, mode, field):
+        result = rendered[mode]
+        for index in (0, -1, rendered["proc"].n + 1):
+            moved = replace(result, **{
+                field: replace(getattr(result, field), index=index)})
+            with pytest.raises(ValueError, match="not computed from"):
+                render_cumulative_plot(rendered["proc"], mode, moved)
 
     def test_unknown_mode(self, rendered):
         with pytest.raises(ValueError, match="mode"):
