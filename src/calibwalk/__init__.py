@@ -63,7 +63,6 @@ from .dataio import (
     DatasetSummary,
     analyze,
     read_dataset_csv,
-    read_report_json,
     write_report_json,
     write_study_json,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "DatasetSummary",
     "analyze",
     "read_dataset_csv",
-    "read_report_json",
     "write_report_json",
     "write_study_json",
 ]

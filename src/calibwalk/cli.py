@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``test`` (analyze a CSV of predictions and outcomes),
-``simulate`` (null or power studies), ``plot`` (re-render figures from a
-report), ``casestudy`` (synthetic two-model demonstration).  Exit codes:
-0 success (regardless of statistical outcome), 1 internal failure, 2
-usage or input error.
+Subcommands: ``test`` (analyze a CSV of predictions and outcomes and
+draw its cumulative plots), ``simulate`` (null or power studies),
+``casestudy`` (synthetic two-model demonstration).  Exit codes: 0 success
+(regardless of statistical outcome), 1 internal failure, 2 usage or input
+error.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .data import build_dataset, cumulative_process, walk_statistics
+from .data import build_dataset
 from .dataio import (
     analyze,
     read_dataset_csv,
-    read_report_json,
     write_report_json,
     write_study_json,
 )
@@ -189,27 +188,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_plot(args) -> int:
-    report = read_report_json(args.report)
-    data = read_dataset_csv(
-        args.data,
-        prediction_column=args.prediction_column,
-        outcome_column=args.outcome_column,
-        clamp_epsilon=args.clamp,
-    )
-    proc = cumulative_process(data)
-    stats = walk_statistics(proc)
-    if abs(stats.s_star - report.bm.s_star) > 1e-9 + 1e-9 * abs(stats.s_star):
-        raise ValueError(
-            "report does not match the dataset (max |walk| differs); "
-            "re-run the test subcommand"
-        )
-    outdir = Path(args.out)
-    _write_cumulative_plots(outdir, proc, report, args.alpha)
-    print(f"re-rendered figures in {outdir}")
-    return 0
-
-
 def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
                    out_dir=None, alpha=0.05):
     """Synthetic two-model contrast: large vs small development sample.
@@ -321,16 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=_alpha, default=0.05)
     p_sim.add_argument("--out", default=_default_outdir())
     p_sim.set_defaults(handler=cmd_simulate)
-
-    p_plot = sub.add_parser("plot", help="re-render figures from a report")
-    p_plot.add_argument("--report", required=True)
-    p_plot.add_argument("--data", required=True)
-    p_plot.add_argument("--prediction-column", default="p")
-    p_plot.add_argument("--outcome-column", default="y")
-    p_plot.add_argument("--clamp", type=float, default=None)
-    p_plot.add_argument("--alpha", type=_alpha, default=0.05)
-    p_plot.add_argument("--out", default=_default_outdir())
-    p_plot.set_defaults(handler=cmd_plot)
 
     p_case = sub.add_parser(
         "casestudy",

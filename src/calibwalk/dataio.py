@@ -13,7 +13,7 @@ import io
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -24,7 +24,6 @@ from ._version import __version__
 from .data import (
     CalibrationDataset,
     CumulativeProcess,
-    WalkLocation,
     build_dataset,
     cumulative_process,
     walk_statistics,
@@ -32,7 +31,6 @@ from .data import (
 from .stattests import (
     BBTestResult,
     BMTestResult,
-    HLGroup,
     HLTestResult,
     MonteCarloResult,
     SMALL_SAMPLE_VARIANCE,
@@ -202,81 +200,19 @@ def _check_number(cell, column, row_number):
 # ---------------------------------------------------------------------------
 # report serialization
 
-# JSON section name, AnalysisReport attribute, result class
+# JSON section name, AnalysisReport attribute
 _SECTIONS = (
-    ("dataset", "dataset", DatasetSummary),
-    ("bm_test", "bm", BMTestResult),
-    ("bb_test", "bb", BBTestResult),
-    ("hosmer_lemeshow", "hl", HLTestResult),
-    ("weak_calibration", "weak_calibration", WeakCalibResult),
-    ("monte_carlo", "monte_carlo", MonteCarloResult),
+    ("dataset", "dataset"),
+    ("bm_test", "bm"),
+    ("bb_test", "bb"),
+    ("hosmer_lemeshow", "hl"),
+    ("weak_calibration", "weak_calibration"),
+    ("monte_carlo", "monte_carlo"),
 )
 
 
 def _section_to_dict(result) -> dict:
     return {k: v for k, v in asdict(result).items() if v is not None}
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# field annotation -> (JSON value test, what it accepts); the contents of
-# a location and of the HL group rows are checked where they are rebuilt
-_VALUE_TYPES = {
-    "float": (_is_number, "a number"),
-    "Optional[float]": (lambda v: v is None or _is_number(v),
-                        "a number or null"),
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "an integer"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "tuple": (lambda v: isinstance(v, (list, tuple)), "a list"),
-    "WalkLocation": (lambda v: isinstance(v, dict), "a JSON object"),
-}
-
-
-def _checked(cls, d, where, optional=()):
-    """``d`` itself, once it is a JSON object holding the fields of ``cls``
-    with values of their annotated types."""
-    if not isinstance(d, dict):
-        raise ValueError(
-            f"{where} must be a JSON object, got {type(d).__name__}"
-        )
-    names = [f.name for f in fields(cls)]
-    for name in names:
-        if name not in d and name not in optional:
-            raise ValueError(f"{where} is missing key {name!r}")
-    for key in d:
-        if key not in names:
-            raise ValueError(f"{where} has unknown key {key!r}")
-    for f in fields(cls):
-        test, expected = _VALUE_TYPES[f.type]
-        if f.name in d and not test(d[f.name]):
-            raise ValueError(
-                f"{where} key {f.name!r} must be {expected}, "
-                f"got {d[f.name]!r}"
-            )
-    return d
-
-
-def _section_from_dict(cls, d, key):
-    where = f"report section {key!r}"
-    # schema 1 omits the LR p-value when the fit did not converge
-    optional = ("p_value",) if cls is WeakCalibResult else ()
-    d = dict(_checked(cls, d, where, optional))
-    for name in ("location", "location_bridge"):
-        if name in d:
-            d[name] = WalkLocation(
-                **_checked(WalkLocation, d[name], f"{where} {name}")
-            )
-    if "group_table" in d:
-        d["group_table"] = tuple(
-            HLGroup(**_checked(HLGroup, g, f"{where} group_table row"))
-            for g in d["group_table"]
-        )
-    for name in optional:
-        d.setdefault(name, None)
-    return cls(**d)
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -285,33 +221,11 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "tool": {"name": "calibwalk", "version": report.tool_version},
         "timestamp": report.timestamp,
     }
-    for key, attribute, _ in _SECTIONS:
+    for key, attribute in _SECTIONS:
         section = getattr(report, attribute)
         if section is not None:
             d[key] = _section_to_dict(section)
     return d
-
-
-def report_from_dict(d) -> AnalysisReport:
-    """Rebuild a report; a malformed one raises ValueError naming the fault."""
-    if not isinstance(d, dict):
-        raise ValueError(
-            f"report must be a JSON object, got {type(d).__name__}"
-        )
-    if d.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {d.get('schema')!r}")
-    for key in ("tool", "timestamp", "dataset", "bm_test", "bb_test"):
-        if key not in d:
-            raise ValueError(f"report is missing section {key!r}")
-    if not isinstance(d["tool"], dict) or "version" not in d["tool"]:
-        raise ValueError("report section 'tool' is missing key 'version'")
-    sections = {attribute: _section_from_dict(cls, d[key], key)
-                for key, attribute, cls in _SECTIONS if key in d}
-    return AnalysisReport(
-        **sections,
-        tool_version=d["tool"]["version"],
-        timestamp=d["timestamp"],
-    )
 
 
 def _dump_json(payload, destination):
@@ -325,13 +239,6 @@ def _dump_json(payload, destination):
 def write_report_json(report: AnalysisReport, destination) -> None:
     """Serialize a report; identical reports produce byte-identical files."""
     _dump_json(report_to_dict(report), destination)
-
-
-def read_report_json(source) -> AnalysisReport:
-    if hasattr(source, "read"):
-        return report_from_dict(json.load(source))
-    with open(source, encoding="utf-8") as handle:
-        return report_from_dict(json.load(handle))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +272,3 @@ def study_to_dict(summaries) -> dict:
 def write_study_json(summaries, destination) -> None:
     """Serialize study cells with their full scenario echoes and seeds."""
     _dump_json(study_to_dict(summaries), destination)
-
-
-def read_study_json(source) -> dict:
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, encoding="utf-8") as handle:
-        return json.load(handle)
-

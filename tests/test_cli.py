@@ -4,9 +4,13 @@ import json
 
 import pytest
 
-from calibwalk import analyze, read_dataset_csv, write_report_json
+from calibwalk import (
+    analyze,
+    read_dataset_csv,
+    render_cumulative_plot,
+    write_report_json,
+)
 from calibwalk.cli import main
-from calibwalk.dataio import read_report_json, read_study_json
 
 TWO_POINT = "p,y\n0.6,1\n0.2,0\n"
 
@@ -35,7 +39,6 @@ class TestArgumentHandling:
                       "--df-rule", "--out", "--no-plots"]),
             ("simulate", ["--beta0", "--family", "--a", "--b", "--n",
                           "--reps", "--seed", "--alpha", "--out"]),
-            ("plot", ["--report", "--data", "--out"]),
             ("casestudy", ["--seed", "--dev-n", "--small-n", "--holdout-n"]),
         ]:
             with pytest.raises(SystemExit) as exc:
@@ -65,11 +68,10 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv", [
         ["test", "data.csv"],
         ["test", "data.csv", "--no-plots"],
-        ["plot", "--report", "report.json", "--data", "data.csv"],
         ["casestudy", "--seed", "1", "--dev-n", "200", "--small-n", "100",
          "--holdout-n", "100"],
         ["simulate", "null", "--n", "20", "--reps", "2"],
-    ], ids=["test", "test-no-plots", "plot", "casestudy", "simulate"])
+    ], ids=["test", "test-no-plots", "casestudy", "simulate"])
     @pytest.mark.parametrize("alpha", ["0", "1", "nan", "x"])
     def test_alpha_outside_unit_interval_exits_before_output(
             self, tmp_path, monkeypatch, capsys, argv, alpha):
@@ -89,10 +91,10 @@ class TestCmdTest:
         csv = _write_csv(tmp_path)
         out = tmp_path / "out"
         assert main(["test", str(csv), "--out", str(out)]) == 0
-        report = read_report_json(out / "report.json")
-        assert report.bb.s_n == pytest.approx(0.31623, abs=5e-6)
-        assert report.bb.b_star == pytest.approx(0.44272, abs=5e-6)
-        assert report.dataset.small_sample_warning
+        report = json.loads((out / "report.json").read_text())
+        assert report["bb_test"]["s_n"] == pytest.approx(0.31623, abs=5e-6)
+        assert report["bb_test"]["b_star"] == pytest.approx(0.44272, abs=5e-6)
+        assert report["dataset"]["small_sample_warning"]
         printed = capsys.readouterr().out
         assert "total variance below 30" in printed
         assert (out / "cumulative_bm.svg").exists()
@@ -126,9 +128,9 @@ class TestCmdTest:
             out = tmp_path / name
             assert main(["test", str(csv), "--mc", "10000", "--seed", "7",
                          "--no-plots", "--out", str(out)]) == 0
-            reports.append(read_report_json(out / "report.json"))
-        assert reports[0].monte_carlo == reports[1].monte_carlo
-        assert 0.0 < reports[0].monte_carlo.bm_p_value <= 1.0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["monte_carlo"] == reports[1]["monte_carlo"]
+        assert 0.0 < reports[0]["monte_carlo"]["bm_p_value"] <= 1.0
 
     def test_report_is_library_analysis(self, tmp_path):
         rows = "".join(f"{0.05 + 0.9 * i / 59:.6f},{i % 3 == 0:d}\n"
@@ -141,6 +143,22 @@ class TestCmdTest:
         write_report_json(report, tmp_path / "library.json")
         assert (out / "report.json").read_bytes() == \
             (tmp_path / "library.json").read_bytes()
+
+    def test_alpha_redraws_plots_at_that_level(self, tmp_path):
+        rows = "".join(f"{0.05 + 0.9 * i / 59:.6f},{i % 3 == 0:d}\n"
+                       for i in range(60))
+        csv = _write_csv(tmp_path, "p,y\n" + rows)
+        default, redrawn = tmp_path / "default", tmp_path / "redrawn"
+        assert main(["test", str(csv), "--out", str(default)]) == 0
+        assert main(["test", str(csv), "--no-hl", "--no-lr",
+                     "--alpha", "0.01", "--out", str(redrawn)]) == 0
+        proc, report = analyze(read_dataset_csv(csv))
+        for mode, result in (("bm", report.bm), ("bb", report.bb)):
+            name = f"cumulative_{mode}.svg"
+            svg = (redrawn / name).read_text(encoding="utf-8")
+            assert svg == render_cumulative_plot(proc, mode, result,
+                                                 alpha=0.01)
+            assert svg != (default / name).read_text(encoding="utf-8")
 
     def test_no_plots_suppresses_svg(self, tmp_path):
         csv = _write_csv(tmp_path)
@@ -161,7 +179,7 @@ class TestCmdSimulate:
         assert main(["simulate", "null", "--beta0", "-1", "--n", "1000",
                      "--reps", "1000", "--seed", "1",
                      "--out", str(out)]) == 0
-        study = read_study_json(out / "study.json")
+        study = json.loads((out / "study.json").read_text())
         cell = study["cells"][0]
         for name in ("bm", "bb"):
             assert 0.03 <= cell["rejections"][name] <= 0.07
@@ -173,7 +191,7 @@ class TestCmdSimulate:
                      "--a", "0", "--b", "1", "--n", "250",
                      "--reps", "500", "--seed", "1",
                      "--out", str(out)]) == 0
-        cell = read_study_json(out / "study.json")["cells"][0]
+        cell = json.loads((out / "study.json").read_text())["cells"][0]
         for name in ("lr", "hl", "bm", "bb"):
             assert cell["rejections"][name] == pytest.approx(0.05, abs=0.03)
 
@@ -203,77 +221,6 @@ class TestCmdSimulate:
         assert exc.value.code == 2
 
 
-class TestCmdPlot:
-    def test_rerender_matches_original(self, tmp_path):
-        csv = _write_csv(tmp_path)
-        first = tmp_path / "first"
-        assert main(["test", str(csv), "--out", str(first)]) == 0
-        second = tmp_path / "second"
-        assert main(["plot", "--report", str(first / "report.json"),
-                     "--data", str(csv), "--out", str(second)]) == 0
-        for name in ("cumulative_bm.svg", "cumulative_bb.svg"):
-            assert (second / name).read_bytes() == \
-                (first / name).read_bytes()
-
-    def test_mismatched_data_exits_two(self, tmp_path, capsys):
-        csv = _write_csv(tmp_path)
-        out = tmp_path / "out"
-        assert main(["test", str(csv), "--out", str(out)]) == 0
-        other = _write_csv(tmp_path, "p,y\n0.4,1\n0.5,0\n", name="other.csv")
-        assert main(["plot", "--report", str(out / "report.json"),
-                     "--data", str(other), "--out", str(tmp_path)]) == 2
-        assert "does not match" in capsys.readouterr().err
-
-    def test_malformed_report_exits_two(self, tmp_path, capsys):
-        csv = _write_csv(tmp_path)
-        report = tmp_path / "report.json"
-        report.write_text('{"schema": 1}')
-        assert main(["plot", "--report", str(report),
-                     "--data", str(csv), "--out", str(tmp_path)]) == 2
-        assert "error: report is missing section 'tool'" in \
-            capsys.readouterr().err
-
-    def test_malformed_monte_carlo_section_exits_two(self, tmp_path, capsys):
-        csv = _write_csv(tmp_path)
-        out = tmp_path / "out"
-        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        report["monte_carlo"] = 5
-        (out / "report.json").write_text(json.dumps(report))
-        assert main(["plot", "--report", str(out / "report.json"),
-                     "--data", str(csv), "--out", str(tmp_path)]) == 2
-        assert "error: report section 'monte_carlo' must be a JSON object" \
-            in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("path, value, message", [
-        (("bm_test", "s_star"), "x", "'s_star' must be a number"),
-        (("bb_test", "s_n"), None, "'s_n' must be a number"),
-        (("bm_test", "location", "index"), True, "'index' must be an integer"),
-        (("bm_test", "location", "index"), 0, "not computed from"),
-        (("bm_test", "location", "index"), 10**9, "not computed from"),
-        (("bb_test", "location_bridge", "index"), 0, "not computed from"),
-    ], ids=["string-s-star", "null-s-n", "bool-index", "zero-index",
-            "huge-index", "zero-bridge-index"])
-    def test_bad_report_value_exits_two(self, tmp_path, capsys, path, value,
-                                        message):
-        csv = _write_csv(tmp_path)
-        out = tmp_path / "out"
-        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        parent = report
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        (out / "report.json").write_text(json.dumps(report))
-        figures = tmp_path / "figures"
-        assert main(["plot", "--report", str(out / "report.json"),
-                     "--data", str(csv), "--out", str(figures)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert not figures.exists()
-
-
 class TestCmdCasestudy:
     def test_same_seed_identical_artifacts(self, tmp_path):
         args = ["casestudy", "--seed", "5", "--dev-n", "2000",
@@ -294,11 +241,11 @@ class TestCmdCasestudy:
                      "--small-n", "200", "--holdout-n", "800",
                      "--out", str(out)]) == 0
         for label in ("full", "small"):
-            report = read_report_json(out / f"{label}_report.json")
+            report = json.loads((out / f"{label}_report.json").read_text())
             svg = (out / f"{label}_cumulative_bb.svg").read_text()
-            assert f"unified p = {report.bb.p_unified:.4f}" in svg
+            assert f"unified p = {report['bb_test']['p_unified']:.4f}" in svg
             bm_svg = (out / f"{label}_cumulative_bm.svg").read_text()
-            assert f"p = {report.bm.p_value:.4f}" in bm_svg
+            assert f"p = {report['bm_test']['p_value']:.4f}" in bm_svg
 
     def test_invalid_split_exits_two(self, tmp_path):
         assert main(["casestudy", "--seed", "1", "--dev-n", "100",
