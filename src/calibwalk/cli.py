@@ -60,20 +60,26 @@ def _write_text(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_cumulative_plots(outdir: Path, proc, report, alpha, prefix=""):
-    """Write ``{prefix}cumulative_bm.svg`` and ``..._bb.svg``; return paths.
+def _write_files(outdir: Path, files: dict) -> list:
+    """Write each name -> text entry of ``files`` under ``outdir``; return
+    the paths.
 
-    Both are rendered before either is written, so a result that fails the
-    renderer's checks leaves no figure behind.
+    Callers render every file first, so a render that fails leaves no
+    partial set of artifacts behind.
     """
-    svgs = [(mode, render_cumulative_plot(proc, mode, result, alpha))
-            for mode, result in (("bm", report.bm), ("bb", report.bb))]
     paths = []
-    for mode, svg in svgs:
-        path = outdir / f"{prefix}cumulative_{mode}.svg"
-        _write_text(path, svg)
+    for name, text in files.items():
+        path = outdir / name
+        _write_text(path, text)
         paths.append(str(path))
     return paths
+
+
+def _cumulative_plots(proc, report, alpha, prefix=""):
+    """``{prefix}cumulative_bm.svg`` and ``..._bb.svg``: name -> SVG."""
+    return {f"{prefix}cumulative_{mode}.svg":
+            render_cumulative_plot(proc, mode, result, alpha)
+            for mode, result in (("bm", report.bm), ("bb", report.bb))}
 
 
 def _print_report(report):
@@ -145,14 +151,14 @@ def cmd_test(args) -> int:
         data, groups=args.groups, df_rule=_DF_RULES[args.df_rule],
         hl=not args.no_hl, lr=not args.no_lr, mc=args.mc, seed=args.seed,
     )
+    figures = {} if args.no_plots else _cumulative_plots(proc, report,
+                                                         args.alpha)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "report.json"
     write_report_json(report, report_path)
     _print_report(report)
-    artifacts = [str(report_path)]
-    if not args.no_plots:
-        artifacts += _write_cumulative_plots(outdir, proc, report, args.alpha)
+    artifacts = [str(report_path)] + _write_files(outdir, figures)
     print("wrote " + ", ".join(artifacts))
     return 0
 
@@ -168,12 +174,13 @@ def cmd_simulate(args) -> int:
             _FAMILIES[args.family], args.a, args.b, args.n,
             replications=args.reps, seed=args.seed, alpha=args.alpha,
         )
+    figures = {f"{key}.svg": svg
+               for key, svg in render_study_figures(summaries).items()}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     study_path = outdir / "study.json"
     write_study_json(summaries, study_path)
-    for key, svg in render_study_figures(summaries).items():
-        _write_text(outdir / f"{key}.svg", svg)
+    _write_files(outdir, figures)
     for summary in summaries:
         scenario = summary.scenario
         label = (f"beta0={scenario.beta0:g} n={scenario.n}"
@@ -197,7 +204,8 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
     and on its first ``small_n`` rows, then evaluates both fits on a
     held-out split.  Returns per-model fits and analysis reports; artifacts
     (reports, binned plots with 10 and 20 rank groups, cumulative plots at
-    level ``alpha``) are written when ``out_dir`` is given.
+    level ``alpha``) are written when ``out_dir`` is given, once every
+    figure of both models has rendered.
     """
     if small_n > dev_n:
         raise ValueError("small_n cannot exceed dev_n")
@@ -208,6 +216,7 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
     y_hold = (rng.random(holdout_n) < _expit(-2.0 + x_hold)).astype(float)
 
     results = {}
+    figures = {}
     for label, rows in (("full", slice(None)), ("small", slice(0, small_n))):
         carrier = build_dataset(_expit(x_dev[rows]), y_dev[rows])
         fit = fit_logistic_recalibration(carrier)
@@ -217,14 +226,17 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
         results[label] = {"fit": fit, "report": report, "process": proc,
                           "dataset": holdout}
         if out_dir is not None:
-            outdir = Path(out_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            write_report_json(report, outdir / f"{label}_report.json")
             for name, bins in (("deciles", 10), ("fine", 20)):
-                _write_text(outdir / f"{label}_binned_{name}.svg",
-                            render_binned_calibration_plot(holdout, bins))
-            _write_cumulative_plots(outdir, proc, report, alpha,
-                                    prefix=f"{label}_")
+                figures[f"{label}_binned_{name}.svg"] = \
+                    render_binned_calibration_plot(holdout, bins)
+            figures.update(_cumulative_plots(proc, report, alpha,
+                                             prefix=f"{label}_"))
+    if out_dir is not None:
+        outdir = Path(out_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for label, entry in results.items():
+            write_report_json(entry["report"], outdir / f"{label}_report.json")
+        _write_files(outdir, figures)
     return results
 
 

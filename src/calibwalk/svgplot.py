@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import CalibrationDataset, CumulativeProcess
 from .distributions import critical_value
+from .simulation import pvalue_ecdf
 from .stattests import BBTestResult, BMTestResult, _rank_groups
 
 _WIDTH = 720
@@ -404,7 +405,9 @@ def render_study_figures(summaries) -> dict:
     """One panel per study cell, keyed by the cell's parameters.
 
     Null-study cells (which carry p-value samples) get ECDF panels with the
-    identity reference; power-study cells get one bar per test.
+    identity reference; power-study cells get one bar per test.  Keys show
+    grid values to 6 significant digits; two cells with the same key raise
+    a ValueError rather than one figure replacing the other.
     """
     summaries = list(summaries)
     if not summaries:
@@ -414,17 +417,21 @@ def render_study_figures(summaries) -> dict:
         scenario = summary.scenario
         if scenario.family == "null":
             key = f"null_beta0={scenario.beta0:g}_n={scenario.n}"
-            panels[key] = _render_ecdf_panel(summary)
+            render = _render_ecdf_panel
         else:
             key = (f"{scenario.family}_a={scenario.a:g}"
                    f"_b={scenario.b:g}_n={scenario.n}")
-            panels[key] = _render_power_panel(summary)
+            render = _render_power_panel
+        if key in panels:
+            raise ValueError(
+                f"two study cells share the figure name {key!r}; grid "
+                f"values must differ within 6 significant digits"
+            )
+        panels[key] = render(summary)
     return panels
 
 
 def _render_ecdf_panel(summary):
-    from .simulation import pvalue_ecdf
-
     if summary.pvalues is None:
         raise ValueError("ECDF panel needs stored p-value samples")
     doc = _Document()

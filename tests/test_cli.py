@@ -214,6 +214,19 @@ class TestCmdSimulate:
                      "--out", str(tmp_path)]) == 2
         assert "n=5 is smaller than groups=10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, key", [
+        (["--a", "0.1", "0.1000001", "--n", "30"],
+         "logit_linear_a=0.1_b=1_n=30"),
+        (["--n", "30", "30"], "logit_linear_a=0_b=1_n=30"),
+    ], ids=["equal-to-6-digits", "repeated-n"])
+    def test_cells_sharing_a_figure_name_exit_two(self, tmp_path, capsys,
+                                                  grid, key):
+        out = tmp_path / "o"
+        assert main(["simulate", "power", *grid, "--reps", "5",
+                     "--out", str(out)]) == 2
+        assert f"share the figure name {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_grid_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "null", "--reps", "10",
@@ -246,6 +259,15 @@ class TestCmdCasestudy:
             assert f"unified p = {report['bb_test']['p_unified']:.4f}" in svg
             bm_svg = (out / f"{label}_cumulative_bm.svg").read_text()
             assert f"p = {report['bm_test']['p_value']:.4f}" in bm_svg
+
+    def test_failed_render_writes_nothing(self, tmp_path):
+        from calibwalk.cli import run_case_study
+
+        out = tmp_path / "case"
+        with pytest.raises(ValueError, match="alpha must be inside"):
+            run_case_study(1, dev_n=200, small_n=100, holdout_n=100,
+                           out_dir=out, alpha=1.0)
+        assert not out.exists()
 
     def test_invalid_split_exits_two(self, tmp_path):
         assert main(["casestudy", "--seed", "1", "--dev-n", "100",

@@ -339,6 +339,12 @@ class TestStudyFigures:
         with pytest.raises(ValueError):
             render_study_figures([])
 
+    def test_repeated_figure_name_rejected(self):
+        summaries = run_null_study([-1.0, -1.0000001], [20], replications=2,
+                                   seed=1)
+        with pytest.raises(ValueError, match="'null_beta0=-1_n=20'"):
+            render_study_figures(summaries)
+
 
 class TestPlotStyle:
     def test_validation(self, rendered):
