@@ -145,9 +145,7 @@ class TestCmdTest:
             (tmp_path / "library.json").read_bytes()
 
     def test_alpha_redraws_plots_at_that_level(self, tmp_path):
-        rows = "".join(f"{0.05 + 0.9 * i / 59:.6f},{i % 3 == 0:d}\n"
-                       for i in range(60))
-        csv = _write_csv(tmp_path, "p,y\n" + rows)
+        csv = _write_csv(tmp_path)
         default, redrawn = tmp_path / "default", tmp_path / "redrawn"
         assert main(["test", str(csv), "--out", str(default)]) == 0
         assert main(["test", str(csv), "--no-hl", "--no-lr",
