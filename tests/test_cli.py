@@ -68,10 +68,12 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("argv", [
         ["test", "data.csv"],
         ["test", "data.csv", "--no-plots"],
+        # the figure-only redraw that the README gives for another level
+        ["test", "data.csv", "--no-hl", "--no-lr"],
         ["casestudy", "--seed", "1", "--dev-n", "200", "--small-n", "100",
          "--holdout-n", "100"],
         ["simulate", "null", "--n", "20", "--reps", "2"],
-    ], ids=["test", "test-no-plots", "casestudy", "simulate"])
+    ], ids=["test", "test-no-plots", "plot", "casestudy", "simulate"])
     @pytest.mark.parametrize("alpha", ["0", "1", "nan", "x"])
     def test_alpha_outside_unit_interval_exits_before_output(
             self, tmp_path, monkeypatch, capsys, argv, alpha):
@@ -144,6 +146,33 @@ class TestCmdTest:
         assert (out / "report.json").read_bytes() == \
             (tmp_path / "library.json").read_bytes()
 
+    def test_no_plots_suppresses_svg(self, tmp_path):
+        csv = _write_csv(tmp_path)
+        out = tmp_path / "o"
+        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
+        assert not list(out.glob("*.svg"))
+
+    def test_outdir_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CALIBWALK_OUTDIR", str(tmp_path / "envout"))
+        csv = _write_csv(tmp_path)
+        assert main(["test", str(csv), "--no-plots"]) == 0
+        assert (tmp_path / "envout" / "report.json").exists()
+
+
+class TestCmdPlot:
+    """Redrawing the cumulative plots with `test`, the one command that
+    draws them."""
+
+    def test_rerender_matches_original(self, tmp_path):
+        csv = _write_csv(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["test", str(csv), "--out", str(first)]) == 0
+        assert main(["test", str(csv), "--no-hl", "--no-lr",
+                     "--out", str(second)]) == 0
+        for name in ("cumulative_bm.svg", "cumulative_bb.svg"):
+            assert (second / name).read_bytes() == \
+                (first / name).read_bytes()
+
     def test_alpha_redraws_plots_at_that_level(self, tmp_path):
         csv = _write_csv(tmp_path)
         default, redrawn = tmp_path / "default", tmp_path / "redrawn"
@@ -157,18 +186,6 @@ class TestCmdTest:
             assert svg == render_cumulative_plot(proc, mode, result,
                                                  alpha=0.01)
             assert svg != (default / name).read_text(encoding="utf-8")
-
-    def test_no_plots_suppresses_svg(self, tmp_path):
-        csv = _write_csv(tmp_path)
-        out = tmp_path / "o"
-        assert main(["test", str(csv), "--no-plots", "--out", str(out)]) == 0
-        assert not list(out.glob("*.svg"))
-
-    def test_outdir_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CALIBWALK_OUTDIR", str(tmp_path / "envout"))
-        csv = _write_csv(tmp_path)
-        assert main(["test", str(csv), "--no-plots"]) == 0
-        assert (tmp_path / "envout" / "report.json").exists()
 
 
 class TestCmdSimulate:
