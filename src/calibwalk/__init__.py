@@ -35,11 +35,7 @@ from .stattests import (
     HLTestResult,
     MonteCarloResult,
     RecalibrationFit,
-    SmallEffectiveSampleWarning,
     WeakCalibResult,
-    bb_test,
-    bm_test,
-    conditional_bm_test,
     fit_logistic_recalibration,
     hosmer_lemeshow_test,
     monte_carlo_test,
@@ -89,11 +85,7 @@ __all__ = [
     "HLTestResult",
     "MonteCarloResult",
     "RecalibrationFit",
-    "SmallEffectiveSampleWarning",
     "WeakCalibResult",
-    "bb_test",
-    "bm_test",
-    "conditional_bm_test",
     "fit_logistic_recalibration",
     "hosmer_lemeshow_test",
     "monte_carlo_test",

@@ -25,12 +25,13 @@ from .dataio import (
     write_report_json,
     write_study_json,
 )
-from .simulation import run_null_study, run_power_study
+from .simulation import null_scenarios, power_scenarios, run_scenario
 from .stattests import _expit, fit_logistic_recalibration
 from .svgplot import (
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
+    study_figure_names,
 )
 
 _DF_RULES = {"g-2": "g_minus_2", "g": "g"}
@@ -164,16 +165,15 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # every cell is built, validated and named before the first replicate
     if args.kind == "null":
-        summaries = run_null_study(
-            args.beta0, args.n, replications=args.reps, seed=args.seed,
-            alpha=args.alpha,
-        )
+        scenarios = null_scenarios(args.beta0, args.n, args.reps, args.seed,
+                                   args.alpha)
     else:
-        summaries = run_power_study(
-            _FAMILIES[args.family], args.a, args.b, args.n,
-            replications=args.reps, seed=args.seed, alpha=args.alpha,
-        )
+        scenarios = power_scenarios(_FAMILIES[args.family], args.a, args.b,
+                                    args.n, args.reps, args.seed, args.alpha)
+    study_figure_names(scenarios)
+    summaries = [run_scenario(scenario) for scenario in scenarios]
     figures = {f"{key}.svg": svg
                for key, svg in render_study_figures(summaries).items()}
     outdir = Path(args.out)

@@ -33,7 +33,6 @@ from .stattests import (
     BMTestResult,
     HLTestResult,
     MonteCarloResult,
-    SMALL_SAMPLE_VARIANCE,
     WeakCalibResult,
     bb_test_from_process,
     bm_test_from_process,
@@ -43,6 +42,10 @@ from .stattests import (
 )
 
 SCHEMA_VERSION = 1
+
+# Total variance (proxy for effective sample size) below which the
+# asymptotic references are not trustworthy.
+SMALL_SAMPLE_VARIANCE = 30.0
 
 
 @dataclass(frozen=True)
@@ -96,15 +99,18 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     and BB walk tests, Hosmer-Lemeshow with ``groups`` rank groups and
     ``df_rule`` (skipped when ``hl`` is false or n < groups), the
     recalibration LR test (unless ``lr`` is false), and with ``mc > 0``
-    both Monte Carlo p-values from one seeded null draw.  The timestamp is
-    ``$CALIBWALK_TIMESTAMP`` when set, else the current UTC time.
+    both Monte Carlo p-values from one seeded null draw.
+    ``report.dataset.small_sample_warning`` flags a total variance below
+    ``SMALL_SAMPLE_VARIANCE``, where the asymptotic p-values are unreliable.
+    The timestamp is ``$CALIBWALK_TIMESTAMP`` when set, else the current
+    UTC time.
     """
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
     report = AnalysisReport(
         dataset=summarize_dataset(data, proc),
-        bm=bm_test_from_process(proc, stats),
-        bb=bb_test_from_process(proc, stats),
+        bm=bm_test_from_process(stats),
+        bb=bb_test_from_process(stats),
         hl=(hosmer_lemeshow_test(data, groups, df_rule)
             if hl and data.n >= groups else None),
         weak_calibration=weak_calibration_lr_test(data) if lr else None,
@@ -256,7 +262,7 @@ def study_to_dict(summaries) -> dict:
             "lr_failures": summary.lr_failures,
         }
         # null cells keep their samples for the ECDF figures
-        if summary.scenario.family == "null" and summary.pvalues is not None:
+        if summary.scenario.family == "null":
             cell["pvalues"] = {
                 k: np.asarray(summary.pvalues[k]).tolist()
                 for k in sorted(summary.pvalues)

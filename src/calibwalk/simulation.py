@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +34,8 @@ FAMILIES = ("null", "logit_linear", "logit_power")
 
 POWER_TESTS = ("lr", "hl", "bm", "bb")
 NULL_TESTS = ("bm", "bb")
+# Hosmer-Lemeshow rank groups in power cells
+HL_GROUPS = 10
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,9 @@ class SimulationScenario:
             raise ValueError("b must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be inside (0, 1)")
+        if self.family != "null" and self.n < HL_GROUPS:
+            raise ValueError(
+                f"n={self.n} is smaller than groups={HL_GROUPS}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,10 @@ class SimulationSummary:
     scenario: SimulationScenario
     rejections: dict
     standard_errors: dict
-    lr_failures: int = 0
+    lr_failures: int
     # excluded from equality: raw samples carry no extra information beyond
     # the seeded scenario
-    pvalues: Optional[dict] = field(default=None, compare=False)
+    pvalues: dict = field(compare=False)
 
 
 def _cell_key(scenario: SimulationScenario) -> int:
@@ -117,36 +121,31 @@ def _rejection_summary(pvalue_samples, alpha):
     return rejections, standard_errors
 
 
-def run_scenario(scenario: SimulationScenario,
-                 tests=NULL_TESTS) -> SimulationSummary:
-    """Run one cell: ``analyze`` on every replicate, keeping ``tests``.
+def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
+    """Run one cell: ``analyze`` on every replicate.
 
-    ``tests`` names any of ``POWER_TESTS``.  The Hosmer-Lemeshow comparator
-    uses 10 groups and ``df = groups`` because the simulated predictions are
+    Null cells keep the walk tests (``NULL_TESTS``), power cells every test
+    (``POWER_TESTS``).  The Hosmer-Lemeshow comparator uses ``HL_GROUPS``
+    groups and ``df = groups`` because the simulated predictions are
     externally fixed, never fitted to the replicate's outcomes.  A
     non-converged LR fit counts as a non-rejection and increments
     ``lr_failures``.  The summary carries every replicate's p-values.
     """
-    for name in tests:
-        if name not in POWER_TESTS:
-            raise ValueError(f"unknown test {name!r}")
-    if "hl" in tests and scenario.n < 10:
-        raise ValueError(f"n={scenario.n} is smaller than groups=10")
+    power = scenario.family != "null"
+    tests = POWER_TESTS if power else NULL_TESTS
     samples = {name: np.empty(scenario.replications) for name in tests}
     lr_failures = 0
     for r in range(scenario.replications):
-        _, report = analyze(generate_dataset(scenario, r), groups=10,
-                            df_rule="g", hl="hl" in tests, lr="lr" in tests)
-        pvalues = {"bm": report.bm.p_value, "bb": report.bb.p_unified}
-        if report.hl is not None:
-            pvalues["hl"] = report.hl.p_value
-        weak = report.weak_calibration
-        if weak is not None:
-            pvalues["lr"] = weak.p_value if weak.converged else 1.0
+        _, report = analyze(generate_dataset(scenario, r), groups=HL_GROUPS,
+                            df_rule="g", hl=power, lr=power)
+        samples["bm"][r] = report.bm.p_value
+        samples["bb"][r] = report.bb.p_unified
+        if power:
+            samples["hl"][r] = report.hl.p_value
+            weak = report.weak_calibration
+            samples["lr"][r] = weak.p_value if weak.converged else 1.0
             if not weak.converged:
                 lr_failures += 1
-        for name in tests:
-            samples[name][r] = pvalues[name]
     rejections, standard_errors = _rejection_summary(samples, scenario.alpha)
     return SimulationSummary(
         scenario=scenario,
@@ -157,43 +156,45 @@ def run_scenario(scenario: SimulationScenario,
     )
 
 
+def null_scenarios(beta0_grid, n_grid, replications: int, seed: int,
+                   alpha: float) -> list[SimulationScenario]:
+    """Every cell of a null study over a (beta0, n) grid, validated."""
+    beta0_grid, n_grid = list(beta0_grid), list(n_grid)
+    if not beta0_grid or not n_grid:
+        raise ValueError("grids must be non-empty")
+    return [SimulationScenario(family="null", n=n, replications=replications,
+                               seed=seed, beta0=beta0, alpha=alpha)
+            for beta0 in beta0_grid for n in n_grid]
+
+
+def power_scenarios(family: str, a_grid, b_grid, n_grid, replications: int,
+                    seed: int, alpha: float) -> list[SimulationScenario]:
+    """Every cell of a power study over an (a, b, n) grid, validated."""
+    if family not in ("logit_linear", "logit_power"):
+        raise ValueError(f"family must be a power family, got {family!r}")
+    a_grid, b_grid, n_grid = list(a_grid), list(b_grid), list(n_grid)
+    if not a_grid or not b_grid or not n_grid:
+        raise ValueError("grids must be non-empty")
+    return [SimulationScenario(family=family, n=n, replications=replications,
+                               seed=seed, a=a, b=b, alpha=alpha)
+            for a in a_grid for b in b_grid for n in n_grid]
+
+
 def run_null_study(beta0_grid, n_grid, replications: int = 10_000,
                    seed: int = 0,
                    alpha: float = 0.05) -> list[SimulationSummary]:
     """Null behavior over a (beta0, n) grid: both walk tests per replicate."""
-    beta0_grid, n_grid = list(beta0_grid), list(n_grid)
-    if not beta0_grid or not n_grid:
-        raise ValueError("grids must be non-empty")
-    summaries = []
-    for beta0 in beta0_grid:
-        for n in n_grid:
-            scenario = SimulationScenario(
-                family="null", n=n, replications=replications, seed=seed,
-                beta0=beta0, alpha=alpha,
-            )
-            summaries.append(run_scenario(scenario, NULL_TESTS))
-    return summaries
+    return [run_scenario(scenario) for scenario in
+            null_scenarios(beta0_grid, n_grid, replications, seed, alpha)]
 
 
 def run_power_study(family: str, a_grid, b_grid, n_grid,
                     replications: int = 2_500, seed: int = 0,
                     alpha: float = 0.05) -> list[SimulationSummary]:
     """Power over a fully factorial (a, b, n) grid: LR, HL and walk tests."""
-    if family not in ("logit_linear", "logit_power"):
-        raise ValueError(f"family must be a power family, got {family!r}")
-    a_grid, b_grid, n_grid = list(a_grid), list(b_grid), list(n_grid)
-    if not a_grid or not b_grid or not n_grid:
-        raise ValueError("grids must be non-empty")
-    summaries = []
-    for a in a_grid:
-        for b in b_grid:
-            for n in n_grid:
-                scenario = SimulationScenario(
-                    family=family, n=n, replications=replications, seed=seed,
-                    a=a, b=b, alpha=alpha,
-                )
-                summaries.append(run_scenario(scenario, POWER_TESTS))
-    return summaries
+    return [run_scenario(scenario) for scenario in
+            power_scenarios(family, a_grid, b_grid, n_grid, replications,
+                            seed, alpha)]
 
 
 def pvalue_ecdf(pvalues):

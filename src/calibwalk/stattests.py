@@ -5,37 +5,23 @@ reference, and the bridge test that splits the null into a mean-calibration
 component (terminal value, normal reference) and a shape component (bridged
 maximum, Kolmogorov reference), combined by Fisher's method.  Comparators:
 Hosmer-Lemeshow on rank deciles and the likelihood-ratio test of the
-logistic recalibration model.  Every test also has a simulation-based
-variant that replaces the asymptotic reference by a resampled null.
+logistic recalibration model.  Both walk tests also have a
+simulation-based variant that replaces the asymptotic reference by a
+resampled null.  The walk tests read the statistics of one walk
+(``data.walk_statistics``); ``dataio.analyze`` assembles them all.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import (
-    CalibrationDataset,
-    CumulativeProcess,
-    WalkLocation,
-    WalkStatistics,
-    cumulative_process,
-    walk_statistics,
-)
+from .data import CalibrationDataset, WalkLocation, WalkStatistics
 from . import distributions as dist
-
-# Total variance (proxy for effective sample size) below which the
-# asymptotic references are not trustworthy.
-SMALL_SAMPLE_VARIANCE = 30.0
-
-
-class SmallEffectiveSampleWarning(UserWarning):
-    """Total variance below 30: asymptotic p-values may be conservative."""
 
 
 @dataclass(frozen=True)
@@ -101,21 +87,8 @@ class MonteCarloResult:
     bb_p_value: float
 
 
-def _warn_if_small(total_variance):
-    if total_variance < SMALL_SAMPLE_VARIANCE:
-        warnings.warn(
-            f"total variance {total_variance:.3g} is below "
-            f"{SMALL_SAMPLE_VARIANCE:g}; asymptotic p-values are unreliable "
-            "(consider the Monte Carlo variant)",
-            SmallEffectiveSampleWarning,
-            stacklevel=3,
-        )
-
-
-def bm_test_from_process(proc: CumulativeProcess,
-                         stats: Optional[WalkStatistics] = None) -> BMTestResult:
-    if stats is None:
-        stats = walk_statistics(proc)
+def bm_test_from_process(stats: WalkStatistics) -> BMTestResult:
+    """Test of calibration via the maximum |walk| against sup-|BM|."""
     return BMTestResult(
         c_star=stats.c_star,
         s_star=stats.s_star,
@@ -124,17 +97,13 @@ def bm_test_from_process(proc: CumulativeProcess,
     )
 
 
-def bm_test(data: CalibrationDataset) -> BMTestResult:
-    """Test of calibration via the maximum |walk| against sup-|BM|."""
-    proc = cumulative_process(data)
-    _warn_if_small(proc.total_variance)
-    return bm_test_from_process(proc)
+def bb_test_from_process(stats: WalkStatistics) -> BBTestResult:
+    """Bridge test: mean-calibration and bridged-maximum components combined.
 
-
-def bb_test_from_process(proc: CumulativeProcess,
-                         stats: Optional[WalkStatistics] = None) -> BBTestResult:
-    if stats is None:
-        stats = walk_statistics(proc)
+    The terminal walk value gets a two-sided normal p-value, the maximum of
+    the bridged walk a Kolmogorov p-value; the two are asymptotically
+    independent and are pooled by Fisher's method (chi-square, 4 df).
+    """
     p_a = min(1.0, 2.0 * dist.std_normal_cdf(-abs(stats.s_n)))
     p_b = dist.kolmogorov_sf(stats.b_star)
     # Fisher combination in log space so underflowing components still
@@ -150,33 +119,6 @@ def bb_test_from_process(proc: CumulativeProcess,
         location_bridge=stats.argmax_bb,
         p_unified=dist.chi_square_sf(max(fisher, 0.0), 4),
     )
-
-
-def bb_test(data: CalibrationDataset) -> BBTestResult:
-    """Bridge test: mean-calibration and bridged-maximum components combined.
-
-    The terminal walk value gets a two-sided normal p-value, the maximum of
-    the bridged walk a Kolmogorov p-value; the two are asymptotically
-    independent and are pooled by Fisher's method (chi-square, 4 df).
-    """
-    proc = cumulative_process(data)
-    _warn_if_small(proc.total_variance)
-    return bb_test_from_process(proc)
-
-
-def conditional_bm_test(data: CalibrationDataset) -> tuple[float, float]:
-    """Two-part variant: terminal-value p and the conditional maximum p.
-
-    Returns ``(p_a, p_conditional)`` where the second is the p-value of the
-    maximum |walk| conditional on the observed terminal value.  No
-    combination rule is applied; the components are reported as-is.
-    """
-    proc = cumulative_process(data)
-    _warn_if_small(proc.total_variance)
-    stats = walk_statistics(proc)
-    p_a = min(1.0, 2.0 * dist.std_normal_cdf(-abs(stats.s_n)))
-    p_conditional = 1.0 - dist.conditional_sup_cdf(stats.s_star, stats.s_n)
-    return p_a, p_conditional
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +342,7 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
 
 
 def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
-                     stats: Optional[WalkStatistics] = None
-                     ) -> MonteCarloResult:
+                     stats: WalkStatistics) -> MonteCarloResult:
     """Simulation-based BM and BB p-values from one resampled null.
 
     The null redraws the outcomes from the predictions.  The BM p-value
@@ -409,15 +350,13 @@ def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
     the empirical two-sided terminal-value p and the empirical
     bridged-maximum p.  Both read the same null walks and use the add-one
     estimator, so neither is ever exactly zero and the tests are
-    finite-sample valid.  ``stats`` passes in the observed walk statistics
-    when they are already computed.
+    finite-sample valid.  ``stats`` are the observed walk statistics of
+    ``data``.
     """
     # Python ints, so that numpy integers do not reach the JSON report
     replications, seed = operator.index(replications), operator.index(seed)
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    if stats is None:
-        stats = walk_statistics(cumulative_process(data))
     s_star, b_star, s_n = _simulate_null_statistics(data, replications, seed)
 
     def add_one(exceeds):

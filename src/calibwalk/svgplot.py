@@ -401,39 +401,44 @@ def render_binned_calibration_plot(data: CalibrationDataset,
     return doc.render()
 
 
-def render_study_figures(summaries) -> dict:
-    """One panel per study cell, keyed by the cell's parameters.
+def study_figure_names(scenarios) -> list:
+    """The file stem of each study cell's figure, in cell order.
 
-    Null-study cells (which carry p-value samples) get ECDF panels with the
-    identity reference; power-study cells get one bar per test.  Keys show
-    grid values to 6 significant digits; two cells with the same key raise
-    a ValueError rather than one figure replacing the other.
+    Names show grid values to 6 significant digits; two cells with the same
+    name raise a ValueError rather than one figure replacing the other.
+    """
+    names = []
+    for scenario in scenarios:
+        if scenario.family == "null":
+            name = f"null_beta0={scenario.beta0:g}_n={scenario.n}"
+        else:
+            name = (f"{scenario.family}_a={scenario.a:g}"
+                    f"_b={scenario.b:g}_n={scenario.n}")
+        if name in names:
+            raise ValueError(
+                f"two study cells share the figure name {name!r}; grid "
+                f"values must differ within 6 significant digits"
+            )
+        names.append(name)
+    return names
+
+
+def render_study_figures(summaries) -> dict:
+    """One panel per study cell, keyed by ``study_figure_names``.
+
+    Null-study cells get ECDF panels of their p-value samples with the
+    identity reference; power-study cells get one bar per test.
     """
     summaries = list(summaries)
     if not summaries:
         raise ValueError("empty study grid")
-    panels = {}
-    for summary in summaries:
-        scenario = summary.scenario
-        if scenario.family == "null":
-            key = f"null_beta0={scenario.beta0:g}_n={scenario.n}"
-            render = _render_ecdf_panel
-        else:
-            key = (f"{scenario.family}_a={scenario.a:g}"
-                   f"_b={scenario.b:g}_n={scenario.n}")
-            render = _render_power_panel
-        if key in panels:
-            raise ValueError(
-                f"two study cells share the figure name {key!r}; grid "
-                f"values must differ within 6 significant digits"
-            )
-        panels[key] = render(summary)
-    return panels
+    names = study_figure_names(summary.scenario for summary in summaries)
+    return {name: (_render_ecdf_panel if summary.scenario.family == "null"
+                   else _render_power_panel)(summary)
+            for name, summary in zip(names, summaries)}
 
 
 def _render_ecdf_panel(summary):
-    if summary.pvalues is None:
-        raise ValueError("ECDF panel needs stored p-value samples")
     doc = _Document()
     amap = _panel_map((0.0, 1.0), (0.0, 1.0))
     left, top, right, bottom = _draw_frame(

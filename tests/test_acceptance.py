@@ -7,7 +7,6 @@ replications live behind the ``slow`` marker (``pytest -m slow``).
 import itertools
 import math
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,6 @@ from calibwalk.distributions import (
 from calibwalk.simulation import SimulationScenario, generate_dataset
 from calibwalk.stattests import _simulate_null_statistics, bb_test_from_process
 from calibwalk.svgplot import cumulative_plot_map
-
-warnings.simplefilter("ignore", cw.SmallEffectiveSampleWarning)
 
 PI_GRID_5 = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -165,9 +162,9 @@ def test_c07_component_independence():
     p_a = np.empty(scenario.replications)
     p_b = np.empty(scenario.replications)
     for r in range(scenario.replications):
-        result = bb_test_from_process(
+        result = bb_test_from_process(cw.walk_statistics(
             cw.cumulative_process(generate_dataset(scenario, r))
-        )
+        ))
         p_a[r], p_b[r] = result.p_a, result.p_b
     corr = float(np.corrcoef(p_a, p_b)[0, 1])
     assert abs(corr) < 0.05
@@ -242,7 +239,9 @@ def test_c10_low_birth_weight_cross_check():
     lwt = np.array([float(r["lwt"]) for r in rows])
     low = np.array([float(r["low"]) for r in rows])
     predictions = 1 / (1 + np.exp(-(2.15 - 0.050 * age - 0.015 * lwt)))
-    result = cw.bb_test(cw.build_dataset(predictions, low))
+    _, report = cw.analyze(cw.build_dataset(predictions, low), hl=False,
+                           lr=False)
+    result = report.bb
     assert result.p_unified == pytest.approx(0.8382, abs=1e-3)
     _passed("C10", f"unified p = {result.p_unified:.4f}")
 
@@ -255,9 +254,8 @@ def test_c11_structural_plot_suite():
     p = rng.uniform(0.05, 0.7, 150)
     y = (rng.random(150) < p).astype(float)
     data = cw.build_dataset(p, y)
-    proc = cw.cumulative_process(data)
-    bm = cw.bm_test(data)
-    bb = cw.bb_test(data)
+    proc, report = cw.analyze(data, hl=False, lr=False)
+    bm, bb = report.bm, report.bb
     documents = {
         "bm": cw.render_cumulative_plot(proc, "bm", bm),
         "bb": cw.render_cumulative_plot(proc, "bb", bb),

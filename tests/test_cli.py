@@ -10,6 +10,7 @@ from calibwalk import (
     render_cumulative_plot,
     write_report_json,
 )
+from calibwalk import simulation
 from calibwalk.cli import main
 
 TWO_POINT = "p,y\n0.6,1\n0.2,0\n"
@@ -240,6 +241,24 @@ class TestCmdSimulate:
         assert main(["simulate", "power", *grid, "--reps", "5",
                      "--out", str(out)]) == 2
         assert f"share the figure name {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["power", "--n", "1000", "5"], "n=5 is smaller than groups=10"),
+        (["power", "--n", "1000", "--b", "1", "-1"], "b must be positive"),
+        (["null", "--n", "1000", "--beta0", "-1", "-1"],
+         "share the figure name 'null_beta0=-1_n=1000'"),
+    ], ids=["power-n-below-groups", "nonpositive-b", "repeated-beta0"])
+    def test_bad_cell_exits_before_any_replicate(self, tmp_path, monkeypatch,
+                                                 capsys, argv, message):
+        def no_replicate(scenario, replicate_index):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "generate_dataset", no_replicate)
+        out = tmp_path / "o"
+        assert main(["simulate", *argv, "--reps", "3000",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_grid_exits_two(self, tmp_path):

@@ -2,7 +2,6 @@
 
 import io
 import json
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -13,18 +12,18 @@ from hypothesis import strategies as st
 from calibwalk import (
     MonteCarloResult,
     analyze,
-    bb_test,
-    bm_test,
     build_dataset,
     cumulative_process,
     hosmer_lemeshow_test,
     monte_carlo_test,
+    walk_statistics,
     read_dataset_csv,
     weak_calibration_lr_test,
     write_report_json,
     write_study_json,
 )
 from calibwalk import dataio, stattests
+from calibwalk.stattests import bb_test_from_process, bm_test_from_process
 from calibwalk.data import WalkLocation
 from calibwalk.dataio import (
     AnalysisReport,
@@ -41,10 +40,11 @@ def _sample_report(seed=0, n=300, with_optional=True):
     y = (rng.random(n) < p).astype(float)
     data = build_dataset(p, y)
     proc = cumulative_process(data)
+    stats = walk_statistics(proc)
     return AnalysisReport(
         dataset=summarize_dataset(data, proc),
-        bm=bm_test(data),
-        bb=bb_test(data),
+        bm=bm_test_from_process(stats),
+        bb=bb_test_from_process(stats),
         hl=hosmer_lemeshow_test(data) if with_optional else None,
         weak_calibration=weak_calibration_lr_test(data) if with_optional else None,
         monte_carlo=MonteCarloResult(100, 1, 0.5, 0.25)
@@ -220,14 +220,13 @@ class TestReportRoundTrip:
     def test_nonconverged_fit_serializes_without_pvalue(self):
         data = build_dataset([0.2, 0.4, 0.6, 0.8], [0, 0, 0, 0])
         proc = cumulative_process(data)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = AnalysisReport(
-                dataset=summarize_dataset(data, proc),
-                bm=bm_test(data),
-                bb=bb_test(data),
-                weak_calibration=weak_calibration_lr_test(data),
-            )
+        stats = walk_statistics(proc)
+        report = AnalysisReport(
+            dataset=summarize_dataset(data, proc),
+            bm=bm_test_from_process(stats),
+            bb=bb_test_from_process(stats),
+            weak_calibration=weak_calibration_lr_test(data),
+        )
         d = report_to_dict(report)
         assert "p_value" not in d["weak_calibration"]
 
@@ -267,12 +266,13 @@ class TestAnalyze:
         p = rng.uniform(0.1, 0.9, 300)
         data = build_dataset(p, (rng.random(300) < p).astype(float))
         proc, report = analyze(data, mc=200, seed=3)
-        assert report.bm == bm_test(data)
-        assert report.bb == bb_test(data)
+        stats = walk_statistics(cumulative_process(data))
+        assert report.bm == bm_test_from_process(stats)
+        assert report.bb == bb_test_from_process(stats)
         assert report.hl == hosmer_lemeshow_test(data)
         assert report.weak_calibration == weak_calibration_lr_test(data)
         assert report.dataset == summarize_dataset(data, proc)
-        assert report.monte_carlo == monte_carlo_test(data, 200, 3)
+        assert report.monte_carlo == monte_carlo_test(data, 200, 3, stats)
 
     def test_one_null_draw_serves_both_tests(self, monkeypatch):
         calls = []

@@ -2,18 +2,15 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from calibwalk import (
-    SmallEffectiveSampleWarning,
-    bb_test,
-    bm_test,
+    analyze,
     build_dataset,
     chi_square_sf,
-    conditional_bm_test,
+    conditional_sup_cdf,
     cumulative_process,
     fit_logistic_recalibration,
     hosmer_lemeshow_test,
@@ -25,6 +22,7 @@ from calibwalk import (
     weak_calibration_lr_test,
 )
 from calibwalk import stattests
+from calibwalk.stattests import bb_test_from_process, bm_test_from_process
 from calibwalk.simulation import SimulationScenario, generate_dataset
 
 PI_GRID_5 = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -35,6 +33,12 @@ def _random_dataset(seed, n=200, lo=0.05, hi=0.9):
     p = rng.uniform(lo, hi, n)
     y = (rng.random(n) < p).astype(float)
     return build_dataset(p, y)
+
+
+def _walk_tests(data):
+    """The BM and BB results as ``analyze`` reports them."""
+    _, report = analyze(data, hl=False, lr=False)
+    return report.bm, report.bb
 
 
 def _mle_at_identity_dataset():
@@ -49,7 +53,7 @@ class TestBMTest:
     def test_pvalue_matches_reference_survival(self):
         for seed in range(5):
             data = _random_dataset(seed)
-            result = bm_test(data)
+            result, _ = _walk_tests(data)
             assert result.p_value == pytest.approx(
                 sup_abs_bm_sf(result.s_star), abs=1e-12
             )
@@ -58,34 +62,34 @@ class TestBMTest:
     def test_statistics_match_walk(self):
         data = _random_dataset(3)
         stats = walk_statistics(cumulative_process(data))
-        result = bm_test(data)
+        result = bm_test_from_process(stats)
         assert result.s_star == stats.s_star
         assert result.c_star == stats.c_star
         assert result.location == stats.argmax_bm
+        assert result == _walk_tests(data)[0]
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
         p = rng.uniform(0.1, 0.9, 200)
         y = (rng.random(200) < p).astype(int)
-        base = bm_test(build_dataset(p, y))
+        base, _ = _walk_tests(build_dataset(p, y))
         order = rng.permutation(200)
-        assert bm_test(build_dataset(p[order], y[order])) == base
+        assert _walk_tests(build_dataset(p[order], y[order]))[0] == base
 
     def test_small_sample_warning(self):
-        with pytest.warns(SmallEffectiveSampleWarning):
-            bm_test(build_dataset([0.2, 0.6], [0, 1]))
+        _, report = analyze(build_dataset([0.2, 0.6], [0, 1]), hl=False,
+                            lr=False)
+        assert report.dataset.small_sample_warning
 
     def test_no_warning_for_large_variance(self):
-        data = _random_dataset(1, n=500)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SmallEffectiveSampleWarning)
-            bm_test(data)
+        _, report = analyze(_random_dataset(1, n=500), hl=False, lr=False)
+        assert not report.dataset.small_sample_warning
 
 
 class TestBBTest:
     def test_component_invariants(self):
         for seed in range(5):
-            result = bb_test(_random_dataset(seed))
+            _, result = _walk_tests(_random_dataset(seed))
             assert result.p_a == pytest.approx(
                 2.0 * std_normal_cdf(-abs(result.s_n)), abs=1e-12
             )
@@ -104,43 +108,43 @@ class TestBBTest:
         # constant predictions with all events: the terminal value is huge
         # (p_a underflows to 0) while the bridged walk is exactly linear
         data = build_dataset([0.5] * 2000, [1] * 2000)
-        result = bb_test(data)
+        _, result = _walk_tests(data)
         assert result.p_a == 0.0
         assert result.b_star == pytest.approx(0.0, abs=1e-9)
         assert result.p_unified == 0.0
 
     def test_exact_zero_terminal(self):
         data = build_dataset([0.5, 0.5], [0, 1])
-        with pytest.warns(SmallEffectiveSampleWarning):
-            result = bb_test(data)
+        _, result = _walk_tests(data)
         assert result.s_n == 0.0
         assert result.p_a == 1.0
 
 
 class TestConditionalBMTest:
+    """The terminal-value p and the conditional maximum p of a report:
+    ``report.bb.p_a`` and ``1 - conditional_sup_cdf(s_star, s_n)``."""
+
     def test_reduces_to_kolmogorov_at_zero_terminal(self):
         data = build_dataset([0.5, 0.5], [0, 1])
-        stats = walk_statistics(cumulative_process(data))
-        assert stats.s_n == 0.0
-        with pytest.warns(SmallEffectiveSampleWarning):
-            p_a, p_cond = conditional_bm_test(data)
-        assert p_a == 1.0
+        bm, bb = _walk_tests(data)
+        assert bb.s_n == 0.0
+        assert bb.p_a == 1.0
+        p_cond = 1.0 - conditional_sup_cdf(bm.s_star, bb.s_n)
         assert p_cond == pytest.approx(
-            1.0 - kolmogorov_cdf(stats.s_star), abs=1e-12
+            1.0 - kolmogorov_cdf(bm.s_star), abs=1e-12
         )
 
     def test_enumeration_sweep_in_range(self):
         import itertools
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallEffectiveSampleWarning)
-            for ys in itertools.product((0, 1), repeat=5):
-                data = build_dataset(PI_GRID_5, list(ys))
-                stats = walk_statistics(cumulative_process(data))
-                assert stats.s_star >= abs(stats.s_n)
-                p_a, p_cond = conditional_bm_test(data)
-                assert 0.0 <= p_a <= 1.0
-                assert 0.0 <= p_cond <= 1.0
+        for ys in itertools.product((0, 1), repeat=5):
+            data = build_dataset(PI_GRID_5, list(ys))
+            stats = walk_statistics(cumulative_process(data))
+            assert stats.s_star >= abs(stats.s_n)
+            p_a = bb_test_from_process(stats).p_a
+            p_cond = 1.0 - conditional_sup_cdf(stats.s_star, stats.s_n)
+            assert 0.0 <= p_a <= 1.0
+            assert 0.0 <= p_cond <= 1.0
 
 
 class TestHosmerLemeshow:
@@ -304,20 +308,23 @@ class TestWeakCalibrationLR:
 class TestMonteCarloTest:
     def test_seeded_determinism(self):
         data = _random_dataset(6, n=60)
-        first = monte_carlo_test(data, 2000, seed=7)
-        assert first == monte_carlo_test(data, 2000, seed=7)
+        stats = walk_statistics(cumulative_process(data))
+        first = monte_carlo_test(data, 2000, 7, stats)
+        assert first == monte_carlo_test(data, 2000, 7, stats)
         assert (first.replications, first.seed) == (2000, 7)
 
     def test_add_one_estimator_bounds(self):
         data = _random_dataset(8, n=40)
-        result = monte_carlo_test(data, 99, seed=1)
+        result = monte_carlo_test(data, 99, 1,
+                                  walk_statistics(cumulative_process(data)))
         assert 1.0 / 100.0 <= result.bm_p_value <= 1.0
         assert 0.0 < result.bb_p_value <= 1.0
 
     def test_validation(self):
         data = _random_dataset(0, n=10)
         with pytest.raises(ValueError, match="replications"):
-            monte_carlo_test(data, 0, seed=1)
+            monte_carlo_test(data, 0, 1,
+                             walk_statistics(cumulative_process(data)))
 
     def test_agreement_with_asymptotic_at_large_n(self):
         # under the null at n = 1000 the exact p runs ~0.01 below the
@@ -329,8 +336,10 @@ class TestMonteCarloTest:
         agree = 0
         for r in range(200):
             data = generate_dataset(scenario, r)
-            p_asymptotic = bm_test(data).p_value
-            p_mc = monte_carlo_test(data, 20_000, seed=1000 + r).bm_p_value
+            _, report = analyze(data, hl=False, lr=False, mc=20_000,
+                                seed=1000 + r)
+            p_asymptotic = report.bm.p_value
+            p_mc = report.monte_carlo.bm_p_value
             if abs(p_asymptotic - p_mc) < 0.02:
                 agree += 1
         assert agree / 200 >= 0.95
@@ -371,9 +380,9 @@ class TestMonteCarloEngine:
         (BLOCK_VALUES, 3),
         (BLOCK_VALUES + 1, 3),  # one-row blocks
     ])
-    @pytest.mark.parametrize("stats_given", [True, False])
+    @pytest.mark.parametrize("direct", [True, False])
     def test_bit_identical_to_per_replicate_oracle(self, n, replications,
-                                                   stats_given):
+                                                   direct):
         data = _random_dataset(n, n=n)
         s_star, b_star, s_n = stattests._simulate_null_statistics(
             data, replications, seed=11
@@ -382,11 +391,15 @@ class TestMonteCarloEngine:
         np.testing.assert_array_equal(_bits(s_star), _bits(want_s))
         np.testing.assert_array_equal(_bits(b_star), _bits(want_b))
         np.testing.assert_array_equal(_bits(s_n), _bits(want_n))
-        # the public test reads the same draw, with or without the
-        # observed statistics passed in
+        # the public test reads the same draw, called directly or through
+        # analyze, which computes the observed statistics itself
         observed = walk_statistics(cumulative_process(data))
-        result = monte_carlo_test(data, replications, 11,
-                                  observed if stats_given else None)
+        if direct:
+            result = monte_carlo_test(data, replications, 11, observed)
+        else:
+            _, report = analyze(data, hl=False, lr=False, mc=replications,
+                                seed=11)
+            result = report.monte_carlo
 
         def add_one(exceeds):
             return (1 + int(np.sum(exceeds))) / (replications + 1)

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from calibwalk import (
-    bb_test,
-    bm_test,
+    analyze,
     build_dataset,
-    cumulative_process,
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
@@ -46,6 +44,12 @@ def _polyline_points(svg, index=0):
             for pair in matches[index].split()]
 
 
+def _walk_tests(data):
+    """The process and its BM and BB results, as ``analyze`` reports them."""
+    proc, report = analyze(data, hl=False, lr=False)
+    return proc, report.bm, report.bb
+
+
 def _lines(svg, color):
     out = []
     for attrs in re.findall(r"<line ([^/]+)/>", svg):
@@ -58,9 +62,7 @@ def _lines(svg, color):
 @pytest.fixture(scope="module")
 def rendered():
     data = _dataset()
-    proc = cumulative_process(data)
-    bm = bm_test(data)
-    bb = bb_test(data)
+    proc, bm, bb = _walk_tests(data)
     return {
         "data": data,
         "proc": proc,
@@ -143,9 +145,7 @@ class TestCumulativePlot:
 
     def test_bb_degenerate_chord_on_axis(self):
         data = build_dataset([0.5, 0.5], [0, 1])
-        proc = cumulative_process(data)
-        with pytest.warns(UserWarning):
-            result = bb_test(data)
+        proc, _, result = _walk_tests(data)
         assert result.s_n == 0.0
         svg = render_cumulative_plot(proc, "bb", result)
         amap = cumulative_plot_map(proc, "bb")
@@ -166,7 +166,7 @@ class TestCumulativePlot:
         assert 'fill="#555555"' in rendered["svg_bm"]  # secondary-axis labels
 
     def test_mismatched_result_rejected(self, rendered):
-        other = bm_test(_dataset(seed=99))
+        _, other, _ = _walk_tests(_dataset(seed=99))
         with pytest.raises(ValueError, match="not computed from"):
             render_cumulative_plot(rendered["proc"], "bm", other)
         with pytest.raises(ValueError, match="not computed from"):
@@ -197,8 +197,7 @@ class TestM4Decimation:
         rng = np.random.default_rng(3)
         p = np.sort(rng.uniform(0.05, 0.6, 20_000))
         y = (rng.random(20_000) < p + 0.1).astype(float)
-        data = build_dataset(p, y)
-        return cumulative_process(data), bm_test(data), bb_test(data)
+        return _walk_tests(build_dataset(p, y))
 
     @pytest.mark.parametrize("mode", ["bm", "bb"])
     def test_envelope_and_marker_match_full_walk(self, large, mode):
@@ -251,9 +250,8 @@ class TestM4Decimation:
     def test_threshold_is_four_vertices_per_pixel(self):
         threshold = _M4_VERTICES_PER_PX * _WIDTH
         for n, vertices in ((threshold - 1, threshold), (threshold, None)):
-            data = _dataset(seed=5, n=n)
-            proc = cumulative_process(data)
-            svg = render_cumulative_plot(proc, "bm", bm_test(data))
+            proc, bm, _ = _walk_tests(_dataset(seed=5, n=n))
+            svg = render_cumulative_plot(proc, "bm", bm)
             count = len(_polyline_points(svg))
             if vertices is None:
                 assert count < n + 1
