@@ -20,18 +20,18 @@ import numpy as np
 from ._version import __version__
 from .data import build_dataset
 from .dataio import (
+    SMALL_SAMPLE_VARIANCE,
     analyze,
     read_dataset_csv,
     write_report_json,
     write_study_json,
 )
-from .simulation import null_scenarios, power_scenarios, run_scenario
+from .simulation import run_null_study, run_power_study
 from .stattests import _expit, fit_logistic_recalibration
 from .svgplot import (
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
-    study_figure_names,
 )
 
 _DF_RULES = {"g-2": "g_minus_2", "g": "g"}
@@ -97,8 +97,8 @@ def _print_report(report):
         )
     if ds.small_sample_warning:
         print(
-            "warning: total variance below 30; asymptotic p-values are "
-            "unreliable (consider --mc)"
+            f"warning: total variance below {SMALL_SAMPLE_VARIANCE:g}; "
+            "asymptotic p-values are unreliable (consider --mc)"
         )
     bm = report.bm
     print(
@@ -165,15 +165,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # every cell is built, validated and named before the first replicate
     if args.kind == "null":
-        scenarios = null_scenarios(args.beta0, args.n, args.reps, args.seed,
+        summaries = run_null_study(args.beta0, args.n, args.reps, args.seed,
                                    args.alpha)
     else:
-        scenarios = power_scenarios(_FAMILIES[args.family], args.a, args.b,
+        summaries = run_power_study(_FAMILIES[args.family], args.a, args.b,
                                     args.n, args.reps, args.seed, args.alpha)
-    study_figure_names(scenarios)
-    summaries = [run_scenario(scenario) for scenario in scenarios]
     figures = {f"{key}.svg": svg
                for key, svg in render_study_figures(summaries).items()}
     outdir = Path(args.out)
@@ -182,15 +179,11 @@ def cmd_simulate(args) -> int:
     write_study_json(summaries, study_path)
     _write_files(outdir, figures)
     for summary in summaries:
-        scenario = summary.scenario
-        label = (f"beta0={scenario.beta0:g} n={scenario.n}"
-                 if scenario.family == "null"
-                 else f"a={scenario.a:g} b={scenario.b:g} n={scenario.n}")
         rates = ", ".join(
             f"{name}={summary.rejections[name]:.3f}"
             for name in sorted(summary.rejections)
         )
-        print(f"{scenario.family} {label}: rejections {rates}")
+        print(f"{summary.scenario.label}: rejections {rates}")
     print(f"wrote {study_path} and {len(summaries)} figure(s) in {outdir}")
     return 0
 
@@ -293,24 +286,30 @@ def build_parser() -> argparse.ArgumentParser:
                              "or .)")
     p_test.set_defaults(handler=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="run a simulation study")
-    p_sim.add_argument("kind", choices=("null", "power"))
-    p_sim.add_argument("--beta0", type=float, nargs="+", default=[-1.0],
-                       help="null-family intercept grid")
-    p_sim.add_argument("--family", choices=sorted(_FAMILIES),
-                       default="logit-linear")
-    p_sim.add_argument("--a", type=float, nargs="+", default=[0.0],
-                       help="miscalibration intercept grid")
-    p_sim.add_argument("--b", type=float, nargs="+", default=[1.0],
-                       help="miscalibration slope grid")
-    p_sim.add_argument("--n", type=int, nargs="+", required=True,
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--n", type=int, nargs="+", required=True,
                        help="sample size grid")
-    p_sim.add_argument("--reps", type=int, required=True,
+    study.add_argument("--reps", type=int, required=True,
                        help="replications per cell")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--alpha", type=_alpha, default=0.05)
-    p_sim.add_argument("--out", default=_default_outdir())
+    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--alpha", type=_alpha, default=0.05)
+    study.add_argument("--out", default=_default_outdir())
+    p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.set_defaults(handler=cmd_simulate)
+    kinds = p_sim.add_subparsers(dest="kind", required=True)
+    # no abbreviations: null's --alpha and --beta0 would take --a and --b
+    p_null = kinds.add_parser("null", parents=[study], allow_abbrev=False,
+                              help="null behavior of the walk tests")
+    p_null.add_argument("--beta0", type=float, nargs="+", default=[-1.0],
+                        help="null-family intercept grid")
+    p_power = kinds.add_parser("power", parents=[study], allow_abbrev=False,
+                               help="power of LR, HL and the walk tests")
+    p_power.add_argument("--family", choices=sorted(_FAMILIES),
+                         default="logit-linear")
+    p_power.add_argument("--a", type=float, nargs="+", default=[0.0],
+                         help="miscalibration intercept grid")
+    p_power.add_argument("--b", type=float, nargs="+", default=[1.0],
+                         help="miscalibration slope grid")
 
     p_case = sub.add_parser(
         "casestudy",

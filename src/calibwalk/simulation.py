@@ -21,6 +21,7 @@ still reproduce bit-identically.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -63,6 +64,16 @@ class SimulationScenario:
         if self.family != "null" and self.n < HL_GROUPS:
             raise ValueError(
                 f"n={self.n} is smaller than groups={HL_GROUPS}")
+
+    @property
+    def label(self) -> str:
+        """Family and grid values to 6 significant digits, such as
+        ``null beta0=-1 n=1000`` or ``logit_power a=0 b=1 n=250``."""
+        if self.family == "null":
+            values = f"beta0={self.beta0:g}"
+        else:
+            values = f"a={self.a:g} b={self.b:g}"
+        return f"{self.family} {values} n={self.n}"
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,10 @@ def generate_dataset(scenario: SimulationScenario,
     x = rng.standard_normal(scenario.n)
     true_risk, predictions = family_risk_and_predictions(scenario, x)
     outcomes = (rng.random(scenario.n) < true_risk).astype(np.float64)
+    # expit rounds log-odds above about 37 to exactly 1.0 and below about
+    # -745 to 0.0; the clip moves only those, to the nearest doubles inside
+    predictions = np.clip(predictions, np.nextafter(0.0, 1.0),
+                          np.nextafter(1.0, 0.0))
     return build_dataset(predictions, outcomes)
 
 
@@ -156,45 +171,52 @@ def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
     )
 
 
-def null_scenarios(beta0_grid, n_grid, replications: int, seed: int,
-                   alpha: float) -> list[SimulationScenario]:
-    """Every cell of a null study over a (beta0, n) grid, validated."""
-    beta0_grid, n_grid = list(beta0_grid), list(n_grid)
-    if not beta0_grid or not n_grid:
-        raise ValueError("grids must be non-empty")
-    return [SimulationScenario(family="null", n=n, replications=replications,
-                               seed=seed, beta0=beta0, alpha=alpha)
-            for beta0 in beta0_grid for n in n_grid]
+def study_figure_names(scenarios) -> list:
+    """The file stem of each study cell's figure, in cell order: its
+    ``label`` with ``_`` for spaces.  Two cells with the same name raise a
+    ValueError rather than one figure replacing the other."""
+    names = []
+    for scenario in scenarios:
+        name = scenario.label.replace(" ", "_")
+        if name in names:
+            raise ValueError(
+                f"two study cells share the figure name {name!r}; grid "
+                f"values must differ within 6 significant digits"
+            )
+        names.append(name)
+    return names
 
 
-def power_scenarios(family: str, a_grid, b_grid, n_grid, replications: int,
-                    seed: int, alpha: float) -> list[SimulationScenario]:
-    """Every cell of a power study over an (a, b, n) grid, validated."""
-    if family not in ("logit_linear", "logit_power"):
-        raise ValueError(f"family must be a power family, got {family!r}")
-    a_grid, b_grid, n_grid = list(a_grid), list(b_grid), list(n_grid)
-    if not a_grid or not b_grid or not n_grid:
+def _run_study(scenarios) -> list[SimulationSummary]:
+    """Build every cell and check its figure name, then run the cells in
+    order: a bad cell fails before the first replicate."""
+    scenarios = list(scenarios)
+    if not scenarios:
         raise ValueError("grids must be non-empty")
-    return [SimulationScenario(family=family, n=n, replications=replications,
-                               seed=seed, a=a, b=b, alpha=alpha)
-            for a in a_grid for b in b_grid for n in n_grid]
+    study_figure_names(scenarios)
+    return [run_scenario(scenario) for scenario in scenarios]
 
 
 def run_null_study(beta0_grid, n_grid, replications: int = 10_000,
                    seed: int = 0,
                    alpha: float = 0.05) -> list[SimulationSummary]:
     """Null behavior over a (beta0, n) grid: both walk tests per replicate."""
-    return [run_scenario(scenario) for scenario in
-            null_scenarios(beta0_grid, n_grid, replications, seed, alpha)]
+    return _run_study(
+        SimulationScenario(family="null", n=n, replications=replications,
+                           seed=seed, beta0=beta0, alpha=alpha)
+        for beta0, n in itertools.product(beta0_grid, n_grid))
 
 
 def run_power_study(family: str, a_grid, b_grid, n_grid,
                     replications: int = 2_500, seed: int = 0,
                     alpha: float = 0.05) -> list[SimulationSummary]:
     """Power over a fully factorial (a, b, n) grid: LR, HL and walk tests."""
-    return [run_scenario(scenario) for scenario in
-            power_scenarios(family, a_grid, b_grid, n_grid, replications,
-                            seed, alpha)]
+    if family not in ("logit_linear", "logit_power"):
+        raise ValueError(f"family must be a power family, got {family!r}")
+    return _run_study(
+        SimulationScenario(family=family, n=n, replications=replications,
+                           seed=seed, a=a, b=b, alpha=alpha)
+        for a, b, n in itertools.product(a_grid, b_grid, n_grid))
 
 
 def pvalue_ecdf(pvalues):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import CalibrationDataset, CumulativeProcess
 from .distributions import critical_value
-from .simulation import pvalue_ecdf
+from .simulation import POWER_TESTS, pvalue_ecdf, study_figure_names
 from .stattests import BBTestResult, BMTestResult, _rank_groups
 
 _WIDTH = 720
@@ -401,28 +401,6 @@ def render_binned_calibration_plot(data: CalibrationDataset,
     return doc.render()
 
 
-def study_figure_names(scenarios) -> list:
-    """The file stem of each study cell's figure, in cell order.
-
-    Names show grid values to 6 significant digits; two cells with the same
-    name raise a ValueError rather than one figure replacing the other.
-    """
-    names = []
-    for scenario in scenarios:
-        if scenario.family == "null":
-            name = f"null_beta0={scenario.beta0:g}_n={scenario.n}"
-        else:
-            name = (f"{scenario.family}_a={scenario.a:g}"
-                    f"_b={scenario.b:g}_n={scenario.n}")
-        if name in names:
-            raise ValueError(
-                f"two study cells share the figure name {name!r}; grid "
-                f"values must differ within 6 significant digits"
-            )
-        names.append(name)
-    return names
-
-
 def render_study_figures(summaries) -> dict:
     """One panel per study cell, keyed by ``study_figure_names``.
 
@@ -452,7 +430,7 @@ def _render_ecdf_panel(summary):
         grid, values = pvalue_ecdf(summary.pvalues[name])
         points = [amap.to_px(float(g), float(v))
                   for g, v in zip(grid, values)]
-        doc.polyline(points, colors.get(name, "#333333"))
+        doc.polyline(points, colors[name])
     note = "  ".join(
         f"{name.upper()}: {summary.rejections[name]:.3f}"
         for name in sorted(summary.rejections)
@@ -470,19 +448,17 @@ _BAR_FILLS = {"lr": "#ffffff", "hl": "#bbbbbb", "bm": "#1f77b4",
 
 def _render_power_panel(summary):
     doc = _Document()
-    order = [name for name in ("lr", "hl", "bm", "bb")
-             if name in summary.rejections]
-    amap = _panel_map((0.0, float(len(order))), (0.0, 1.0))
+    x_range = (0.0, float(len(POWER_TESTS)))
+    amap = _panel_map(x_range, (0.0, 1.0))
     left, top, right, bottom = _draw_frame(
-        doc, amap, (0.0, float(len(order))), (0.0, 1.0), "",
+        doc, amap, x_range, (0.0, 1.0), "",
         "rejection proportion", x_tick_values=(),
     )
-    for i, name in enumerate(order):
+    for i, name in enumerate(POWER_TESTS):
         value = summary.rejections[name]
         x0, y0 = amap.to_px(i + 0.15, 0.0)
         x1, y1 = amap.to_px(i + 0.85, value)
-        doc.rect(x0, y1, x1 - x0, y0 - y1, "#000000",
-                 fill=_BAR_FILLS.get(name, "#888888"))
+        doc.rect(x0, y1, x1 - x0, y0 - y1, "#000000", fill=_BAR_FILLS[name])
         doc.text((x0 + x1) / 2, y0 + 18, name.upper(), size=11)
         doc.text((x0 + x1) / 2, y1 - 5, f"{value:.3f}", size=10)
     scenario = summary.scenario

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import calibwalk
 from calibwalk import (
     analyze,
     read_dataset_csv,
@@ -35,19 +37,25 @@ class TestArgumentHandling:
         assert exc.value.code == 0
 
     def test_subcommand_help_documents_flags(self, capsys):
-        for sub, flags in [
-            ("test", ["--groups", "--alpha", "--seed", "--mc", "--clamp",
-                      "--df-rule", "--out", "--no-plots"]),
-            ("simulate", ["--beta0", "--family", "--a", "--b", "--n",
-                          "--reps", "--seed", "--alpha", "--out"]),
-            ("casestudy", ["--seed", "--dev-n", "--small-n", "--holdout-n"]),
+        study = ["--n", "--reps", "--seed", "--alpha", "--out"]
+        for sub, flags, absent in [
+            (["test"], ["--groups", "--alpha", "--seed", "--mc", "--clamp",
+                        "--df-rule", "--out", "--no-plots"], []),
+            (["simulate", "null"], ["--beta0", *study],
+             ["--family", "--a ", "--b "]),
+            (["simulate", "power"], ["--family", "--a", "--b", *study],
+             ["--beta0"]),
+            (["casestudy"], ["--seed", "--dev-n", "--small-n", "--holdout-n"],
+             []),
         ]:
             with pytest.raises(SystemExit) as exc:
-                main([sub, "--help"])
+                main([*sub, "--help"])
             assert exc.value.code == 0
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text
+            for flag in absent:
+                assert flag not in text
 
     def test_unknown_flag_exits_two(self, tmp_path):
         csv = _write_csv(tmp_path)
@@ -64,6 +72,15 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+    def test_pyproject_reads_the_package_version(self):
+        pyprojecttoml = pytest.importorskip(
+            "setuptools.config.pyprojecttoml")
+        root = Path(__file__).resolve().parents[1]
+        config = pyprojecttoml.read_configuration(root / "pyproject.toml",
+                                                  expand=True)
+        assert config["project"]["version"] == calibwalk.__version__
 
 
     @pytest.mark.parametrize("argv", [
@@ -260,6 +277,33 @@ class TestCmdSimulate:
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["null", "--a", "1"],
+        # without abbreviations off these would run as --alpha and --beta0
+        ["null", "--a", "0.5"],
+        ["null", "--b", "9"],
+        ["null", "--family", "logit-power"],
+        ["power", "--beta0", "-2"],
+    ], ids=["null-a", "null-a-as-alpha", "null-b-as-beta0", "null-family",
+            "power-beta0"])
+    def test_flag_of_the_other_kind_exits_two(self, tmp_path, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *argv, "--n", "20", "--reps", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_saturated_predictions_run(self, tmp_path, capsys):
+        # b = 0.2 bends log-odds past 37, where expit returns exactly 1.0
+        out = tmp_path / "o"
+        assert main(["simulate", "power", "--family", "logit-power",
+                     "--a", "0", "--b", "0.2", "--n", "100", "--reps", "20",
+                     "--seed", "4", "--out", str(out)]) == 0
+        assert "logit_power a=0 b=0.2 n=100: rejections" in \
+            capsys.readouterr().out
+        assert (out / "logit_power_a=0_b=0.2_n=100.svg").exists()
 
     def test_missing_grid_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

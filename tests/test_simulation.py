@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from calibwalk import simulation
 from calibwalk.simulation import (
     SimulationScenario,
+    _replicate_rng,
     family_risk_and_predictions,
     generate_dataset,
     pvalue_ecdf,
@@ -81,6 +83,23 @@ class TestGenerators:
         for r in range(5):
             np.testing.assert_array_equal(forward[r], backward[4 - r])
 
+    def test_saturated_predictions_move_just_inside(self):
+        # b = 0.05 bends log-odds far past both ends of expit's range
+        scenario = SimulationScenario(family="logit_power", n=1000,
+                                      replications=1, seed=0, b=0.05)
+        data = generate_dataset(scenario, 0)
+        assert 0.0 < data.predictions.min() and data.predictions.max() < 1.0
+        x = _replicate_rng(scenario, 0).standard_normal(scenario.n)
+        # the clip is monotone, so it commutes with the dataset's sort
+        raw = np.sort(family_risk_and_predictions(scenario, x)[1])
+        inside = (raw > 0.0) & (raw < 1.0)
+        assert np.count_nonzero(raw == 0.0) and np.count_nonzero(raw == 1.0)
+        np.testing.assert_array_equal(data.predictions[inside], raw[inside])
+        np.testing.assert_array_equal(
+            data.predictions[~inside],
+            np.where(raw[~inside] == 0.0, np.nextafter(0.0, 1.0),
+                     np.nextafter(1.0, 0.0)))
+
     def test_mean_prediction_tracks_intercept(self):
         scenario = SimulationScenario(family="null", n=200_000,
                                       replications=1, seed=3, beta0=-1.0)
@@ -114,6 +133,28 @@ class TestStudies:
         with pytest.raises(ValueError):
             run_power_study("null", [0.0], [1.0], [100], replications=2,
                             seed=0)
+
+    def test_grids_may_be_iterators(self):
+        summaries = run_power_study("logit_linear", iter([0.0]),
+                                   iter([1.0, 2.0]), iter([20, 30]),
+                                   replications=1, seed=0)
+        assert [s.scenario.label for s in summaries] == [
+            "logit_linear a=0 b=1 n=20", "logit_linear a=0 b=1 n=30",
+            "logit_linear a=0 b=2 n=20", "logit_linear a=0 b=2 n=30"]
+
+    def test_repeated_figure_name_raises_before_any_replicate(
+            self, monkeypatch):
+        def no_replicate(scenario, replicate_index):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "generate_dataset", no_replicate)
+        with pytest.raises(ValueError,
+                           match="share the figure name 'null_beta0=-1_n=20'"):
+            run_null_study([-1.0, -1.0000001], [20], replications=3000,
+                           seed=0)
+        with pytest.raises(ValueError, match="b must be positive"):
+            run_power_study("logit_linear", [0.0], [1.0, -1.0], [20],
+                            replications=3000, seed=0)
 
     def test_standard_error_bound_at_2500(self):
         summary = run_null_study([-1.0], [50], replications=2500, seed=2)[0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from calibwalk import (
+    SimulationScenario,
     analyze,
     build_dataset,
     render_binned_calibration_plot,
@@ -18,6 +19,7 @@ from calibwalk import (
     run_power_study,
     walk_statistics,
 )
+from calibwalk.simulation import run_scenario
 from calibwalk.stattests import _rank_group_bounds
 from calibwalk.svgplot import (
     _BRIDGE_COLOR,
@@ -338,8 +340,11 @@ class TestStudyFigures:
             render_study_figures([])
 
     def test_repeated_figure_name_rejected(self):
-        summaries = run_null_study([-1.0, -1.0000001], [20], replications=2,
-                                   seed=1)
+        # the study runners reject such a grid up front; hand-built
+        # summaries meet the same check here
+        summaries = [run_scenario(SimulationScenario(
+            family="null", n=20, replications=2, seed=1, beta0=beta0))
+            for beta0 in (-1.0, -1.0000001)]
         with pytest.raises(ValueError, match="'null_beta0=-1_n=20'"):
             render_study_figures(summaries)
 
