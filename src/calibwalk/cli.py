@@ -52,6 +52,21 @@ def _alpha(text: str) -> float:
     return value
 
 
+class _OtherKindFlag(argparse.Action):
+    """A flag of the other ``simulate`` kind: a usage error that names the
+    kind it belongs to, instead of the root parser's "unrecognized
+    arguments"."""
+
+    def __init__(self, option_strings, dest, owner):
+        super().__init__(option_strings, dest, nargs="*",
+                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        self.owner = owner
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(
+            self, f"belongs to 'calibwalk simulate {self.owner}'")
+
+
 def _default_outdir():
     return os.environ.get("CALIBWALK_OUTDIR", ".")
 
@@ -310,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="miscalibration intercept grid")
     p_power.add_argument("--b", type=float, nargs="+", default=[1.0],
                          help="miscalibration slope grid")
+    for kind, owner, flags in ((p_null, "power", ("--family", "--a", "--b")),
+                               (p_power, "null", ("--beta0",))):
+        for flag in flags:
+            kind.add_argument(flag, action=_OtherKindFlag, owner=owner)
 
     p_case = sub.add_parser(
         "casestudy",

@@ -65,6 +65,7 @@ class RecalibrationFit:
     intercept: float
     slope: float
     deviance: float
+    null_deviance: float
     converged: bool
     iterations: int
 
@@ -135,9 +136,9 @@ def _rank_groups(data: CalibrationDataset, groups: int) -> tuple:
     bounds = _rank_group_bounds(data.n, groups)
     table = []
     for lo, hi in zip(bounds, bounds[1:]):
-        p = data.predictions[lo:hi]
+        expected = float(data.predictions[lo:hi].sum())
         table.append(HLGroup(hi - lo, float(data.outcomes[lo:hi].sum()),
-                             float(p.sum()), float(p.mean())))
+                             expected, expected / (hi - lo)))
     return tuple(table)
 
 
@@ -190,18 +191,35 @@ _SCORE_TOLERANCE = 1e-8
 _DEVIANCE_TOLERANCE = 1e-12
 
 
-def _bernoulli_deviance(y, mu):
-    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    return -2.0 * float(np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
-
-
 def _expit(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _deviance_and_mean(eta, flip, mu, e, mask):
+    """Bernoulli deviance at log-odds ``eta``; writes ``expit(eta)`` to ``mu``.
+
+    One exp pass serves both.  With e = exp(-|eta|), the deviance is
+    2 sum(log1p(e) + max(eta, 0) - y eta) and the mean is 1/(1+e) where
+    eta >= 0 and e/(1+e) elsewhere, the same bits as ``_expit``.  For
+    binary y, max(eta, 0) - y eta is exactly max(flip eta, 0) with
+    ``flip = 1 - 2y``, so every term is a sum of two non-negative parts
+    and a saturated fit keeps its digits.  ``eta`` and ``e`` are
+    overwritten; ``mask`` is scratch.
+    """
+    np.abs(eta, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=mu)
+    np.less(eta, 0.0, out=mask)
+    np.divide(e, mu, out=mu, where=mask)
+    np.logical_not(mask, out=mask)
+    np.divide(1.0, mu, out=mu, where=mask)
+    np.log1p(e, out=e)
+    np.multiply(eta, flip, out=eta)
+    np.maximum(eta, 0.0, out=eta)
+    np.add(eta, e, out=eta)
+    return 2.0 * float(eta.sum())
 
 
 def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
@@ -212,38 +230,56 @@ def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
     deviance.  Separation (all outcomes equal, coefficients diverging past
     50, or the deviance collapsing to zero) is reported as
     non-convergence, never raised.
+
+    Deviances are computed in softplus form, 2 sum(log(1 + exp(eta)) -
+    y eta) at log-odds eta, with no clipping of the fitted means, so they
+    keep their digits where |eta| is large.  ``null_deviance`` is the
+    deviance of the predictions as they stand (a = 0, b = 1), where the
+    fit starts.  Each trial step makes one exp pass, and all work runs in
+    n-length buffers allocated once per fit.
     """
     y = data.outcomes
+    n = data.n
     x = np.log(data.predictions / (1.0 - data.predictions))
+    flip = 1.0 - 2.0 * y
+    # three rows, so that one reduce call sums several of them
+    work = np.empty((3, n))
+    eta, e, mu = work
+    mask = np.empty(n, dtype=bool)
     a, b = 0.0, 1.0
-    deviance = _bernoulli_deviance(y, data.predictions)
+    np.copyto(eta, x)
+    deviance = null_deviance = _deviance_and_mean(eta, flip, mu, e, mask)
     events = float(y.sum())
-    if events == 0.0 or events == float(data.n):
+    if events == 0.0 or events == float(n):
         # no finite maximizer: the likelihood climbs toward a boundary
-        return RecalibrationFit(a, b, deviance, False, 0)
+        return RecalibrationFit(a, b, deviance, null_deviance, False, 0)
     converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_IRLS_ITERATIONS + 1):
-        mu = _expit(a + b * x)
-        residual = y - mu
-        score = np.array([residual.sum(), (residual * x).sum()])
-        if np.max(np.abs(score)) < _SCORE_TOLERANCE:
+        # mu holds the mean at (a, b); eta and e are free until the trials
+        np.subtract(y, mu, out=e)
+        np.multiply(e, x, out=eta)
+        score_b, score_a = np.add.reduce(work[:2], axis=1).tolist()
+        if max(abs(score_a), abs(score_b)) < _SCORE_TOLERANCE:
             converged = True
             break
-        w = mu * (1.0 - mu)
-        hessian = np.array([
-            [w.sum(), (w * x).sum()],
-            [(w * x).sum(), (w * x * x).sum()],
-        ])
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
+        np.subtract(1.0, mu, out=e)
+        np.multiply(e, mu, out=e)
+        np.multiply(e, x, out=mu)
+        np.multiply(mu, x, out=eta)
+        h_bb, h_aa, h_ab = np.add.reduce(work, axis=1).tolist()
+        det = h_aa * h_bb - h_ab * h_ab
+        if det <= 0.0:
             break
+        step_a = (h_bb * score_a - h_ab * score_b) / det
+        step_b = (h_aa * score_b - h_ab * score_a) / det
         scale = 1.0
         for _ in range(30):
-            trial_a, trial_b = a + scale * step[0], b + scale * step[1]
-            trial_dev = _bernoulli_deviance(y, _expit(trial_a + trial_b * x))
+            trial_a, trial_b = a + scale * step_a, b + scale * step_b
+            np.multiply(x, trial_b, out=eta)
+            np.add(eta, trial_a, out=eta)
+            trial_dev = _deviance_and_mean(eta, flip, mu, e, mask)
             if trial_dev <= deviance + 1e-10:
                 break
             scale *= 0.5
@@ -258,7 +294,8 @@ def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
     if deviance < 1e-6:
         # every observation fitted exactly: separated, boundary solution
         converged = False
-    return RecalibrationFit(a, b, deviance, converged, iterations)
+    return RecalibrationFit(a, b, deviance, null_deviance, converged,
+                            iterations)
 
 
 def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
@@ -268,8 +305,7 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
     fitted recalibration model.  A non-converged fit yields no p-value.
     """
     fit = fit_logistic_recalibration(data)
-    null_deviance = _bernoulli_deviance(data.outcomes, data.predictions)
-    lr = null_deviance - fit.deviance
+    lr = fit.null_deviance - fit.deviance
     p_value = dist.chi_square_sf(max(lr, 0.0), 2) if fit.converged else None
     return WeakCalibResult(
         intercept=fit.intercept,

@@ -287,13 +287,19 @@ class TestCmdSimulate:
         ["power", "--beta0", "-2"],
     ], ids=["null-a", "null-a-as-alpha", "null-b-as-beta0", "null-family",
             "power-beta0"])
-    def test_flag_of_the_other_kind_exits_two(self, tmp_path, argv):
+    def test_flag_of_the_other_kind_exits_two(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main(["simulate", *argv, "--n", "20", "--reps", "2",
                   "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+        kind, flag = argv[:2]
+        owner = "power" if kind == "null" else "null"
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: calibwalk simulate {kind} ")
+        assert (f"argument {flag}: belongs to 'calibwalk simulate {owner}'"
+                in err)
 
     def test_saturated_predictions_run(self, tmp_path, capsys):
         # b = 0.2 bends log-odds past 37, where expit returns exactly 1.0

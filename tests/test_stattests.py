@@ -276,6 +276,66 @@ class TestLogisticRecalibration:
         assert fit.converged
         assert fit.deviance <= rough + 1e-9
 
+    @pytest.mark.parametrize("kind", [
+        dict(family="logit_linear", a=0.25, b=2.0),
+        dict(family="logit_power", b=0.5),
+        dict(family="null", beta0=-1.0),
+    ], ids=["logit-linear", "logit-power", "null"])
+    def test_matches_scipy_optimum(self, kind):
+        optimize = pytest.importorskip("scipy.optimize")
+        special = pytest.importorskip("scipy.special")
+        data = generate_dataset(
+            SimulationScenario(n=2000, replications=1, seed=7, **kind), 0)
+        x = np.log(data.predictions) - np.log1p(-data.predictions)
+        y = data.outcomes
+
+        def nll(theta):
+            eta = theta[0] + theta[1] * x
+            return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+        def gradient(theta):
+            residual = special.expit(theta[0] + theta[1] * x) - y
+            return np.array([residual.sum(), residual @ x])
+
+        oracle = optimize.minimize(nll, [0.0, 1.0], jac=gradient,
+                                   method="L-BFGS-B",
+                                   options={"gtol": 1e-12, "ftol": 1e-15})
+        fit = fit_logistic_recalibration(data)
+        assert fit.converged
+        assert fit.intercept == pytest.approx(oracle.x[0], abs=1e-7)
+        assert fit.slope == pytest.approx(oracle.x[1], abs=1e-7)
+        assert fit.deviance == pytest.approx(2.0 * oracle.fun, rel=1e-10)
+        assert fit.null_deviance == pytest.approx(2.0 * nll([0.0, 1.0]),
+                                                  rel=1e-10)
+
+    @pytest.mark.parametrize("discordant", [0, 3],
+                             ids=["separated", "overlapping"])
+    def test_saturated_deviance_matches_mpmath(self, discordant):
+        # predictions down to 1e-15 and up to 1 - 1e-15 (|log-odds| about
+        # 34.5), past the 1e-12 clip that a log-form deviance would need
+        mpmath = pytest.importorskip("mpmath")
+        tail = np.geomspace(1e-15, 0.3, 40)
+        p = np.concatenate([tail, 1.0 - tail])
+        y = (p > 0.5).astype(float)
+        if discordant:
+            y[:discordant], y[-discordant:] = 1.0, 0.0
+        data = build_dataset(p, y)
+        fit = fit_logistic_recalibration(data)
+        x = np.log(data.predictions / (1.0 - data.predictions))
+
+        def exact(eta):
+            with mpmath.workdps(30):
+                terms = (mpmath.log1p(mpmath.exp(e)) - o * e
+                         for e, o in zip(map(mpmath.mpf, eta.tolist()),
+                                         data.outcomes.tolist()))
+                return float(2 * mpmath.fsum(terms))
+
+        assert fit.null_deviance == pytest.approx(exact(x), rel=1e-13)
+        assert fit.converged == bool(discordant)
+        if discordant:
+            eta = x * fit.slope + fit.intercept
+            assert fit.deviance == pytest.approx(exact(eta), rel=1e-13)
+
 
 class TestWeakCalibrationLR:
     def test_identity_mle_gives_zero_statistic(self):
@@ -296,6 +356,17 @@ class TestWeakCalibrationLR:
         result = weak_calibration_lr_test(data)
         assert not result.converged
         assert result.p_value is None
+
+    def test_scratch_memory_per_row(self):
+        # the fit works in five float buffers and one bool mask of n
+        data = _random_dataset(5, n=100_000)
+        tracemalloc.start()
+        try:
+            weak_calibration_lr_test(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * data.n
 
     def test_pvalue_is_two_df_survival(self):
         result = weak_calibration_lr_test(_random_dataset(4, n=300))
