@@ -282,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--groups", type=int, default=10,
                         help="Hosmer-Lemeshow group count")
     p_test.add_argument("--df-rule", choices=sorted(_DF_RULES), default="g-2",
-                        help="Hosmer-Lemeshow degrees of freedom rule")
+                        help="Hosmer-Lemeshow degrees of freedom: groups "
+                             "- 2 (g-2, the default) or groups (g, for "
+                             "validation data whose predictions were not "
+                             "fitted to it)")
     p_test.add_argument("--alpha", type=_alpha, default=0.05,
                         help="significance level for critical lines")
     p_test.add_argument("--mc", type=int, default=0, metavar="N",

@@ -19,9 +19,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(values: np.ndarray) -> np.ndarray:
-    # Running sums in 80-bit extended precision: cumulative rounding stays
-    # ~n * 2^-64, inside a 1e-12 relative budget for n up to 1e7.
-    return np.cumsum(values, dtype=np.longdouble)
+    # Running sums along each row in 80-bit extended precision: cumulative
+    # rounding stays ~n * 2^-64, inside a 1e-12 relative budget for n up
+    # to 1e7.
+    return np.cumsum(values, axis=-1, dtype=np.longdouble)
 
 
 @dataclass(frozen=True)
@@ -106,27 +107,41 @@ def build_dataset(raw_predictions, raw_outcomes, clamp_epsilon=None) -> Calibrat
             raise ValueError("clamp_epsilon must be inside (0, 0.5)")
         predictions = np.clip(predictions, clamp_epsilon, 1.0 - clamp_epsilon)
 
+    predictions, outcomes, tie_flags = _sort_rows(predictions[None],
+                                                  outcomes[None])
+    return CalibrationDataset(predictions[0], outcomes[0], bool(tie_flags[0]))
+
+
+def _sort_rows(predictions: np.ndarray, outcomes: np.ndarray):
+    """Validate (rows, n) predictions and outcomes and co-sort each row.
+
+    ``build_dataset`` is the one-row case; simulation studies pass blocks
+    of replicates.  Each row is sorted stably by prediction.  Returns the
+    sorted blocks, read-only, and each row's tie flag.  An invalid value
+    raises with its position within its row.
+    """
     bad = ~((predictions > 0.0) & (predictions < 1.0))
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+        i, j = np.argwhere(bad)[0]
         raise ValueError(
-            f"prediction outside (0, 1) at position {i}: {predictions[i]!r} "
+            f"prediction outside (0, 1) at position {j}: "
+            f"{predictions[i, j]!r} "
             "(pass clamp_epsilon to clip saturated predictions)"
         )
     not_binary = ~((outcomes == 0.0) | (outcomes == 1.0))
     if not_binary.any():
-        i = int(np.flatnonzero(not_binary)[0])
-        raise ValueError(f"outcome not binary at position {i}: {outcomes[i]!r}")
+        i, j = np.argwhere(not_binary)[0]
+        raise ValueError(
+            f"outcome not binary at position {j}: {outcomes[i, j]!r}")
 
-    order = np.argsort(predictions, kind="stable")
-    predictions = predictions[order]
-    outcomes = outcomes[order]
-    tie_flag = bool(np.any(np.diff(predictions) == 0.0))
-    return CalibrationDataset(
-        predictions=_readonly(predictions),
-        outcomes=_readonly(outcomes),
-        tie_flag=tie_flag,
-    )
+    rows, n = predictions.shape
+    # gather from the flattened block, each row's order offset to its start
+    order = np.argsort(predictions, axis=1, kind="stable")
+    order += np.arange(0, rows * n, n)[:, None]
+    predictions = predictions.reshape(-1)[order]
+    outcomes = outcomes.reshape(-1)[order]
+    tie_flags = np.any(np.diff(predictions, axis=1) == 0.0, axis=1)
+    return _readonly(predictions), _readonly(outcomes), tie_flags
 
 
 def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:
@@ -138,23 +153,32 @@ def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:
     * times[i]    = sum_{j<=i} p_j (1 - p_j) / T,  T = sum p (1 - p)
     * walk[i]     = sum_{j<=i} (y_j - p_j) / sqrt(T)
     """
-    p = data.predictions
-    variances = p * (1.0 - p)
-    cum_var = _accumulate(variances)
-    total_variance = float(cum_var[-1])
-    times = np.asarray(cum_var / cum_var[-1], dtype=np.float64)
-
-    errors = _accumulate(data.outcomes - p)
-    raw_sums = np.asarray(errors / data.n, dtype=np.float64)
-    walk = np.asarray(errors / np.sqrt(np.longdouble(total_variance)),
-                      dtype=np.float64)
+    total_variance, times, walk, raw_sums = _walk_rows(
+        data.predictions[None], data.outcomes[None])
     return CumulativeProcess(
-        total_variance=total_variance,
-        times=_readonly(times),
-        walk=_readonly(walk),
-        raw_sums=_readonly(raw_sums),
+        total_variance=float(total_variance[0]),
+        times=_readonly(times[0]),
+        walk=_readonly(walk[0]),
+        raw_sums=_readonly(raw_sums[0]),
         source=data,
     )
+
+
+def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray):
+    """Total variances, times, walks and raw sums of (rows, n) sorted blocks.
+
+    ``cumulative_process`` is the one-row case.
+    """
+    variances = predictions * (1.0 - predictions)
+    cum_var = _accumulate(variances)
+    total_variance = cum_var[:, -1].astype(np.float64)
+    times = np.asarray(cum_var / cum_var[:, -1:], dtype=np.float64)
+
+    errors = _accumulate(outcomes - predictions)
+    raw_sums = np.asarray(errors / predictions.shape[1], dtype=np.float64)
+    scale = np.sqrt(total_variance.astype(np.longdouble))[:, None]
+    walk = np.asarray(errors / scale, dtype=np.float64)
+    return total_variance, times, walk, raw_sums
 
 
 def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
@@ -165,21 +189,35 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     inside the path for any non-degenerate walk.  Argmax ties resolve to
     the smallest index.
     """
-    abs_walk = np.abs(proc.walk)
-    i_bm = int(np.argmax(abs_walk))
-    s_n = float(proc.walk[-1])
-    c_n = float(proc.raw_sums[-1])
+    return _walk_statistics_rows(proc.times[None], proc.walk[None],
+                                 proc.raw_sums[None],
+                                 proc.source.predictions[None])[0]
 
-    bridged = np.abs(proc.walk - proc.times * s_n)
-    i_bb = int(np.argmax(bridged))
 
-    p = proc.source.predictions
-    return WalkStatistics(
-        c_star=float(np.max(np.abs(proc.raw_sums))),
-        s_star=float(abs_walk[i_bm]),
-        s_n=s_n,
-        c_n=c_n,
-        b_star=float(bridged[i_bb]),
-        argmax_bm=WalkLocation(i_bm + 1, float(proc.times[i_bm]), float(p[i_bm])),
-        argmax_bb=WalkLocation(i_bb + 1, float(proc.times[i_bb]), float(p[i_bb])),
+def _walk_statistics_rows(times, walk, raw_sums, predictions) -> list:
+    """``walk_statistics`` of each row of (rows, n) blocks, as a list."""
+    rows = np.arange(walk.shape[0])
+    abs_walk = np.abs(walk)
+    i_bm = np.argmax(abs_walk, axis=1)
+    s_n = walk[:, -1]
+
+    bridged = np.abs(walk - times * s_n[:, None])
+    i_bb = np.argmax(bridged, axis=1)
+
+    columns = zip(
+        np.max(np.abs(raw_sums), axis=1).tolist(),
+        abs_walk[rows, i_bm].tolist(),
+        s_n.tolist(),
+        raw_sums[:, -1].tolist(),
+        bridged[rows, i_bb].tolist(),
+        _locations(i_bm, times, predictions),
+        _locations(i_bb, times, predictions),
     )
+    return [WalkStatistics(*row) for row in columns]
+
+
+def _locations(indices, times, predictions):
+    rows = np.arange(indices.size)
+    return [WalkLocation(i + 1, t, p) for i, t, p in zip(
+        indices.tolist(), times[rows, indices].tolist(),
+        predictions[rows, indices].tolist())]

@@ -15,7 +15,10 @@ observation:
 
 Random streams derive from (root seed, hashed cell parameters, replicate
 counter), so cells and replicates can run in any order or concurrently and
-still reproduce bit-identically.
+still reproduce bit-identically.  A cell runs its replicates in blocks of
+about ``_STUDY_BLOCK_VALUES`` values: each row draws from its replicate's
+own stream, and every p-value equals ``analyze`` on ``generate_dataset``
+of that replicate, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CalibrationDataset, build_dataset
-from .dataio import analyze
-from .stattests import _expit
+from .data import (
+    CalibrationDataset,
+    _sort_rows,
+    _walk_rows,
+    _walk_statistics_rows,
+    build_dataset,
+)
+from .distributions import chi_square_sf
+from .stattests import (
+    _expit,
+    _hl_statistic,
+    _rank_group_sums,
+    bb_test_from_process,
+    bm_test_from_process,
+    weak_calibration_lr_test,
+)
 
 FAMILIES = ("null", "logit_linear", "logit_power")
 
@@ -37,6 +53,10 @@ POWER_TESTS = ("lr", "hl", "bm", "bb")
 NULL_TESTS = ("bm", "bb")
 # Hosmer-Lemeshow rank groups in power cells
 HL_GROUPS = 10
+# Values per block of study replicates: max(1, _STUDY_BLOCK_VALUES // n)
+# rows, 4 at n = 1000.  Blocks of 64 rows there raised the peak RSS of a
+# 3 x 3 power grid by a third.
+_STUDY_BLOCK_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -93,8 +113,8 @@ def _cell_key(scenario: SimulationScenario) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
-def _replicate_rng(scenario: SimulationScenario, replicate_index: int):
-    entropy = (scenario.seed, _cell_key(scenario), replicate_index)
+def _replicate_rng(seed: int, cell_key: int, replicate_index: int):
+    entropy = (seed, cell_key, replicate_index)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -112,18 +132,36 @@ def family_risk_and_predictions(scenario: SimulationScenario, x):
     return true_risk, predictions
 
 
-def generate_dataset(scenario: SimulationScenario,
-                     replicate_index: int) -> CalibrationDataset:
-    """Draw one replicate dataset; deterministic in (scenario, index)."""
-    rng = _replicate_rng(scenario, replicate_index)
-    x = rng.standard_normal(scenario.n)
+def _generate_block(scenario: SimulationScenario, cell_key: int,
+                    start: int, rows: int):
+    """Predictions and outcomes of replicates ``start`` to ``start + rows``,
+    unsorted, as (rows, n) arrays.
+
+    Row i draws n standard normals and then n uniforms from replicate
+    ``start + i``'s own generator, so a row does not depend on the block
+    it is in.  ``cell_key`` is ``_cell_key(scenario)``.
+    """
+    x = np.empty((rows, scenario.n))
+    u = np.empty((rows, scenario.n))
+    for i in range(rows):
+        rng = _replicate_rng(scenario.seed, cell_key, start + i)
+        rng.standard_normal(out=x[i])
+        rng.random(out=u[i])
     true_risk, predictions = family_risk_and_predictions(scenario, x)
-    outcomes = (rng.random(scenario.n) < true_risk).astype(np.float64)
+    outcomes = (u < true_risk).astype(np.float64)
     # expit rounds log-odds above about 37 to exactly 1.0 and below about
     # -745 to 0.0; the clip moves only those, to the nearest doubles inside
     predictions = np.clip(predictions, np.nextafter(0.0, 1.0),
                           np.nextafter(1.0, 0.0))
-    return build_dataset(predictions, outcomes)
+    return predictions, outcomes
+
+
+def generate_dataset(scenario: SimulationScenario,
+                     replicate_index: int) -> CalibrationDataset:
+    """Draw one replicate dataset; deterministic in (scenario, index)."""
+    predictions, outcomes = _generate_block(
+        scenario, _cell_key(scenario), replicate_index, 1)
+    return build_dataset(predictions[0], outcomes[0])
 
 
 def _rejection_summary(pvalue_samples, alpha):
@@ -137,7 +175,7 @@ def _rejection_summary(pvalue_samples, alpha):
 
 
 def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
-    """Run one cell: ``analyze`` on every replicate.
+    """Run one cell: every test on every replicate.
 
     Null cells keep the walk tests (``NULL_TESTS``), power cells every test
     (``POWER_TESTS``).  The Hosmer-Lemeshow comparator uses ``HL_GROUPS``
@@ -145,19 +183,39 @@ def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
     externally fixed, never fitted to the replicate's outcomes.  A
     non-converged LR fit counts as a non-rejection and increments
     ``lr_failures``.  The summary carries every replicate's p-values.
+
+    Replicates run in blocks of ``max(1, _STUDY_BLOCK_VALUES // n)`` rows:
+    generation, validation and sort, the walk and the HL group sums take
+    one pass per block, and the p-values and the LR fit one call per row.
+    Each p-value is the one ``analyze(generate_dataset(scenario, r),
+    groups=HL_GROUPS, df_rule="g")`` reports.
     """
     power = scenario.family != "null"
     tests = POWER_TESTS if power else NULL_TESTS
     samples = {name: np.empty(scenario.replications) for name in tests}
     lr_failures = 0
-    for r in range(scenario.replications):
-        _, report = analyze(generate_dataset(scenario, r), groups=HL_GROUPS,
-                            df_rule="g", hl=power, lr=power)
-        samples["bm"][r] = report.bm.p_value
-        samples["bb"][r] = report.bb.p_unified
+    cell_key = _cell_key(scenario)
+    block = max(1, _STUDY_BLOCK_VALUES // scenario.n)
+    for start in range(0, scenario.replications, block):
+        rows = min(block, scenario.replications - start)
+        predictions, outcomes, tie_flags = _sort_rows(
+            *_generate_block(scenario, cell_key, start, rows))
+        _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
+        stats = _walk_statistics_rows(times, walk, raw_sums, predictions)
         if power:
-            samples["hl"][r] = report.hl.p_value
-            weak = report.weak_calibration
+            sizes, observed, expected = _rank_group_sums(
+                predictions, outcomes, HL_GROUPS)
+            observed, expected = observed.tolist(), expected.tolist()
+        for i in range(rows):
+            r = start + i
+            samples["bm"][r] = bm_test_from_process(stats[i]).p_value
+            samples["bb"][r] = bb_test_from_process(stats[i]).p_unified
+            if not power:
+                continue
+            statistic = _hl_statistic(zip(sizes, observed[i], expected[i]))
+            samples["hl"][r] = chi_square_sf(statistic, HL_GROUPS)
+            weak = weak_calibration_lr_test(CalibrationDataset(
+                predictions[i], outcomes[i], bool(tie_flags[i])))
             samples["lr"][r] = weak.p_value if weak.converged else 1.0
             if not weak.converged:
                 lr_failures += 1

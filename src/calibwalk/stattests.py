@@ -133,13 +133,39 @@ def _rank_group_bounds(n, groups):
 
 def _rank_groups(data: CalibrationDataset, groups: int) -> tuple:
     """One ``HLGroup`` row per rank group, lowest predictions first."""
-    bounds = _rank_group_bounds(data.n, groups)
-    table = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        expected = float(data.predictions[lo:hi].sum())
-        table.append(HLGroup(hi - lo, float(data.outcomes[lo:hi].sum()),
-                             expected, expected / (hi - lo)))
-    return tuple(table)
+    sizes, observed, expected = _rank_group_sums(
+        data.predictions[None], data.outcomes[None], groups)
+    return tuple(HLGroup(size, o, e, e / size) for size, o, e in
+                 zip(sizes, observed[0].tolist(), expected[0].tolist()))
+
+
+def _rank_group_sums(predictions, outcomes, groups: int):
+    """Group sizes, and observed and expected event counts of the rank
+    groups of each row of (rows, n) sorted blocks, as (rows, groups)
+    arrays.  ``_rank_groups`` is the one-row case.
+
+    Each group is one row-wise ``sum`` call over its slice, which adds in
+    the same order as the one-dimensional ``sum`` of a single row.
+    """
+    bounds = _rank_group_bounds(predictions.shape[1], groups)
+    observed = np.empty((predictions.shape[0], groups))
+    expected = np.empty_like(observed)
+    for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        observed[:, g] = outcomes[:, lo:hi].sum(axis=1)
+        expected[:, g] = predictions[:, lo:hi].sum(axis=1)
+    return np.diff(bounds).tolist(), observed, expected
+
+
+def _hl_statistic(groups) -> float:
+    """The Hosmer-Lemeshow chi-square of (size, observed, expected) group
+    rows; a group with zero binomial variance raises a ValueError."""
+    statistic = 0.0
+    for g, (size, observed, expected) in enumerate(groups):
+        variance = expected * (1.0 - expected / size)
+        if variance <= 0.0:
+            raise ValueError(f"degenerate group {g}: zero binomial variance")
+        statistic += (observed - expected) ** 2 / variance
+    return statistic
 
 
 def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
@@ -167,12 +193,8 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
         )
 
     table = _rank_groups(data, groups)
-    statistic = 0.0
-    for g, row in enumerate(table):
-        variance = row.expected * (1.0 - row.expected / row.size)
-        if variance <= 0.0:
-            raise ValueError(f"degenerate group {g}: zero binomial variance")
-        statistic += (row.observed - row.expected) ** 2 / variance
+    statistic = _hl_statistic(
+        (row.size, row.observed, row.expected) for row in table)
     return HLTestResult(
         statistic=statistic,
         groups=groups,

@@ -54,7 +54,7 @@ _SECONDARY_COLOR = "#ff7f0e"
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Invertible data-to-pixel transform for one panel."""
+    """Data-to-pixel transform for one panel."""
 
     x_scale: float
     x_offset: float
@@ -63,10 +63,6 @@ class AffineMap:
 
     def to_px(self, x, y):
         return self.x_offset + self.x_scale * x, self.y_offset + self.y_scale * y
-
-    def to_data(self, px, py):
-        return ((px - self.x_offset) / self.x_scale,
-                (py - self.y_offset) / self.y_scale)
 
 
 def _fmt(v: float) -> str:
@@ -352,12 +348,6 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
                 f"unified p = {result.p_unified:.4f}")
     doc.text(left + 6, top + 16, note, size=11, anchor="start")
     return doc.render()
-
-
-def binned_plot_map(data: CalibrationDataset, groups: int = 10) -> AffineMap:
-    """Transform for the binned calibration plot (shared square axes)."""
-    _, upper = _binned_points(data, groups)[1]
-    return _panel_map((0.0, upper), (0.0, upper))
 
 
 def _binned_points(data, groups):

@@ -283,7 +283,8 @@ def test_c11_structural_plot_suite():
         ex, ey = amap.to_px(float(t), float(s))
         assert abs(px - ex) < 1e-6
         assert abs(py - ey) < 1e-6
-        rx, ry = amap.to_px(*amap.to_data(ex, ey))
+        rx, ry = amap.to_px((ex - amap.x_offset) / amap.x_scale,
+                            (ey - amap.y_offset) / amap.y_scale)
         assert abs(rx - ex) < 1e-6
         assert abs(ry - ey) < 1e-6
     _passed("C11", f"{len(documents)} documents well-formed, deterministic, "

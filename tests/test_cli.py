@@ -268,10 +268,10 @@ class TestCmdSimulate:
     ], ids=["power-n-below-groups", "nonpositive-b", "repeated-beta0"])
     def test_bad_cell_exits_before_any_replicate(self, tmp_path, monkeypatch,
                                                  capsys, argv, message):
-        def no_replicate(scenario, replicate_index):
+        def no_replicate(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(simulation, "generate_dataset", no_replicate)
+        monkeypatch.setattr(simulation, "_generate_block", no_replicate)
         out = tmp_path / "o"
         assert main(["simulate", *argv, "--reps", "3000",
                      "--out", str(out)]) == 2

@@ -1,11 +1,16 @@
 """Scenario generators and study runners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from calibwalk import simulation
+from calibwalk.dataio import analyze
 from calibwalk.simulation import (
+    HL_GROUPS,
     SimulationScenario,
+    _cell_key,
     _replicate_rng,
     family_risk_and_predictions,
     generate_dataset,
@@ -89,7 +94,8 @@ class TestGenerators:
                                       replications=1, seed=0, b=0.05)
         data = generate_dataset(scenario, 0)
         assert 0.0 < data.predictions.min() and data.predictions.max() < 1.0
-        x = _replicate_rng(scenario, 0).standard_normal(scenario.n)
+        rng = _replicate_rng(scenario.seed, _cell_key(scenario), 0)
+        x = rng.standard_normal(scenario.n)
         # the clip is monotone, so it commutes with the dataset's sort
         raw = np.sort(family_risk_and_predictions(scenario, x)[1])
         inside = (raw > 0.0) & (raw < 1.0)
@@ -144,10 +150,10 @@ class TestStudies:
 
     def test_repeated_figure_name_raises_before_any_replicate(
             self, monkeypatch):
-        def no_replicate(scenario, replicate_index):
+        def no_replicate(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(simulation, "generate_dataset", no_replicate)
+        monkeypatch.setattr(simulation, "_generate_block", no_replicate)
         with pytest.raises(ValueError,
                            match="share the figure name 'null_beta0=-1_n=20'"):
             run_null_study([-1.0, -1.0000001], [20], replications=3000,
@@ -175,6 +181,78 @@ class TestStudies:
         assert summary.lr_failures > 0
         failures = int(np.count_nonzero(summary.pvalues["lr"] == 1.0))
         assert failures >= summary.lr_failures
+
+
+def _analyzed_pvalues(scenario):
+    """Each replicate's p-values from ``analyze`` on its own dataset."""
+    power = scenario.family != "null"
+    names = ("bm", "bb", "hl", "lr") if power else ("bm", "bb")
+    pvalues = {name: [] for name in names}
+    failures = 0
+    for r in range(scenario.replications):
+        _, report = analyze(generate_dataset(scenario, r), groups=HL_GROUPS,
+                            df_rule="g")
+        pvalues["bm"].append(report.bm.p_value)
+        pvalues["bb"].append(report.bb.p_unified)
+        if power:
+            weak = report.weak_calibration
+            pvalues["hl"].append(report.hl.p_value)
+            pvalues["lr"].append(weak.p_value if weak.converged else 1.0)
+            failures += not weak.converged
+    return pvalues, failures
+
+
+class TestBlocksMatchAnalyze:
+    # (family, n, replications, grid values): each family runs cells of
+    # fewer and of more replicates than one block holds, and n = 4099 is
+    # above _STUDY_BLOCK_VALUES, which leaves one-row blocks
+    @pytest.mark.parametrize("family, n, replications, values", [
+        ("null", 1, 4097, dict(beta0=-1.0)),
+        ("null", 7, 586, dict(beta0=5.0)),
+        ("null", 1003, 3, dict(beta0=-30.0)),
+        ("null", 4099, 2, dict(beta0=0.0)),
+        ("logit_linear", 10, 410, dict(a=0.25, b=2.0)),
+        ("logit_linear", 50, 40, dict(a=-0.5, b=0.5)),
+        ("logit_linear", 1003, 6, dict(a=0.0, b=1.0)),
+        ("logit_power", 10, 30, dict(a=0.25, b=2.0)),
+        ("logit_power", 50, 82, dict(a=0.0, b=1.5)),
+        ("logit_power", 1003, 3, dict(a=-0.25, b=0.5)),
+        ("logit_power", 4099, 2, dict(a=0.0, b=1.0)),
+        # saturated: predictions clipped at both ends
+        ("logit_power", 1003, 6, dict(a=0.0, b=0.05)),
+        # steep slope at n = 10: many separated LR fits
+        ("logit_linear", 10, 60, dict(a=0.0, b=3.0)),
+    ])
+    def test_every_row_equals_analyze(self, family, n, replications,
+                                      values):
+        scenario = SimulationScenario(family=family, n=n,
+                                      replications=replications, seed=6,
+                                      **values)
+        summary = run_scenario(scenario)
+        pvalues, failures = _analyzed_pvalues(scenario)
+        assert set(summary.pvalues) == set(pvalues)
+        for name, expected in pvalues.items():
+            np.testing.assert_array_equal(summary.pvalues[name], expected,
+                                          err_msg=name)
+        assert summary.lr_failures == failures
+        if values.get("b") == 3.0:
+            assert failures > 0
+
+    def test_power_cell_scratch_memory(self):
+        # blocks of 4 rows at n = 1000 peak near 0.53 MB, blocks of 8 rows
+        # near 1.05 MB and blocks of 64 rows near 7.7 MB
+        scenario = SimulationScenario(family="logit_power", n=1000,
+                                      replications=12, seed=1, a=0.25, b=2.0)
+        # a first cell imports what the cells use
+        run_scenario(SimulationScenario(family="logit_power", n=10,
+                                        replications=2, seed=1))
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestPvalueEcdf:

@@ -27,10 +27,23 @@ from calibwalk.svgplot import (
     _M4_VERTICES_PER_PX,
     _MAX_MARKER_COLOR,
     _WIDTH,
+    _binned_points,
     _fmt,
-    binned_plot_map,
+    _panel_map,
     cumulative_plot_map,
 )
+
+
+def _to_data(amap, px, py):
+    """The data point that ``amap`` draws at pixel (px, py)."""
+    return ((px - amap.x_offset) / amap.x_scale,
+            (py - amap.y_offset) / amap.y_scale)
+
+
+def _binned_plot_map(data, groups):
+    """The transform of ``render_binned_calibration_plot``."""
+    _, upper = _binned_points(data, groups)[1]
+    return _panel_map((0.0, upper), (0.0, upper))
 
 
 def _dataset(seed=3, n=200, lo=0.05, hi=0.6):
@@ -110,7 +123,7 @@ class TestCumulativePlot:
             amap = cumulative_plot_map(proc, mode)
             for t, s in zip(proc.times, proc.walk):
                 px, py = amap.to_px(float(t), float(s))
-                back = amap.to_data(px, py)
+                back = _to_data(amap, px, py)
                 fwd = amap.to_px(*back)
                 assert fwd[0] == pytest.approx(px, abs=1e-6)
                 assert fwd[1] == pytest.approx(py, abs=1e-6)
@@ -267,18 +280,18 @@ class TestBinnedPlot:
         y = ([1] + [0] * 9) * 10
         data = build_dataset(p, y)
         svg = render_binned_calibration_plot(data, groups=10)
-        amap = binned_plot_map(data, 10)
+        amap = _binned_plot_map(data, 10)
         circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)
         assert len(circles) == 10
         for cx, cy in circles:
-            gx, gy = amap.to_data(float(cx), float(cy))
+            gx, gy = _to_data(amap, float(cx), float(cy))
             assert gx == pytest.approx(0.1, abs=1e-6)
             assert gy == pytest.approx(0.1, abs=1e-6)
 
     def test_marker_count_and_whiskers(self):
         data = _dataset(seed=4, n=1000, lo=0.2, hi=0.8)
         svg = render_binned_calibration_plot(data, groups=10)
-        amap = binned_plot_map(data, 10)
+        amap = _binned_plot_map(data, 10)
         circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)
         whiskers = _lines(svg, "#777777")
         assert len(circles) == 10
@@ -288,7 +301,7 @@ class TestBinnedPlot:
             lo, hi = bounds[g], bounds[g + 1]
             prop = float(data.outcomes[lo:hi].mean())
             mean_p = float(data.predictions[lo:hi].mean())
-            gx, gy = amap.to_data(float(cx), float(cy))
+            gx, gy = _to_data(amap, float(cx), float(cy))
             assert gx == pytest.approx(mean_p, abs=1e-6)
             assert gy == pytest.approx(prop, abs=1e-6)
             half = math.sqrt(prop * (1 - prop) / (hi - lo))
