@@ -86,8 +86,9 @@ class WalkStatistics:
 def build_dataset(raw_predictions, raw_outcomes, clamp_epsilon=None) -> CalibrationDataset:
     """Validate and co-sort predictions and binary outcomes.
 
-    The sort is stable, so tied predictions keep their input order (the
-    walk statistics may depend on that order; ``tie_flag`` reports it).
+    Without tied predictions the ascending order is unique.  Tied
+    predictions keep their input order (the walk statistics may depend on
+    that order; ``tie_flag`` reports it).
     ``clamp_epsilon`` clips predictions into [eps, 1-eps] before validation
     for pipelines that emit saturated probabilities.
     """
@@ -116,9 +117,11 @@ def _sort_rows(predictions: np.ndarray, outcomes: np.ndarray):
     """Validate (rows, n) predictions and outcomes and co-sort each row.
 
     ``build_dataset`` is the one-row case; simulation studies pass blocks
-    of replicates.  Each row is sorted stably by prediction.  Returns the
-    sorted blocks, read-only, and each row's tie flag.  An invalid value
-    raises with its position within its row.
+    of replicates.  Each row is sorted ascending by prediction.  A row
+    without tied predictions has only one such order; a row with ties
+    keeps its tied pairs in input order.  Returns the sorted blocks,
+    read-only, and each row's tie flag.  A ``-0.0`` outcome comes out as
+    ``0.0``.  An invalid value raises with its position within its row.
     """
     bad = ~((predictions > 0.0) & (predictions < 1.0))
     if bad.any():
@@ -134,14 +137,30 @@ def _sort_rows(predictions: np.ndarray, outcomes: np.ndarray):
         raise ValueError(
             f"outcome not binary at position {j}: {outcomes[i, j]!r}")
 
-    rows, n = predictions.shape
-    # gather from the flattened block, each row's order offset to its start
-    order = np.argsort(predictions, axis=1, kind="stable")
-    order += np.arange(0, rows * n, n)[:, None]
-    predictions = predictions.reshape(-1)[order]
-    outcomes = outcomes.reshape(-1)[order]
-    tie_flags = np.any(np.diff(predictions, axis=1) == 0.0, axis=1)
-    return _readonly(predictions), _readonly(outcomes), tie_flags
+    # Predictions in (0, 1) are positive doubles, whose int64 bit patterns
+    # sort in the same order and have bits 62 and 63 clear, so a prediction
+    # and its outcome pack into one key and one integer sort co-sorts them.
+    keys = predictions.view(np.int64) << 1
+    keys |= outcomes == 1.0
+    keys.sort(axis=1)
+    sorted_predictions = (keys >> 1).view(np.float64)
+    keys &= 1
+    sorted_outcomes = keys.astype(np.float64)
+    del keys
+    tie_flags = np.any(np.diff(sorted_predictions, axis=1) == 0.0, axis=1)
+
+    # A tied row's packed order puts its tied outcomes in 0, 1 order; a
+    # stable argsort keeps them in input order instead.  Gather from the
+    # flattened block, each row's order offset to its start, and read the
+    # outcomes as the keys did, so -0.0 comes out as 0.0 here too.
+    tied = np.flatnonzero(tie_flags)
+    if tied.size:
+        order = np.argsort(predictions[tied], axis=1, kind="stable")
+        order += tied[:, None] * predictions.shape[1]
+        sorted_predictions[tied] = predictions.reshape(-1)[order]
+        sorted_outcomes[tied] = outcomes.reshape(-1)[order] == 1.0
+    return (_readonly(sorted_predictions), _readonly(sorted_outcomes),
+            tie_flags)
 
 
 def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import calibwalk
@@ -163,6 +164,25 @@ class TestCmdTest:
         write_report_json(report, tmp_path / "library.json")
         assert (out / "report.json").read_bytes() == \
             (tmp_path / "library.json").read_bytes()
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_negative_zero_outcomes_write_the_same_report(self, tmp_path,
+                                                          tied):
+        rng = np.random.default_rng(11)
+        p = rng.uniform(0.05, 0.95, 200)
+        if tied:
+            p = p.round(2)
+        y = (rng.random(200) < p).astype(int)
+        reports = []
+        for zero in ("0", "-0"):
+            rows = "".join(f"{pi!r},{yi if yi else zero}\n"
+                           for pi, yi in zip(p.tolist(), y.tolist()))
+            csv = _write_csv(tmp_path, "p,y\n" + rows, name=f"{zero}.csv")
+            out = tmp_path / zero
+            assert main(["test", str(csv), "--mc", "50", "--seed", "3",
+                         "--no-plots", "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_no_plots_suppresses_svg(self, tmp_path):
         csv = _write_csv(tmp_path)

@@ -1,6 +1,7 @@
 """Dataset construction and the cumulative-error walk."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibwalk import build_dataset, cumulative_process, walk_statistics
+from calibwalk.data import _sort_rows
 
 
 @st.composite
@@ -63,6 +65,117 @@ class TestBuildDataset:
         d = build_dataset([0.2, 0.6], [0, 1])
         with pytest.raises(ValueError):
             d.predictions[0] = 0.9
+
+
+def _stable_sort_oracle(predictions, outcomes):
+    order = np.argsort(predictions, axis=1, kind="stable")
+    sorted_predictions = np.take_along_axis(predictions, order, axis=1)
+    return (sorted_predictions, np.take_along_axis(outcomes, order, axis=1),
+            np.any(np.diff(sorted_predictions, axis=1) == 0.0, axis=1))
+
+
+def _assert_matches_oracle(predictions, outcomes):
+    predictions = np.asarray(predictions, dtype=np.float64)
+    outcomes = np.asarray(outcomes, dtype=np.float64)
+    got = _sort_rows(predictions, outcomes)
+    want = _stable_sort_oracle(predictions, outcomes)
+    for g, w in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+def _coin_flips(shape, seed=6):
+    return (np.random.default_rng(seed).random(shape) < 0.5).astype(
+        np.float64)
+
+
+@st.composite
+def blocks(draw):
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # levels per row: 1 ties everything, n leaves ties rare
+    levels = draw(st.lists(st.integers(1, n), min_size=rows, max_size=rows))
+    predictions = np.stack([
+        rng.choice(rng.uniform(0.0, 1.0, k), n) for k in levels])
+    predictions[predictions == 0.0] = 0.5
+    return predictions, (rng.random((rows, n)) < 0.5).astype(np.float64)
+
+
+class TestSortRowsOracle:
+    """``_sort_rows`` against a stable argsort, bit for bit."""
+
+    def test_untied_rows(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.01, 0.99, (5, 1000))
+        _assert_matches_oracle(p, _coin_flips(p.shape))
+
+    def test_rows_on_a_hundredth_grid(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.01, 0.99, (4, 1000)).round(2)
+        _assert_matches_oracle(p, _coin_flips(p.shape))
+
+    def test_block_mixing_tied_and_untied_rows(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.01, 0.99, (6, 300))
+        p[1::2] = p[1::2].round(2)
+        flags = _sort_rows(p, _coin_flips(p.shape))[2]
+        np.testing.assert_array_equal(flags, [False, True] * 3)
+        _assert_matches_oracle(p, _coin_flips(p.shape))
+
+    def test_single_observation(self):
+        _assert_matches_oracle([[0.3]], [[1.0]])
+        _assert_matches_oracle([[0.3], [0.7]], [[0.0], [1.0]])
+
+    def test_extreme_predictions(self):
+        rng = np.random.default_rng(5)
+        extremes = [5e-324, np.nextafter(0.0, 1.0), 2.2250738585072014e-308,
+                    np.nextafter(1.0, 0.0), 0.5]
+        p = rng.choice(extremes, (3, 40))
+        _assert_matches_oracle(p, _coin_flips(p.shape))
+        # 5e-324 is nextafter(0, 1): drop the repeat for an untied row
+        untied = np.unique(extremes)[::-1]
+        _assert_matches_oracle([untied], [[1.0, 0.0, 1.0, 0.0]])
+
+    def test_ties_made_by_clamp_epsilon(self):
+        rng = np.random.default_rng(5)
+        p = rng.choice([0.0, 1.0, 0.2, 0.7], 200)
+        y = _coin_flips(200)
+        data = build_dataset(p, y, clamp_epsilon=0.05)
+        want = _stable_sort_oracle(np.clip(p, 0.05, 0.95)[None], y[None])
+        np.testing.assert_array_equal(data.predictions.view(np.uint64),
+                                      want[0][0].view(np.uint64))
+        np.testing.assert_array_equal(data.outcomes.view(np.uint64),
+                                      want[1][0].view(np.uint64))
+        assert data.tie_flag
+
+    def test_negative_zero_outcome_comes_out_positive(self):
+        for p in ([0.4, 0.2, 0.3], [0.4, 0.2, 0.4]):
+            _, outcomes, _ = _sort_rows(np.array([p]),
+                                        np.array([[-0.0, -0.0, 1.0]]))
+            assert not np.signbit(outcomes).any()
+
+    @given(blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_random_shapes_and_tie_density(self, block):
+        _assert_matches_oracle(*block)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_build_dataset_peak_memory_per_row(tied):
+    n = 200_000
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0.05, 0.95, n)
+    if tied:
+        p = p.round(2)
+    y = (rng.random(n) < p).astype(np.float64)
+    tracemalloc.start()
+    try:
+        data = build_dataset(p, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.tie_flag == tied
+    assert peak / n <= 36.0, f"{peak / n:.1f} B/row"
 
 
 class TestCumulativeProcess:
