@@ -52,6 +52,20 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> int:
+    """``--mc`` and ``--seed``: an integer >= 0, checked before any input
+    is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 class _OtherKindFlag(argparse.Action):
     """A flag of the other ``simulate`` kind: a usage error that names the
     kind it belongs to, instead of the root parser's "unrecognized
@@ -288,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "fitted to it)")
     p_test.add_argument("--alpha", type=_alpha, default=0.05,
                         help="significance level for critical lines")
-    p_test.add_argument("--mc", type=int, default=0, metavar="N",
+    p_test.add_argument("--mc", type=_non_negative, default=0, metavar="N",
                         help="also run Monte Carlo variants with N "
                              "replications")
-    p_test.add_argument("--seed", type=int, default=0,
+    p_test.add_argument("--seed", type=_non_negative, default=0,
                         help="seed for the Monte Carlo variants")
     p_test.add_argument("--no-hl", action="store_true",
                         help="skip the Hosmer-Lemeshow comparator")
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample size grid")
     study.add_argument("--reps", type=int, required=True,
                        help="replications per cell")
-    study.add_argument("--seed", type=int, default=0)
+    study.add_argument("--seed", type=_non_negative, default=0)
     study.add_argument("--alpha", type=_alpha, default=0.05)
     study.add_argument("--out", default=_default_outdir())
     p_sim = sub.add_parser("simulate", help="run a simulation study")
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "casestudy",
         help="synthetic large-vs-small development sample demonstration",
     )
-    p_case.add_argument("--seed", type=int, required=True)
+    p_case.add_argument("--seed", type=_non_negative, required=True)
     p_case.add_argument("--dev-n", type=int, default=50_000)
     p_case.add_argument("--small-n", type=int, default=500)
     p_case.add_argument("--holdout-n", type=int, default=10_000)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -348,10 +350,19 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
 _BLOCK_VALUES = 1 << 17
 
 
-def _max_abs_rows(block):
-    """Row maxima of |block|; takes the absolute value in place."""
-    np.abs(block, out=block)
-    return block.max(axis=1)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _max_abs(block, out):
+    """Row maxima of |block| into ``out``, with +0.0 for an all-zero row;
+    ``block`` is left as it is."""
+    np.maximum(block.max(axis=1), -block.min(axis=1), out=out)
+    out += 0.0  # -0.0 + 0.0 is +0.0, as abs would give
 
 
 def _simulate_null_statistics(data: CalibrationDataset, replications: int,
@@ -361,41 +372,78 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     Outcomes are redrawn as independent Bernoulli(p_i); the float64 walk
     arithmetic here is the Monte Carlo engine, deliberately independent of
     the extended-precision path used for observed data.  Replicates run in
-    blocks of about 2^17 values through buffers allocated once and updated
-    in place, so scratch memory is a few rows of n floats.  The generator
-    fills each block in row-major order, so replicate r sees the same
-    uniforms whatever the block size.
+    blocks of about 2^17 values, one worker thread per usable CPU (the
+    calling thread is one of them), each claiming the next block as it
+    finishes one.  A block starts its worker's generator at
+    ``PCG64(seed)`` advanced by one 64-bit step per value before it, and
+    fills its rows in row-major order, so replicate r sees the same
+    uniforms as one ``default_rng(seed)`` stream whatever the block size
+    or the number of workers.  Each worker updates two blocks of buffers
+    in place, allocated before any worker starts, so scratch memory is a
+    few rows of n floats per worker.
     """
     p = data.predictions
     n = data.n
     variances = p * (1.0 - p)
     total_variance = variances.sum()
     times = np.cumsum(variances) / total_variance
+    del variances
     sqrt_t = math.sqrt(total_variance)
 
-    rng = np.random.default_rng(seed)
     s_star = np.empty(replications)
     b_star = np.empty(replications)
     s_n = np.empty(replications)
     block = max(1, min(replications, _BLOCK_VALUES // n))
-    walk = np.empty((block, n))
-    drawn = np.empty((block, n), dtype=bool)
-    bridge = np.empty((block, n))
-    for done in range(0, replications, block):
-        m = min(block, replications - done)
-        rows = slice(done, done + m)
-        w = walk[:m]
-        rng.random(out=w)
-        np.less(w, p, out=drawn[:m])
-        np.subtract(drawn[:m], p, out=w)
-        np.cumsum(w, axis=1, out=w)
-        np.divide(w, sqrt_t, out=w)
-        s_n[rows] = w[:, -1]
-        br = bridge[:m]
-        np.multiply(times, s_n[rows, None], out=br)
-        np.subtract(w, br, out=br)
-        b_star[rows] = _max_abs_rows(br)
-        s_star[rows] = _max_abs_rows(w)
+    starts = range(0, replications, block)
+    workers = min(_usable_cpus(), len(starts))
+    origin = np.random.PCG64(seed).state
+    buffers = [(np.random.default_rng(seed), np.empty((block, n)),
+                np.empty((block, n))) for _ in range(workers)]
+    claims = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work(rng, walk, bridge):
+        try:
+            while not errors:
+                with lock:
+                    start = next(claims, None)
+                if start is None:
+                    return
+                m = min(block, replications - start)
+                rows = slice(start, start + m)
+                w = walk[:m]
+                rng.bit_generator.state = origin
+                rng.bit_generator.advance(start * n)
+                rng.random(out=w)
+                np.less(w, p, out=w, casting="unsafe")
+                np.subtract(w, p, out=w)
+                np.cumsum(w, axis=1, out=w)
+                np.divide(w, sqrt_t, out=w)
+                s_n[rows] = w[:, -1]
+                _max_abs(w, s_star[rows])
+                br = bridge[:m]
+                np.multiply(times, s_n[rows, None], out=br)
+                np.subtract(w, br, out=br)
+                _max_abs(br, b_star[rows])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=args)
+               for args in buffers[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        work(*buffers[0])
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # an interrupt outside a block
+        errors.append(exc)
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
     return s_star, b_star, s_n
 
 
@@ -407,9 +455,11 @@ def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
     compares the maximum |walk|; the BB p-value is Fisher's combination of
     the empirical two-sided terminal-value p and the empirical
     bridged-maximum p.  Both read the same null walks and use the add-one
-    estimator, so neither is ever exactly zero and the tests are
-    finite-sample valid.  ``stats`` are the observed walk statistics of
-    ``data``.
+    estimator, so neither is ever exactly zero.  The BM p-value is
+    finite-sample valid.  The BB p-value is not: Fisher's chi-square(4)
+    reference assumes two independent uniform p-values, and at small n
+    the two empirical ones are discrete and dependent.  ``stats`` are the
+    observed walk statistics of ``data``.
     """
     # Python ints, so that numpy integers do not reach the JSON report
     replications, seed = operator.index(replications), operator.index(seed)

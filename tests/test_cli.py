@@ -106,6 +106,28 @@ class TestArgumentHandling:
         assert "argument --alpha: must be a number inside (0, 1)" in \
             capsys.readouterr().err
 
+    # the CSV does not exist: reading it would return 2, not exit in the
+    # parser
+    @pytest.mark.parametrize("argv, flag", [
+        (["test", "missing.csv", "--mc"], "--mc"),
+        (["test", "missing.csv", "--seed"], "--seed"),
+        (["simulate", "null", "--n", "20", "--reps", "2", "--seed"], "--seed"),
+        (["simulate", "power", "--n", "20", "--reps", "2", "--seed"],
+         "--seed"),
+        (["casestudy", "--seed"], "--seed"),
+    ], ids=["test-mc", "test-seed", "null-seed", "power-seed",
+            "casestudy-seed"])
+    @pytest.mark.parametrize("value", ["-5", "-1", "x", "1.5"])
+    def test_negative_count_or_seed_exits_before_input(
+            self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert (f"argument {flag}: must be an integer >= 0, got {value!r}"
+                in capsys.readouterr().err)
+
 
 class TestCmdTest:
     def test_two_point_demo(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Walk tests, comparators, and simulation-based variants."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -441,16 +443,23 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+ENGINE_CASES = [
+    (1, 10),  # the bridged walk is [0.0]: its maximum must be +0.0
+    (7, 50),
+    (1000, 300),  # three blocks, the last one short
+    (BLOCK_VALUES // 3 + 1, 5),  # blocks of 2 rows, the last one short
+    (BLOCK_VALUES - 1, 3),
+    (BLOCK_VALUES, 3),
+    (BLOCK_VALUES + 1, 3),  # one-row blocks
+]
+
+
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(stattests, "_usable_cpus", lambda: cpus)
+
+
 class TestMonteCarloEngine:
-    @pytest.mark.parametrize("n, replications", [
-        (1, 10),  # the bridged walk is [0.0]: its maximum must be +0.0
-        (7, 50),
-        (1000, 300),  # several blocks, the last one short
-        (BLOCK_VALUES // 3 + 1, 5),  # blocks of 2 rows, the last one short
-        (BLOCK_VALUES - 1, 3),
-        (BLOCK_VALUES, 3),
-        (BLOCK_VALUES + 1, 3),  # one-row blocks
-    ])
+    @pytest.mark.parametrize("n, replications", ENGINE_CASES)
     @pytest.mark.parametrize("direct", [True, False])
     def test_bit_identical_to_per_replicate_oracle(self, n, replications,
                                                    direct):
@@ -495,3 +504,95 @@ class TestMonteCarloEngine:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+    # 8 workers: more than the three blocks of the multi-block cases
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n, replications", ENGINE_CASES)
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, cpus, n,
+                                                replications, direct):
+        _use_cpus(monkeypatch, cpus)
+        self.test_bit_identical_to_per_replicate_oracle(n, replications,
+                                                        direct)
+
+    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch):
+        _use_cpus(monkeypatch, 8)
+        data = _random_dataset(5, n=1000)
+        started = []
+        real_thread = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counting)
+        stattests._simulate_null_statistics(data, 131, seed=1)  # one block
+        assert started == []
+        stattests._simulate_null_statistics(data, 300, seed=1)  # three
+        assert len(started) == 2  # the calling thread is the third worker
+
+    def test_claims_survive_frequent_thread_switches(self, monkeypatch):
+        # 8 workers on 23 blocks, switching threads every microsecond: a
+        # block claimed twice or never would change or miss its rows
+        data = _random_dataset(6, n=1000)
+        _use_cpus(monkeypatch, 1)
+        want = stattests._simulate_null_statistics(data, 3000, seed=4)
+        _use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = stattests._simulate_null_statistics(data, 3000, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(_bits(g), _bits(w))
+
+    @pytest.mark.parametrize("on_caller", [False, True],
+                             ids=["worker", "caller"])
+    def test_error_in_a_block_stops_claims_and_joins(self, monkeypatch,
+                                                     on_caller):
+        _use_cpus(monkeypatch, 4)
+        data = _random_dataset(7, n=1000)
+        caller = threading.current_thread()
+        error = KeyboardInterrupt if on_caller else RuntimeError
+        max_abs = stattests._max_abs
+        lock = threading.Lock()
+        calls, failed_at = [], []
+
+        def failing(block, out):
+            with lock:
+                calls.append(threading.current_thread())
+                call = len(calls)
+            if on_caller:
+                fails = calls[call - 1] is caller  # the caller's first block
+            else:
+                fails = call == 5  # whichever worker makes the call
+            if fails:
+                failed_at.append(call)
+                raise error("block failed")
+            max_abs(block, out)
+
+        monkeypatch.setattr(stattests, "_max_abs", failing)
+        baseline = threading.active_count()
+        with pytest.raises(error, match="block failed"):
+            stattests._simulate_null_statistics(data, 3000, seed=1)
+        assert threading.active_count() == baseline
+        # of 23 blocks, each of the three other workers finishes the one
+        # it holds and at most one claimed as the failure was recorded
+        assert len(calls) - failed_at[0] <= 3 * 2 * 2
+
+    def test_scratch_is_one_block_of_buffers_per_worker(self, monkeypatch):
+        # at this n a block is one row: each of the 4 workers holds a walk
+        # and a bridge row, and all share the n variance times
+        _use_cpus(monkeypatch, 4)
+        n = 100_000
+        data = _random_dataset(3, n=n)
+        tracemalloc.start()
+        try:
+            stattests._simulate_null_statistics(data, 50, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = 8 * n
+        # half a row of slack: a third buffer per worker would be 4 rows
+        assert peak < (4 * 2 + 1.5) * row
