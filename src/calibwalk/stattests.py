@@ -349,6 +349,11 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
 # 1.8x slower.
 _BLOCK_VALUES = 1 << 17
 
+# Float64 values (4 MiB) that all workers' buffers may hold together, two
+# workers' full blocks.  It caps the worker count, so scratch memory does
+# not grow with the number of CPUs; above n = 2^17 one worker runs.
+_SCRATCH_VALUES = 4 * _BLOCK_VALUES
+
 
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
@@ -373,14 +378,15 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     arithmetic here is the Monte Carlo engine, deliberately independent of
     the extended-precision path used for observed data.  Replicates run in
     blocks of about 2^17 values, one worker thread per usable CPU (the
-    calling thread is one of them), each claiming the next block as it
-    finishes one.  A block starts its worker's generator at
-    ``PCG64(seed)`` advanced by one 64-bit step per value before it, and
-    fills its rows in row-major order, so replicate r sees the same
-    uniforms as one ``default_rng(seed)`` stream whatever the block size
-    or the number of workers.  Each worker updates two blocks of buffers
-    in place, allocated before any worker starts, so scratch memory is a
-    few rows of n floats per worker.
+    calling thread is one of them) up to the number of blocks and the
+    scratch budget, each claiming the next block as it finishes one.  A
+    block starts its worker's generator at ``PCG64(seed)`` advanced by one
+    64-bit step per value before it, and fills its rows in row-major order,
+    so replicate r sees the same uniforms as one ``default_rng(seed)``
+    stream whatever the block size or the number of workers.  Each worker
+    updates two blocks of buffers in place, allocated before any worker
+    starts; ``_SCRATCH_VALUES`` bounds them all together, so scratch memory
+    is a few rows of n floats whatever the number of CPUs.
     """
     p = data.predictions
     n = data.n
@@ -395,7 +401,8 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     s_n = np.empty(replications)
     block = max(1, min(replications, _BLOCK_VALUES // n))
     starts = range(0, replications, block)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(_usable_cpus(), len(starts),
+                  max(1, _SCRATCH_VALUES // (2 * block * n)))
     origin = np.random.PCG64(seed).state
     buffers = [(np.random.default_rng(seed), np.empty((block, n)),
                 np.empty((block, n))) for _ in range(workers)]

@@ -455,7 +455,24 @@ ENGINE_CASES = [
 
 
 def _use_cpus(monkeypatch, cpus):
+    # with the scratch budget lifted, so that the CPU count alone sets the
+    # workers (up to the number of blocks)
     monkeypatch.setattr(stattests, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stattests, "_SCRATCH_VALUES", 1 << 40)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """A list that gets one item per thread made from here on."""
+    made = []
+    real_thread = threading.Thread
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counting)
+    return made
 
 
 class TestMonteCarloEngine:
@@ -508,24 +525,19 @@ class TestMonteCarloEngine:
     # 8 workers: more than the three blocks of the multi-block cases
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("n, replications", ENGINE_CASES)
-    @pytest.mark.parametrize("direct", [True, False])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, cpus, n,
-                                                replications, direct):
+                                                replications):
         _use_cpus(monkeypatch, cpus)
-        self.test_bit_identical_to_per_replicate_oracle(n, replications,
-                                                        direct)
+        data = _random_dataset(n, n=n)
+        got = stattests._simulate_null_statistics(data, replications, seed=11)
+        want = _per_replicate_null(data, replications, 11)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(_bits(g), _bits(w))
 
-    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch):
+    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch,
+                                                  started):
         _use_cpus(monkeypatch, 8)
         data = _random_dataset(5, n=1000)
-        started = []
-        real_thread = threading.Thread
-
-        def counting(*args, **kwargs):
-            started.append(1)
-            return real_thread(*args, **kwargs)
-
-        monkeypatch.setattr(threading, "Thread", counting)
         stattests._simulate_null_statistics(data, 131, seed=1)  # one block
         assert started == []
         stattests._simulate_null_statistics(data, 300, seed=1)  # three
@@ -596,3 +608,21 @@ class TestMonteCarloEngine:
         row = 8 * n
         # half a row of slack: a third buffer per worker would be 4 rows
         assert peak < (4 * 2 + 1.5) * row
+
+    @pytest.mark.parametrize("n, workers",
+                             [(100_000, 2), (BLOCK_VALUES + 1, 1)])
+    def test_scratch_budget_caps_the_workers(self, monkeypatch, started, n,
+                                             workers):
+        # 64 CPUs under the real budget: no more workers, and no more
+        # scratch, than two CPUs give
+        monkeypatch.setattr(stattests, "_usable_cpus", lambda: 64)
+        data = _random_dataset(3, n=n)
+        tracemalloc.start()
+        try:
+            stattests._simulate_null_statistics(data, 50, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(started) == workers - 1
+        assert peak < (workers * 2 + 1.5) * 8 * n
+        assert peak < 8_000_000  # test_scratch_memory_is_a_few_rows's bound
