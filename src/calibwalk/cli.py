@@ -193,13 +193,19 @@ def cmd_test(args) -> int:
     return 0
 
 
+def _cell_done(done, total, summary):
+    print(f"cell {done}/{total} done: {summary.scenario.label}",
+          file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     if args.kind == "null":
         summaries = run_null_study(args.beta0, args.n, args.reps, args.seed,
-                                   args.alpha)
+                                   args.alpha, progress=_cell_done)
     else:
         summaries = run_power_study(_FAMILIES[args.family], args.a, args.b,
-                                    args.n, args.reps, args.seed, args.alpha)
+                                    args.n, args.reps, args.seed, args.alpha,
+                                    progress=_cell_done)
     figures = {f"{key}.svg": svg
                for key, svg in render_study_figures(summaries).items()}
     outdir = Path(args.out)

@@ -18,7 +18,10 @@ counter), so cells and replicates can run in any order or concurrently and
 still reproduce bit-identically.  A cell runs its replicates in blocks of
 about ``_STUDY_BLOCK_VALUES`` values: each row draws from its replicate's
 own stream, and every p-value equals ``analyze`` on ``generate_dataset``
-of that replicate, bit for bit.
+of that replicate, bit for bit.  A study splits its cells into spans of
+whole blocks and runs them on every usable core, in this process and in
+forked worker processes, with no option to set.  Spans come back in
+replicate order, so a study gives the same bits on any number of cores.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .data import (
     _walk_statistics_rows,
     build_dataset,
 )
+from ._pool import _usable_cpus, run_forked
 from .distributions import chi_square_sf
 from .stattests import (
     _expit,
@@ -57,6 +61,16 @@ HL_GROUPS = 10
 # rows, 4 at n = 1000.  Blocks of 64 rows there raised the peak RSS of a
 # 3 x 3 power grid by a third.
 _STUDY_BLOCK_VALUES = 1 << 12
+# Values per span, the unit a worker claims: max(1, _SPAN_VALUES // (block
+# values)) whole blocks, 64 rows at n = 1000.  It does not depend on the
+# number of workers.
+_SPAN_VALUES = 1 << 16
+# Block values that all study workers may hold together; each holds one
+# block at a time, whose scratch peaks near 100 bytes a value (0.42 MB at
+# n = 1000, 9.6 MB at n = 1e5), so about 26 MB in all.  It caps the
+# workers, at 65 for n = 1000, 2 for n = 1e5 and 1 above n = 2^17, so
+# scratch memory does not grow with the number of CPUs.
+_STUDY_SCRATCH_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,9 @@ class SimulationScenario:
             raise ValueError("n must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name in ("beta0", "a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.b > 0:
             raise ValueError("b must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -174,32 +191,38 @@ def _rejection_summary(pvalue_samples, alpha):
     return rejections, standard_errors
 
 
-def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
-    """Run one cell: every test on every replicate.
+def _block_rows(scenario: SimulationScenario) -> int:
+    return max(1, _STUDY_BLOCK_VALUES // scenario.n)
 
-    Null cells keep the walk tests (``NULL_TESTS``), power cells every test
-    (``POWER_TESTS``).  The Hosmer-Lemeshow comparator uses ``HL_GROUPS``
-    groups and ``df = groups`` because the simulated predictions are
-    externally fixed, never fitted to the replicate's outcomes.  A
-    non-converged LR fit counts as a non-rejection and increments
-    ``lr_failures``.  The summary carries every replicate's p-values.
 
-    Replicates run in blocks of ``max(1, _STUDY_BLOCK_VALUES // n)`` rows:
-    generation, validation and sort, the walk and the HL group sums take
-    one pass per block, and the p-values and the LR fit one call per row.
-    Each p-value is the one ``analyze(generate_dataset(scenario, r),
-    groups=HL_GROUPS, df_rule="g")`` reports.
+def _spans(scenario: SimulationScenario):
+    """(start, stop) of each span of a cell: runs of whole blocks of about
+    ``_SPAN_VALUES`` values, the last one short."""
+    block = _block_rows(scenario)
+    rows = block * max(1, _SPAN_VALUES // (block * scenario.n))
+    return [(start, min(start + rows, scenario.replications))
+            for start in range(0, scenario.replications, rows)]
+
+
+def _run_span(scenario: SimulationScenario, start: int, stop: int):
+    """Every test on replicates ``start`` to ``stop`` of one cell: their
+    p-values by test name, and the number of LR fits that did not converge.
+
+    Replicates run in blocks of ``max(1, _STUDY_BLOCK_VALUES // n)`` rows,
+    and ``start`` is a multiple of that: generation, validation and sort,
+    the walk and the HL group sums take one pass per block, and the
+    p-values and the LR fit one call per row.
     """
     power = scenario.family != "null"
     tests = POWER_TESTS if power else NULL_TESTS
-    samples = {name: np.empty(scenario.replications) for name in tests}
+    samples = {name: np.empty(stop - start) for name in tests}
     lr_failures = 0
     cell_key = _cell_key(scenario)
-    block = max(1, _STUDY_BLOCK_VALUES // scenario.n)
-    for start in range(0, scenario.replications, block):
-        rows = min(block, scenario.replications - start)
+    block = _block_rows(scenario)
+    for first in range(start, stop, block):
+        rows = min(block, stop - first)
         predictions, outcomes, tie_flags = _sort_rows(
-            *_generate_block(scenario, cell_key, start, rows))
+            *_generate_block(scenario, cell_key, first, rows))
         _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
         stats = _walk_statistics_rows(times, walk, raw_sums, predictions)
         if power:
@@ -207,7 +230,7 @@ def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
                 predictions, outcomes, HL_GROUPS)
             observed, expected = observed.tolist(), expected.tolist()
         for i in range(rows):
-            r = start + i
+            r = first - start + i
             samples["bm"][r] = bm_test_from_process(stats[i]).p_value
             samples["bb"][r] = bb_test_from_process(stats[i]).p_unified
             if not power:
@@ -219,14 +242,39 @@ def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
             samples["lr"][r] = weak.p_value if weak.converged else 1.0
             if not weak.converged:
                 lr_failures += 1
+    return samples, lr_failures
+
+
+def _summary(scenario: SimulationScenario, parts) -> SimulationSummary:
+    """A cell's summary from the ``_run_span`` results of its spans, in
+    replicate order."""
+    samples = {name: np.concatenate([part[name] for part, _ in parts])
+               for name in parts[0][0]}
     rejections, standard_errors = _rejection_summary(samples, scenario.alpha)
     return SimulationSummary(
         scenario=scenario,
         rejections=rejections,
         standard_errors=standard_errors,
-        lr_failures=lr_failures,
+        lr_failures=sum(failures for _, failures in parts),
         pvalues=samples,
     )
+
+
+def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
+    """Run one cell: every test on every replicate.
+
+    Null cells keep the walk tests (``NULL_TESTS``), power cells every test
+    (``POWER_TESTS``).  The Hosmer-Lemeshow comparator uses ``HL_GROUPS``
+    groups and ``df = groups`` because the simulated predictions are
+    externally fixed, never fitted to the replicate's outcomes.  A
+    non-converged LR fit counts as a non-rejection and increments
+    ``lr_failures``.  The summary carries every replicate's p-values.
+
+    The cell runs as a one-cell study, in spans on every usable core.
+    Each p-value is the one ``analyze(generate_dataset(scenario, r),
+    groups=HL_GROUPS, df_rule="g")`` reports.
+    """
+    return _run_study([scenario])[0]
 
 
 def study_figure_names(scenarios) -> list:
@@ -245,36 +293,81 @@ def study_figure_names(scenarios) -> list:
     return names
 
 
-def _run_study(scenarios) -> list[SimulationSummary]:
-    """Build every cell and check its figure name, then run the cells in
-    order: a bad cell fails before the first replicate."""
+def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
+    """Build every cell and check its figure name, so a bad cell fails
+    before the first replicate; then run every cell's spans.
+
+    The spans run on ``_usable_cpus()`` worker processes (``run_forked``),
+    capped at the number of spans and by ``_STUDY_SCRATCH_VALUES``; each
+    worker claims the next span as it finishes one.  Every replicate draws
+    from its own stream and spans are put back in replicate order, so the
+    summaries are bit-identical for any number of workers.  When a cell's
+    last span arrives, ``progress(done, total, summary)`` is called with
+    the number of cells done so far.
+    """
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("grids must be non-empty")
     study_figure_names(scenarios)
-    return [run_scenario(scenario) for scenario in scenarios]
+    # (cell, start, stop) of every span, and each cell's span indices
+    spans, cells = [], []
+    for cell, scenario in enumerate(scenarios):
+        first = len(spans)
+        spans += [(cell, start, stop) for start, stop in _spans(scenario)]
+        cells.append(range(first, len(spans)))
+    pending = [len(indices) for indices in cells]
+    results = [None] * len(spans)
+    summaries = [None] * len(scenarios)
+    done = 0
+
+    def task(index):
+        cell, start, stop = spans[index]
+        return _run_span(scenarios[cell], start, stop)
+
+    def collect(index, result):
+        nonlocal done
+        results[index] = result
+        cell = spans[index][0]
+        pending[cell] -= 1
+        if pending[cell]:
+            return
+        summaries[cell] = _summary(scenarios[cell],
+                                   [results[i] for i in cells[cell]])
+        done += 1
+        if progress is not None:
+            progress(done, len(scenarios), summaries[cell])
+
+    block_values = max(_block_rows(s) * s.n for s in scenarios)
+    workers = min(_usable_cpus(), len(spans),
+                  max(1, _STUDY_SCRATCH_VALUES // block_values))
+    run_forked(task, len(spans), workers, collect)
+    return summaries
 
 
 def run_null_study(beta0_grid, n_grid, replications: int = 10_000,
-                   seed: int = 0,
-                   alpha: float = 0.05) -> list[SimulationSummary]:
-    """Null behavior over a (beta0, n) grid: both walk tests per replicate."""
+                   seed: int = 0, alpha: float = 0.05, *,
+                   progress=None) -> list[SimulationSummary]:
+    """Null behavior over a (beta0, n) grid: both walk tests per replicate.
+    ``progress(done, total, summary)``, if given, is called as each cell
+    finishes, with the number of cells done so far."""
     return _run_study(
-        SimulationScenario(family="null", n=n, replications=replications,
-                           seed=seed, beta0=beta0, alpha=alpha)
-        for beta0, n in itertools.product(beta0_grid, n_grid))
+        (SimulationScenario(family="null", n=n, replications=replications,
+                            seed=seed, beta0=beta0, alpha=alpha)
+         for beta0, n in itertools.product(beta0_grid, n_grid)), progress)
 
 
 def run_power_study(family: str, a_grid, b_grid, n_grid,
                     replications: int = 2_500, seed: int = 0,
-                    alpha: float = 0.05) -> list[SimulationSummary]:
-    """Power over a fully factorial (a, b, n) grid: LR, HL and walk tests."""
+                    alpha: float = 0.05, *,
+                    progress=None) -> list[SimulationSummary]:
+    """Power over a fully factorial (a, b, n) grid: LR, HL and walk tests.
+    ``progress`` is called as in ``run_null_study``."""
     if family not in ("logit_linear", "logit_power"):
         raise ValueError(f"family must be a power family, got {family!r}")
     return _run_study(
-        SimulationScenario(family=family, n=n, replications=replications,
-                           seed=seed, a=a, b=b, alpha=alpha)
-        for a, b, n in itertools.product(a_grid, b_grid, n_grid))
+        (SimulationScenario(family=family, n=n, replications=replications,
+                            seed=seed, a=a, b=b, alpha=alpha)
+         for a, b, n in itertools.product(a_grid, b_grid, n_grid)), progress)
 
 
 def pvalue_ecdf(pvalues):

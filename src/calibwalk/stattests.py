@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._pool import _usable_cpus
 from .data import CalibrationDataset, WalkLocation, WalkStatistics
 from . import distributions as dist
 
@@ -353,14 +353,6 @@ _BLOCK_VALUES = 1 << 17
 # workers' full blocks.  It caps the worker count, so scratch memory does
 # not grow with the number of CPUs; above n = 2^17 one worker runs.
 _SCRATCH_VALUES = 4 * _BLOCK_VALUES
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _max_abs(block, out):

@@ -279,6 +279,33 @@ class TestCmdSimulate:
         assert (dirs[0] / "study.json").read_bytes() == \
             (dirs[1] / "study.json").read_bytes()
 
+    def test_progress_goes_to_stderr_only(self, tmp_path, monkeypatch,
+                                          capsys):
+        argv = ["simulate", "power", "--a", "0", "0.5", "--b", "1", "--n",
+                "10", "1000", "--reps", "9", "--seed", "3"]
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+        one = capsys.readouterr()
+        # one-block spans on three workers: cells finish in any order
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
+        assert main(argv + ["--out", str(tmp_path / "many")]) == 0
+        many = capsys.readouterr()
+        labels = [f"logit_linear a={a} b=1 n={n}"
+                  for a in ("0", "0.5") for n in (10, 1000)]
+        for run in (one, many):
+            lines = run.err.splitlines()
+            assert [line.split(": ")[0] for line in lines] == [
+                f"cell {k}/4 done" for k in range(1, 5)]
+            assert sorted(line.split(": ")[1] for line in lines) == \
+                sorted(labels)
+            assert "cell" not in run.out
+        assert one.out.replace("one", "many") == many.out
+        for name in ["study.json"] + [
+                f"{label.replace(' ', '_')}.svg" for label in labels]:
+            assert (tmp_path / "one" / name).read_bytes() == \
+                (tmp_path / "many" / name).read_bytes()
+
     def test_bad_replication_count_exits_two(self, tmp_path):
         assert main(["simulate", "null", "--beta0", "-1", "--n", "100",
                      "--reps", "0", "--seed", "1",
@@ -307,7 +334,11 @@ class TestCmdSimulate:
         (["power", "--n", "1000", "--b", "1", "-1"], "b must be positive"),
         (["null", "--n", "1000", "--beta0", "-1", "-1"],
          "share the figure name 'null_beta0=-1_n=1000'"),
-    ], ids=["power-n-below-groups", "nonpositive-b", "repeated-beta0"])
+        (["power", "--n", "1000", "--a", "0", "inf"], "a must be finite"),
+        (["power", "--n", "1000", "--b", "inf"], "b must be finite"),
+        (["null", "--n", "1000", "--beta0", "nan"], "beta0 must be finite"),
+    ], ids=["power-n-below-groups", "nonpositive-b", "repeated-beta0",
+            "infinite-a", "infinite-b", "nan-beta0"])
     def test_bad_cell_exits_before_any_replicate(self, tmp_path, monkeypatch,
                                                  capsys, argv, message):
         def no_replicate(*args):

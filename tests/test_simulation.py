@@ -1,12 +1,15 @@
 """Scenario generators and study runners."""
 
+import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from calibwalk import simulation
-from calibwalk.dataio import analyze
+from calibwalk import _pool, simulation
+from calibwalk.dataio import analyze, write_study_json
 from calibwalk.simulation import (
     HL_GROUPS,
     SimulationScenario,
@@ -39,6 +42,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="n=9 is smaller than groups=10"):
             SimulationScenario(family="logit_power", n=9, replications=5,
                                seed=0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["beta0", "a", "b"])
+    def test_rejects_non_finite_grid_values(self, name, value):
+        family = "null" if name == "beta0" else "logit_linear"
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SimulationScenario(family=family, n=10, replications=5, seed=0,
+                               **{name: value})
+
+    def test_non_finite_grid_value_fails_before_any_replicate(
+            self, monkeypatch):
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "_generate_block", no_replicate)
+        with pytest.raises(ValueError, match="a must be finite"):
+            run_power_study("logit_linear", [0.0, math.inf], [1.0], [20],
+                            replications=3000, seed=0)
+        with pytest.raises(ValueError, match="b must be finite"):
+            run_power_study("logit_power", [0.0], [1.0, math.inf], [20],
+                            replications=3000, seed=0)
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            run_null_study([-1.0, math.nan], [20], replications=3000, seed=0)
 
 
 class TestGenerators:
@@ -253,6 +279,190 @@ class TestBlocksMatchAnalyze:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def _use_cpus(monkeypatch, cpus):
+    # spans of one block each, and the scratch budget lifted, so that the
+    # CPU count alone sets the workers (up to the number of spans)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
+    monkeypatch.setattr(simulation, "_STUDY_SCRATCH_VALUES", 1 << 40)
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+# (name, study): 16 spans over eight power cells, the n = 1000 cells in two
+# spans of 4 rows and a short one of 1; 12 spans over four null cells,
+# n = 4099 in one-row spans; and 3 spans of one cell, fewer than 8 workers
+POOL_STUDIES = [
+    ("power", lambda: run_power_study("logit_linear", [0.0, 0.5], [1.0, 3.0],
+                                      [10, 1000], replications=9, seed=4)),
+    ("null", lambda: run_null_study([-1.0, 0.0], [7, 4099], replications=5,
+                                    seed=2)),
+    ("three-spans", lambda: run_null_study([0.0], [1000], replications=10,
+                                           seed=3)),
+]
+
+
+def _span_pids(monkeypatch, tmp_path, before):
+    """Patch ``_run_span`` to log the pid of the process that runs each
+    span and then call ``before(is_parent, start, pids)``; return ``pids``,
+    which reads the log."""
+    parent, log = os.getpid(), tmp_path / "pids"
+    run_span = simulation._run_span
+
+    def pids():
+        return list(map(int, log.read_text().split()))
+
+    def logged(scenario, start, stop):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        before(os.getpid() == parent, start, pids)
+        return run_span(scenario, start, stop)
+
+    monkeypatch.setattr(simulation, "_run_span", logged)
+    return pids
+
+
+def _wait_for_workers(pids, count):
+    """Wait, up to 30 s, until ``count`` processes have started a span."""
+    deadline = time.monotonic() + 30
+    while len(set(pids())) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name, study", POOL_STUDIES,
+                             ids=[name for name, _ in POOL_STUDIES])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, tmp_path,
+                                                cpus, name, study):
+        _use_cpus(monkeypatch, cpus)
+        got = study()
+        # each cell as one span, in this process
+        want = [simulation._summary(s.scenario, [simulation._run_span(
+            s.scenario, 0, s.scenario.replications)]) for s in got]
+        assert got == want
+        for g, w in zip(got, want):
+            assert set(g.pvalues) == set(w.pvalues)
+            for test in w.pvalues:
+                np.testing.assert_array_equal(g.pvalues[test].view(np.uint64),
+                                              w.pvalues[test].view(np.uint64))
+        write_study_json(got, tmp_path / "got.json")
+        write_study_json(want, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == \
+            (tmp_path / "want.json").read_bytes()
+        assert _no_children()
+
+    def test_spans_run_in_forked_workers(self, monkeypatch, tmp_path):
+        def before(is_parent, start, pids):
+            if is_parent:
+                _wait_for_workers(pids, 3)
+            else:
+                time.sleep(0.02)
+
+        _use_cpus(monkeypatch, 3)
+        pids = _span_pids(monkeypatch, tmp_path, before)
+        run_null_study([0.0], [1000], replications=160, seed=3)  # 40 spans
+        assert len(pids()) == 40
+        assert os.getpid() in pids() and len(set(pids())) == 3
+        assert _no_children()
+
+    def test_error_in_a_child_reaches_the_caller(self, monkeypatch,
+                                                 tmp_path):
+        def before(is_parent, start, pids):
+            if is_parent:
+                _wait_for_workers(pids, 2)
+            else:
+                raise LookupError(f"span at {start} failed")
+
+        _use_cpus(monkeypatch, 2)
+        _span_pids(monkeypatch, tmp_path, before)
+        with pytest.raises(LookupError,
+                           match=r"^span at \d+ failed$") as caught:
+            run_null_study([0.0], [1000], replications=40, seed=3)
+        assert type(caught.value) is LookupError
+        assert "in a worker process" in str(caught.value.__cause__)
+        assert _no_children()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_error_in_the_parent_kills_the_children(self, monkeypatch,
+                                                    tmp_path, error):
+        def before(is_parent, start, pids):
+            if is_parent:
+                _wait_for_workers(pids, 3)
+                raise error("parent failed")
+            time.sleep(0.05)
+
+        _use_cpus(monkeypatch, 3)
+        pids = _span_pids(monkeypatch, tmp_path, before)
+        with pytest.raises(error, match="parent failed"):
+            run_null_study([0.0], [1000], replications=400, seed=3)
+        assert len(set(pids())) == 3
+        # of 100 spans, the children ran the few they held when killed
+        assert len(pids()) < 20
+        assert _no_children()
+
+    def test_more_tasks_than_the_claims_pipe_holds(self):
+        # 20000 four-byte claims overfill a 64 KiB pipe: the parent tops it
+        # up between its own tasks and takes the next unwritten index
+        results = {}
+
+        def collect(index, result):
+            assert index not in results
+            results[index] = result
+
+        _pool.run_forked(lambda index: index * index, 20_000, 3, collect)
+        assert results == {index: index * index for index in range(20_000)}
+        assert _no_children()
+
+    def test_one_span_study_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(os, "fork", no_fork)
+        # 64 rows at n = 1000 fill one span of the real size
+        summary = run_power_study("logit_power", [0.0], [1.0], [1000],
+                                  replications=64, seed=1)[0]
+        assert len(summary.pvalues["lr"]) == 64
+
+    def test_progress_reports_each_cell_once(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        calls = []
+        summaries = run_null_study(
+            [-1.0, 0.0], [7, 1000], replications=9, seed=2,
+            progress=lambda done, total, summary: calls.append(
+                (done, total, summary.scenario.label)))
+        assert [done for done, _, _ in calls] == [1, 2, 3, 4]
+        assert {total for _, total, _ in calls} == {4}
+        assert sorted(label for _, _, label in calls) == \
+            sorted(s.scenario.label for s in summaries)
+
+    @pytest.mark.parametrize("n, workers",
+                             [(1000, 8), (100_000, 2), ((1 << 18) + 1, 1)])
+    def test_scratch_budget_caps_the_workers(self, monkeypatch, n, workers):
+        # 8 CPUs under the real budget, which allows 65 workers at n = 1000
+        # and two at n = 1e5
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+        chosen = []
+
+        def in_order(task, count, workers, collect):
+            chosen.append(workers)
+            for index in range(count):
+                collect(index, task(index))
+
+        monkeypatch.setattr(simulation, "run_forked", in_order)
+        monkeypatch.setattr(simulation, "_run_span",
+                            lambda scenario, start, stop: (
+                                {"bm": np.zeros(stop - start),
+                                 "bb": np.zeros(stop - start)}, 0))
+        run_null_study([0.0], [n], replications=5000, seed=0)
+        assert chosen == [workers]
 
 
 class TestPvalueEcdf:
