@@ -65,12 +65,16 @@ _STUDY_BLOCK_VALUES = 1 << 12
 # values)) whole blocks, 64 rows at n = 1000.  It does not depend on the
 # number of workers.
 _SPAN_VALUES = 1 << 16
-# Block values that all study workers may hold together; each holds one
-# block at a time, whose scratch peaks near 100 bytes a value (0.42 MB at
-# n = 1000, 9.6 MB at n = 1e5), so about 26 MB in all.  It caps the
-# workers, at 65 for n = 1000, 2 for n = 1e5 and 1 above n = 2^17, so
-# scratch memory does not grow with the number of CPUs.
-_STUDY_SCRATCH_VALUES = 1 << 18
+# Bytes of memory that all study workers may take together.  A worker
+# takes _WORKER_BYTES of pages of its own (what a forked child copies on
+# write, its results and its interpreter state: 6.0 MB a child at n = 1000
+# with 2 to 16 workers, on a 2-vCPU host) and _WORKER_BYTES_PER_VALUE per
+# value of its block (17.8 MB in all for a child at n = 1e5).  The budget caps the
+# workers at 19 for n = 1000, 7 for n = 1e5 and 1 above n = 506811, so the
+# memory a study takes does not grow with the number of CPUs.
+_STUDY_MEMORY_BYTES = 1 << 27
+_WORKER_BYTES = 6 << 20
+_WORKER_BYTES_PER_VALUE = 120
 
 
 @dataclass(frozen=True)
@@ -298,7 +302,7 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     before the first replicate; then run every cell's spans.
 
     The spans run on ``_usable_cpus()`` worker processes (``run_forked``),
-    capped at the number of spans and by ``_STUDY_SCRATCH_VALUES``; each
+    capped at the number of spans and by ``_STUDY_MEMORY_BYTES``; each
     worker claims the next span as it finishes one.  Every replicate draws
     from its own stream and spans are put back in replicate order, so the
     summaries are bit-identical for any number of workers.  When a cell's
@@ -338,8 +342,9 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
             progress(done, len(scenarios), summaries[cell])
 
     block_values = max(_block_rows(s) * s.n for s in scenarios)
+    worker_bytes = _WORKER_BYTES + _WORKER_BYTES_PER_VALUE * block_values
     workers = min(_usable_cpus(), len(spans),
-                  max(1, _STUDY_SCRATCH_VALUES // block_values))
+                  max(1, _STUDY_MEMORY_BYTES // worker_bytes))
     run_forked(task, len(spans), workers, collect)
     return summaries
 

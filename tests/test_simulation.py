@@ -282,11 +282,11 @@ class TestBlocksMatchAnalyze:
 
 
 def _use_cpus(monkeypatch, cpus):
-    # spans of one block each, and the scratch budget lifted, so that the
+    # spans of one block each, and the memory budget lifted, so that the
     # CPU count alone sets the workers (up to the number of spans)
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
-    monkeypatch.setattr(simulation, "_STUDY_SCRATCH_VALUES", 1 << 40)
+    monkeypatch.setattr(simulation, "_STUDY_MEMORY_BYTES", 1 << 60)
 
 
 def _no_children():
@@ -420,6 +420,27 @@ class TestWorkerProcesses:
         assert results == {index: index * index for index in range(20_000)}
         assert _no_children()
 
+    def test_child_runs_on_while_the_parent_is_busy(self):
+        # every result (160 kB) overfills a 64 KiB pipe, and the parent's
+        # task takes 1 s: the child runs all the others meanwhile instead
+        # of waiting for the parent to read its first result
+        parent, ran = os.getpid(), {}
+
+        def task(index):
+            if os.getpid() == parent:
+                time.sleep(1.0)
+            return os.getpid(), np.full(20_000, float(index))
+
+        def collect(index, result):
+            pid, values = result
+            assert (values == index).all()
+            ran[index] = pid
+
+        _pool.run_forked(task, 12, 2, collect)
+        assert sorted(ran) == list(range(12))
+        assert list(ran.values()).count(parent) <= 1
+        assert _no_children()
+
     def test_one_span_study_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
@@ -444,11 +465,11 @@ class TestWorkerProcesses:
             sorted(s.scenario.label for s in summaries)
 
     @pytest.mark.parametrize("n, workers",
-                             [(1000, 8), (100_000, 2), ((1 << 18) + 1, 1)])
-    def test_scratch_budget_caps_the_workers(self, monkeypatch, n, workers):
-        # 8 CPUs under the real budget, which allows 65 workers at n = 1000
-        # and two at n = 1e5
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+                             [(1000, 19), (100_000, 7), (506_811, 2),
+                              (506_812, 1)])
+    def test_memory_budget_caps_the_workers(self, monkeypatch, n, workers):
+        # 64 CPUs under the real budget
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 64)
         chosen = []
 
         def in_order(task, count, workers, collect):
