@@ -3,8 +3,9 @@
 The Monte Carlo engine runs its blocks on threads, because its numpy passes
 release the GIL.  A study replicate spends most of its time in Python and
 numpy call overhead under the GIL, so studies run their spans in processes
-(``run_forked``).  Both size themselves from ``_usable_cpus()`` and have no
-option to set.
+(``run_forked``).  ``read_dataset_csv`` parses a CSV file's row ranges in
+processes too: numpy's loader holds the GIL.  All three size themselves
+from ``_usable_cpus()`` and have no option to set.
 
 ``run_forked`` is a pool of its own rather than ``multiprocessing.Pool`` or
 ``ProcessPoolExecutor``: with those the calling process only waits, which

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import mmap
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -20,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _pool
 from ._version import __version__
 from .data import (
     CalibrationDataset,
@@ -42,6 +44,15 @@ from .stattests import (
 )
 
 SCHEMA_VERSION = 1
+
+# A CSV file is parsed in ranges of whole lines of at least this many bytes,
+# at most one range per usable CPU: on a smaller range a forked worker costs
+# more than it saves.
+_RANGE_BYTES = 1 << 20
+
+# numpy's loader opens a file with one of these suffixes through a
+# decompressor; calibwalk reads every file as plain text
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 # Total variance (proxy for effective sample size) below which the
 # asymptotic references are not trustworthy.
@@ -132,13 +143,28 @@ def read_dataset_csv(source, prediction_column: str = "p",
     UTF-8 byte-order mark are all tolerated; extra columns are ignored.
     Parse errors name the offending data row (1-based, header and blank
     lines excluded).
+
+    A path is parsed on every usable CPU, with no option to set: the
+    calling process and processes forked from it parse one range of whole
+    lines each, of at least 1 MiB, with numpy's chunked file reader.  One
+    stream reader reads a stream instead, and a file in which a line may
+    not be one row: one that holds a ``"``, an empty line before its end,
+    or a carriage return outside CRLF.  So it does a file whose name ends
+    in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` (read as plain text), and a
+    file whose split parse fails, so that the error names its row.  Both
+    readers give the same arrays.
     """
     if hasattr(source, "read"):
         return _read_csv_stream(source, prediction_column, outcome_column,
                                 clamp_epsilon)
     with open(source, newline="", encoding="utf-8-sig") as handle:
-        return _read_csv_stream(handle, prediction_column, outcome_column,
-                                clamp_epsilon)
+        usecols = _read_header(handle, prediction_column, outcome_column)
+        table = _read_csv_ranges(source, usecols)
+        if table is None:
+            handle.seek(0)
+            return _read_csv_stream(handle, prediction_column,
+                                    outcome_column, clamp_epsilon)
+    return _to_dataset(table, clamp_epsilon)
 
 
 def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
@@ -147,6 +173,19 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
     except OSError:  # a pipe, or a file already iterated with next()
         stream = io.StringIO(stream.read())
         start = 0
+    usecols = _read_header(stream, prediction_column, outcome_column)
+    try:
+        table = _loadtxt(stream, usecols)
+    except ValueError:
+        # numpy does not say which data row failed: rescan to name it
+        stream.seek(start)
+        _check_rows(stream, prediction_column, outcome_column)
+        raise
+    return _to_dataset(table, clamp_epsilon)
+
+
+def _read_header(stream, prediction_column, outcome_column):
+    """The indices of the two named columns, from the header row."""
     try:
         header = next(csv.reader(stream), None)
     except csv.Error as exc:  # e.g. a field over csv's size limit
@@ -158,23 +197,102 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
     for column in (prediction_column, outcome_column):
         if column not in position:
             raise ValueError(f"missing column {column!r} (found {header})")
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            predictions, outcomes = np.loadtxt(
-                stream, dtype=np.float64, delimiter=",", quotechar='"',
-                comments=None, ndmin=2, unpack=True,
-                usecols=(position[prediction_column],
-                         position[outcome_column]),
-            )
-    except ValueError:
-        # numpy does not say which data row failed: rescan to name it
-        stream.seek(start)
-        _check_rows(stream, prediction_column, outcome_column)
-        raise
-    if predictions.size == 0:
+    return position[prediction_column], position[outcome_column]
+
+
+def _loadtxt(source, usecols, **options):
+    """The ``usecols`` columns of ``source`` as a (rows, 2) float array."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no")
+        return np.loadtxt(source, dtype=np.float64, delimiter=",",
+                          quotechar='"', comments=None, ndmin=2,
+                          usecols=usecols, **options)
+
+
+def _to_dataset(table, clamp_epsilon):
+    if table.size == 0:
         raise ValueError("no data rows")
-    return build_dataset(predictions, outcomes, clamp_epsilon)
+    return build_dataset(table[:, 0], table[:, 1], clamp_epsilon)
+
+
+def _read_csv_ranges(source, usecols):
+    """The (rows, 2) table of the CSV file ``source``, its ranges of rows
+    parsed by numpy's chunked file reader on every usable CPU; None where
+    the stream reader must read the file instead.
+
+    Each worker writes its rows into one table in memory shared with the
+    forked workers, so no rows are sent back through a pipe.
+    """
+    if not isinstance(source, (str, bytes, os.PathLike)):
+        return None  # a file descriptor
+    # absolute, so that numpy's loader never takes the name for a URL
+    path = os.path.abspath(os.fsdecode(source))
+    if path.endswith(_COMPRESSED_SUFFIXES):
+        return None
+    bounds = _row_bounds(path, _pool._usable_cpus())
+    if bounds is None:
+        return None
+    table = np.frombuffer(mmap.mmap(-1, 16 * bounds[-1]),
+                          np.float64).reshape(-1, 2)
+
+    def parse(index):
+        start, stop = bounds[index], bounds[index + 1]
+        # line 0 is the header and no line is empty, so row i is line i + 1;
+        # a range with fewer rows than lines fails to broadcast
+        table[start:stop] = _loadtxt(path, usecols, skiprows=start + 1,
+                                     max_rows=stop - start,
+                                     encoding="utf-8-sig")
+
+    ranges = len(bounds) - 1
+    try:
+        _pool.run_forked(parse, ranges, ranges, lambda index, result: None)
+    except ValueError:
+        return None  # the stream reader's error names the row
+    return table
+
+
+def _row_bounds(path, workers):
+    """The body of the CSV file at ``path`` cut into at most ``workers``
+    ranges of whole lines of about ``_RANGE_BYTES`` or more, as the index of
+    each range's first row and, last, the number of rows.
+
+    None where the lines that end in ``\\n`` may not be numpy's rows: a
+    carriage return outside CRLF ends a line too, a quoted field may span
+    lines, and an empty line counts in numpy's ``skiprows`` but not in its
+    ``max_rows``.  None too for a file with no rows.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if b'"' in data:
+        return None
+    # empty lines at the end are past the last row
+    end = len(data)
+    while end and data[end - 1] in b"\r\n":
+        end -= 1
+    codes = np.frombuffer(data, np.uint8)
+    newline = codes == 10
+    empty = newline[:end - 1] & newline[1:end]
+    if b"\r" in data:
+        carriage = codes == 13
+        if carriage[-1] or np.any(carriage[:-1] & ~newline[1:]):
+            return None
+        empty |= newline[:end - 1] & carriage[1:end]  # an empty CRLF line
+    if empty.any():
+        return None
+    body = data.find(b"\n", 0, end) + 1  # after the header line
+    if not body:
+        return None
+    parts = max(1, min(workers, (end - body) // _RANGE_BYTES))
+    cuts = []
+    for k in range(1, parts):
+        cut = data.find(b"\n", body + (end - body) * k // parts, end) + 1
+        if cut and cut not in cuts:  # a line may span several targets
+            cuts.append(cut)
+    # every line from the body on ends in a newline but the last
+    rows = [int(np.count_nonzero(newline[start:stop]))
+            for start, stop in zip([body, *cuts], [*cuts, end])]
+    rows[-1] += 1
+    return np.cumsum([0, *rows]).tolist()
 
 
 def _check_rows(stream, prediction_column, outcome_column):

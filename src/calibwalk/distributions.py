@@ -139,12 +139,13 @@ def kolmogorov_sf(a: float) -> float:
     return _clip_probability(_kolmogorov_sf_alternating(a))
 
 
-def _kolmogorov_log_sf(a: float) -> float:
-    """log P(sup |B(t)| >= a); finite even when the survival underflows."""
+def _kolmogorov_sf_and_log(a: float) -> tuple[float, float]:
+    """``kolmogorov_sf(a)`` and its log, which stays finite when the
+    survival underflows."""
     sf = kolmogorov_sf(a)
     if sf > 0.0:
-        return math.log(sf)
-    return math.log(2.0) - 2.0 * a * a
+        return sf, math.log(sf)
+    return sf, math.log(2.0) - 2.0 * a * a
 
 
 def conditional_sup_cdf(a: float, b: float) -> float:
@@ -178,13 +179,17 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _normal_two_sided_log_p(x: float) -> float:
-    """log(2 * Phi(-|x|)); asymptotic continuation past erfc underflow."""
+def _normal_two_sided_p_and_log(x: float) -> tuple[float, float]:
+    """2 * Phi(-|x|), rounded as ``2 * std_normal_cdf(-abs(x))``, and its
+    log from the unscaled erfc, with an asymptotic continuation past erfc
+    underflow.  The two differ where 0.5 * erfc rounds into the subnormals.
+    """
     x = abs(x)
-    p = math.erfc(x / math.sqrt(2.0))
-    if p > 0.0:
-        return math.log(p)
-    return -0.5 * x * x - math.log(x * math.sqrt(math.pi / 2.0))
+    tail = math.erfc(x / math.sqrt(2.0))
+    p = min(1.0, 2.0 * (0.5 * tail))
+    if tail > 0.0:
+        return p, math.log(tail)
+    return p, -0.5 * x * x - math.log(x * math.sqrt(math.pi / 2.0))
 
 
 def _log_gamma_prefactor(s, x):

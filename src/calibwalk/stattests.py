@@ -107,12 +107,11 @@ def bb_test_from_process(stats: WalkStatistics) -> BBTestResult:
     the bridged walk a Kolmogorov p-value; the two are asymptotically
     independent and are pooled by Fisher's method (chi-square, 4 df).
     """
-    p_a = min(1.0, 2.0 * dist.std_normal_cdf(-abs(stats.s_n)))
-    p_b = dist.kolmogorov_sf(stats.b_star)
+    p_a, log_p_a = dist._normal_two_sided_p_and_log(stats.s_n)
+    p_b, log_p_b = dist._kolmogorov_sf_and_log(stats.b_star)
     # Fisher combination in log space so underflowing components still
     # produce a well-defined unified p-value.
-    fisher = -2.0 * (dist._normal_two_sided_log_p(stats.s_n)
-                     + dist._kolmogorov_log_sf(stats.b_star))
+    fisher = -2.0 * (log_p_a + log_p_b)
     return BBTestResult(
         c_n=stats.c_n,
         s_n=stats.s_n,

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from calibwalk import (
@@ -171,6 +171,170 @@ class TestCsvContract:
         assert data.predictions.tobytes() == expected.predictions.tobytes()
         assert data.outcomes.tobytes() == expected.outcomes.tobytes()
         assert data.tie_flag == expected.tie_flag
+
+
+# over csv's default 131072-character field limit
+_BIG = "x" * 200_000
+
+# every grammar case of TestReadCsv and TestCsvContract, as file bytes and
+# read_dataset_csv keyword arguments
+_GRAMMAR = {
+    "two_points": (b"p,y\n0.2,0\n0.6,1\n", {}),
+    "nonnumeric": (b"p,y\n0.5,yes\n", {}),
+    "extra_columns": (b"id,p,extra,y\n7,0.2,x,0\n8,0.6,z,1\n", {}),
+    "repeated_column": (b"p,y,p\n0.1,0,0.2\n0.3,1,0.4\n0.5,0,0.6\n", {}),
+    "custom_names": (b"risk,event\n0.3,1\n0.4,0\n",
+                     {"prediction_column": "risk",
+                      "outcome_column": "event"}),
+    "missing_column": (b"a,b\n1,2\n", {}),
+    "empty": (b"", {}),
+    "header_only": (b"p,y\n", {}),
+    "header_only_no_newline": (b"p,y", {}),
+    "crlf_bom": (b"\xef\xbb\xbfp,y\r\n0.2,0\r\n0.6,1\r\n", {}),
+    "clamp": (b"p,y\n1.0,1\n0.5,0\n", {"clamp_epsilon": 1e-6}),
+    "quoted": (b'"p","y"\n"0.2","0"\n"0.6",1\n', {}),
+    "blank_lines": (b"p,y\n0.2,0\n\n0.6,1\n\n", {}),
+    "blank_line_then_bad_cell": (b"p,y\n0.2,0\n\n0.6,x\n", {}),
+    "trailing_blank_lines": (b"p,y\n0.2,0\n0.6,1\n0.7,0\n\n\r\n\n", {}),
+    "short_row": (b"p,y\n0.2,0\n0.6\n0.7,1\n", {}),
+    "padded": (b"p,y\n 0.2 , 1 \n0.6,0\n", {}),
+    "whitespace_line": (b"p,y\n0.2,0\n  \n0.6,1\n", {}),
+    "hash_cells": (b"id,p,y\n#1,0.2,0\n#2,0.6,1\n", {}),
+    "hash_suffix": (b"p,y\n0.2,0\n0.6#,1\n", {}),
+    "bad_outcome": (b"p,y\n0.2,0\n0.3,1\n0.6,yes\n", {}),
+    "bom_crlf_extra": (b'\xef\xbb\xbfid,p,note,y\r\n1,0.2,"a,b",0\r\n'
+                       b"2,0.6,c,1\r\n", {}),
+    "oversized_header": (f"p,y,{_BIG}\n0.2,0,a\n".encode(), {}),
+    "oversized_field": (f"p,y,note\n0.2,0,a\n\n0.3,1,{_BIG}\n0.6,q,b\n"
+                        .encode(), {}),
+    "oversized_field_valid": (f"p,y,note\n0.2,0,a\n\n0.3,1,{_BIG}\n0.6,1,b\n"
+                              .encode(), {}),
+    "oversized_field_no_blank": (f"p,y,note\n0.2,0,a\n0.3,1,{_BIG}\n"
+                                 f"0.6,q,b\n".encode(), {}),
+    "invalid_utf8": (b"p,y\n0.2,0\n0.6,\xff\n", {}),
+    "out_of_range": (b"p,y\n0.2,0\n1.6,1\n", {}),
+}
+
+
+@pytest.fixture
+def split_files(monkeypatch):
+    """Cut CSV files into ranges of a few bytes, on up to three workers."""
+    monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
+    monkeypatch.setattr(dataio._pool, "_usable_cpus", lambda: 3)
+
+
+def _outcome(read):
+    """The arrays ``read()`` returns, or the type and text it raises."""
+    try:
+        data = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (data.predictions.tobytes(), data.outcomes.tobytes(),
+            data.tie_flag)
+
+
+def _stream_outcome(raw, **kwargs):
+    text = raw.decode("utf-8-sig")
+    return _outcome(lambda: read_dataset_csv(io.StringIO(text, newline=""),
+                                             **kwargs))
+
+
+def _csv_lines(rows):
+    return "p,y\n" + "".join(f"{p!r},{y}\n" for p, y in rows)
+
+
+class TestPathMatchesStream:
+    """A path is parsed in row ranges; it must read as the same text in a
+    stream does, arrays or error alike."""
+
+    @pytest.mark.parametrize("case", sorted(_GRAMMAR))
+    def test_grammar_case(self, case, tmp_path, split_files):
+        raw, kwargs = _GRAMMAR[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        if case == "invalid_utf8":  # no text for a stream to hold
+            with pytest.raises(UnicodeDecodeError):
+                read_dataset_csv(path)
+            return
+        assert _outcome(lambda: read_dataset_csv(path, **kwargs)) == \
+            _stream_outcome(raw, **kwargs)
+
+    def test_files_split_into_ranges(self, tmp_path, split_files):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_GRAMMAR["crlf_bom"][0])
+        assert dataio._row_bounds(str(path), 3) == [0, 1, 2]
+        path.write_bytes(_GRAMMAR["bad_outcome"][0])
+        assert dataio._row_bounds(str(path), 3) == [0, 2, 3]
+
+    @given(st.lists(
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.integers(0, 1)),
+        min_size=3, max_size=40))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_repr_floats_read_back_bit_identical(self, tmp_path, split_files,
+                                                 rows):
+        path = tmp_path / "d.csv"
+        path.write_text(_csv_lines(rows), encoding="utf-8")
+        assert len(dataio._row_bounds(str(path), 3)) > 2
+        data = read_dataset_csv(path)
+        expected = build_dataset([p for p, _ in rows], [y for _, y in rows])
+        assert data.predictions.tobytes() == expected.predictions.tobytes()
+        assert data.outcomes.tobytes() == expected.outcomes.tobytes()
+        assert data.tie_flag == expected.tie_flag
+
+    def test_bad_cell_in_last_range_names_its_row(self, tmp_path,
+                                                  split_files):
+        text = _csv_lines([(0.01 * i, i % 2) for i in range(1, 30)])
+        path = tmp_path / "d.csv"
+        path.write_text(text + "0.5,yes\n", encoding="utf-8")
+        assert len(dataio._row_bounds(str(path), 3)) == 4
+        with pytest.raises(
+                ValueError,
+                match=r"^non-numeric value 'yes' in column 'y' at row 30$"):
+            read_dataset_csv(path)
+
+
+class TestStreamReaderFallback:
+    """Files whose lines may not be numpy's rows take the stream reader."""
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_reads_as_text(self, suffix, tmp_path,
+                                             split_files):
+        raw = _GRAMMAR["bad_outcome"][0].replace(b"yes", b"1")
+        path = tmp_path / f"data.csv{suffix}"
+        path.write_bytes(raw)
+        assert _outcome(lambda: read_dataset_csv(path)) == \
+            _stream_outcome(raw)
+
+    @pytest.mark.parametrize("raw", [
+        b'p,y,note\n0.2,0,"a"\n0.3,1,b\n0.6,1,c\n',
+        b"p,y\n0.2,0\n0.3,1\n\n0.6,1\n",
+        b"p,y\n0.2,0\n0.3,1\r0.6,1\n0.7,0\n",
+    ], ids=["quoted_column", "interior_empty_line", "lone_carriage_return"])
+    def test_lines_that_may_not_be_rows(self, raw, tmp_path, split_files):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        assert dataio._row_bounds(str(path), 3) is None
+        assert _outcome(lambda: read_dataset_csv(path)) == \
+            _stream_outcome(raw)
+
+    def test_ranges_run_in_process_without_fork(self, tmp_path, split_files,
+                                                monkeypatch):
+        rows = [(0.01 * i, i % 2) for i in range(1, 30)]
+        path = tmp_path / "d.csv"
+        path.write_text(_csv_lines(rows), encoding="utf-8")
+        expected = build_dataset([p for p, _ in rows], [y for _, y in rows])
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(dataio._pool, "_can_fork", lambda: False)
+        monkeypatch.setattr(dataio._pool.os, "fork", no_fork)
+        assert len(dataio._row_bounds(str(path), 3)) == 4
+        data = read_dataset_csv(path)
+        assert data.predictions.tobytes() == expected.predictions.tobytes()
+        assert data.outcomes.tobytes() == expected.outcomes.tobytes()
 
 
 def _field_names(cls):

@@ -11,8 +11,8 @@ from calibwalk.distributions import (
     _clip_probability,
     _kolmogorov_cdf_alternating,
     _kolmogorov_cdf_theta,
-    _kolmogorov_log_sf,
-    _normal_two_sided_log_p,
+    _kolmogorov_sf_and_log,
+    _normal_two_sided_p_and_log,
     chi_square_sf,
     conditional_sup_cdf,
     critical_value,
@@ -125,8 +125,8 @@ class TestKolmogorov:
     def test_log_sf_extends_past_underflow(self):
         a = 30.0
         assert kolmogorov_sf(a) == 0.0
-        assert _kolmogorov_log_sf(a) == pytest.approx(
-            math.log(2.0) - 2.0 * a * a
+        assert _kolmogorov_sf_and_log(a) == pytest.approx(
+            (0.0, math.log(2.0) - 2.0 * a * a)
         )
 
     def test_monotone_and_in_range(self):
@@ -217,13 +217,14 @@ class TestStdNormal:
 
     def test_log_two_sided_matches_direct(self):
         for x in (0.0, 0.5, 3.0, 10.0):
-            assert _normal_two_sided_log_p(x) == pytest.approx(
+            assert _normal_two_sided_p_and_log(x)[1] == pytest.approx(
                 math.log(2.0 * std_normal_cdf(-abs(x))), rel=1e-10
             )
 
     def test_log_two_sided_past_underflow(self):
         # erfc underflows near 38; the asymptotic branch must stay finite
-        value = _normal_two_sided_log_p(60.0)
+        p, value = _normal_two_sided_p_and_log(60.0)
+        assert p == 0.0
         assert math.isfinite(value)
         assert value == pytest.approx(-0.5 * 60.0 ** 2, rel=1e-2)
 

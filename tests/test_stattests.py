@@ -1,5 +1,6 @@
 """Walk tests, comparators, and simulation-based variants."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -120,6 +121,20 @@ class TestBBTest:
         _, result = _walk_tests(data)
         assert result.s_n == 0.0
         assert result.p_a == 1.0
+
+    def test_subnormal_terminal_tail_keeps_both_roundings(self):
+        # where 0.5 * erfc rounds into the subnormals, p_a keeps that
+        # rounding and the Fisher sum takes the log of the unscaled erfc
+        stats = walk_statistics(cumulative_process(_random_dataset(0)))
+        rounded = 0
+        for s_n in np.linspace(37.6, 38.2, 61).tolist():
+            tail = math.erfc(s_n / math.sqrt(2.0))
+            rounded += math.log(2.0 * (0.5 * tail)) != math.log(tail)
+            result = bb_test_from_process(dataclasses.replace(stats, s_n=s_n))
+            assert result.p_a == 2.0 * std_normal_cdf(-s_n)
+            fisher = -2.0 * (math.log(tail) + math.log(result.p_b))
+            assert result.p_unified == chi_square_sf(fisher, 4)
+        assert rounded
 
 
 class TestConditionalBMTest:
