@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -196,6 +198,8 @@ _GRAMMAR = {
     "blank_lines": (b"p,y\n0.2,0\n\n0.6,1\n\n", {}),
     "blank_line_then_bad_cell": (b"p,y\n0.2,0\n\n0.6,x\n", {}),
     "trailing_blank_lines": (b"p,y\n0.2,0\n0.6,1\n0.7,0\n\n\r\n\n", {}),
+    "final_carriage_return": (b"p,y\n0.2,0\n0.3,1\n0.6,1\r", {}),
+    "trailing_lone_carriage_returns": (b"p,y\r\n0.2,0\r\n0.6,1\r\r\n\r", {}),
     "short_row": (b"p,y\n0.2,0\n0.6\n0.7,1\n", {}),
     "padded": (b"p,y\n 0.2 , 1 \n0.6,0\n", {}),
     "whitespace_line": (b"p,y\n0.2,0\n  \n0.6,1\n", {}),
@@ -213,6 +217,15 @@ _GRAMMAR = {
                                  f"0.6,q,b\n".encode(), {}),
     "invalid_utf8": (b"p,y\n0.2,0\n0.6,\xff\n", {}),
     "out_of_range": (b"p,y\n0.2,0\n1.6,1\n", {}),
+}
+
+
+# files whose lines ending in \n may not be numpy's rows
+_NOT_ROWS = {
+    "quoted_column": b'p,y,note\n0.2,0,"a"\n0.3,1,b\n0.6,1,c\n',
+    "interior_empty_line": b"p,y\n0.2,0\n0.3,1\n\n0.6,1\n",
+    "lone_carriage_return": b"p,y\n0.2,0\n0.3,1\r0.6,1\n0.7,0\n",
+    "interior_empty_crlf_line": b"p,y\r\n0.2,0\r\n0.3,1\r\n\r\n0.6,1\r\n",
 }
 
 
@@ -265,6 +278,27 @@ class TestPathMatchesStream:
         assert dataio._row_bounds(str(path), 3) == [0, 1, 2]
         path.write_bytes(_GRAMMAR["bad_outcome"][0])
         assert dataio._row_bounds(str(path), 3) == [0, 2, 3]
+        path.write_bytes(_GRAMMAR["trailing_lone_carriage_returns"][0])
+        assert dataio._row_bounds(str(path), 3) == [0, 1, 2]
+
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 7])
+    def test_scan_blocks_give_the_same_bounds(self, scan_bytes, tmp_path,
+                                              split_files, monkeypatch):
+        path = tmp_path / "d.csv"
+        # each byte its own block at scan_bytes=1, so no 200 kB field
+        files = [raw for raw, _ in _GRAMMAR.values() if len(raw) < 1000]
+        files += _NOT_ROWS.values()
+
+        def all_bounds():
+            bounds = []
+            for raw in files:
+                path.write_bytes(raw)
+                bounds.append(dataio._row_bounds(str(path), 3))
+            return bounds
+
+        expected = all_bounds()
+        monkeypatch.setattr(dataio, "_SCAN_BYTES", scan_bytes)
+        assert all_bounds() == expected
 
     @given(st.lists(
         st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -307,11 +341,7 @@ class TestStreamReaderFallback:
         assert _outcome(lambda: read_dataset_csv(path)) == \
             _stream_outcome(raw)
 
-    @pytest.mark.parametrize("raw", [
-        b'p,y,note\n0.2,0,"a"\n0.3,1,b\n0.6,1,c\n',
-        b"p,y\n0.2,0\n0.3,1\n\n0.6,1\n",
-        b"p,y\n0.2,0\n0.3,1\r0.6,1\n0.7,0\n",
-    ], ids=["quoted_column", "interior_empty_line", "lone_carriage_return"])
+    @pytest.mark.parametrize("raw", _NOT_ROWS.values(), ids=_NOT_ROWS)
     def test_lines_that_may_not_be_rows(self, raw, tmp_path, split_files):
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
@@ -333,6 +363,69 @@ class TestStreamReaderFallback:
         monkeypatch.setattr(dataio._pool.os, "fork", no_fork)
         assert len(dataio._row_bounds(str(path), 3)) == 4
         data = read_dataset_csv(path)
+        assert data.predictions.tobytes() == expected.predictions.tobytes()
+        assert data.outcomes.tobytes() == expected.outcomes.tobytes()
+
+    @pytest.mark.parametrize("case", ["two_points", "quoted", "bad_outcome",
+                                      "crlf_bom"])
+    @pytest.mark.parametrize("kind", ["dev_fd_path", "file_descriptor"])
+    def test_pipe_reads_as_a_stream(self, case, kind, split_files):
+        raw, kwargs = _GRAMMAR[case]
+        read_end, write_end = os.pipe()
+        os.write(write_end, raw)
+        os.close(write_end)
+        try:
+            source = f"/dev/fd/{read_end}" if kind == "dev_fd_path" \
+                else read_end
+            outcome = _outcome(lambda: read_dataset_csv(source, **kwargs))
+        finally:
+            if kind == "dev_fd_path":  # open() closes a descriptor it gets
+                os.close(read_end)
+        assert outcome == _stream_outcome(raw, **kwargs)
+
+    def test_named_fifo_is_opened_once(self, tmp_path, split_files):
+        raw = _GRAMMAR["bad_outcome"][0].replace(b"yes", b"1")
+        fifo = tmp_path / "d.csv"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def write():
+            with open(fifo, "wb") as writer:
+                writer.write(raw)
+            if not done.wait(10):
+                # a second open for reading waits for a writer: end it
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    pass
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            outcome = _outcome(lambda: read_dataset_csv(fifo))
+        finally:
+            done.set()
+            writer.join(20)
+        assert not writer.is_alive()
+        assert outcome == _stream_outcome(raw)
+
+    def test_ranges_are_capped(self, tmp_path, split_files, monkeypatch):
+        rows = [(0.01 * i, i % 2) for i in range(1, 60)]
+        path = tmp_path / "d.csv"
+        path.write_text(_csv_lines(rows), encoding="utf-8")
+        expected = build_dataset([p for p, _ in rows], [y for _, y in rows])
+        row_bounds = dataio._row_bounds
+        ranges = []
+
+        def counted(path, workers):
+            bounds = row_bounds(path, workers)
+            ranges.append(len(bounds) - 1)
+            return bounds
+
+        monkeypatch.setattr(dataio._pool, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(dataio, "_row_bounds", counted)
+        data = read_dataset_csv(path)
+        assert ranges == [dataio._MAX_RANGES]
         assert data.predictions.tobytes() == expected.predictions.tobytes()
         assert data.outcomes.tobytes() == expected.outcomes.tobytes()
 
