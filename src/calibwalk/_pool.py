@@ -1,11 +1,11 @@
-"""Worker pools: the usable CPU count, and tasks run in forked processes.
+"""Worker pool: the usable CPU count, and tasks run in forked processes.
 
-The Monte Carlo engine runs its blocks on threads, because its numpy passes
-release the GIL.  A study replicate spends most of its time in Python and
-numpy call overhead under the GIL, so studies run their spans in processes
-(``run_forked``).  ``read_dataset_csv`` parses a CSV file's row ranges in
-processes too: numpy's loader holds the GIL.  All three size themselves
-from ``_usable_cpus()`` and have no option to set.
+The Monte Carlo engine's blocks, a study's spans and a CSV file's row
+ranges all run through ``run_forked``, in processes: a study replicate
+spends most of its time in Python and numpy call overhead under the GIL,
+and numpy's loader holds it too.  ``run_forked`` takes one worker per
+usable CPU (``_usable_cpus()``), capped by the caller, and has no option
+to set.
 
 ``run_forked`` is a pool of its own rather than ``multiprocessing.Pool`` or
 ``ProcessPoolExecutor``: with those the calling process only waits, which
@@ -25,6 +25,9 @@ import warnings
 # bytes of one claim record (a task index) and of a message's length prefix
 _RECORD = 4
 _HEADER = 8
+# bytes asked of a results pipe per read: a pipe's default capacity, so a
+# read does not allocate a larger buffer than the pipe can fill
+_READ = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -131,20 +134,23 @@ def run_forked(task, count, workers, collect):
     """Run ``task(i)`` for each i in ``range(count)`` and hand every result
     to ``collect(i, result)`` in this process, in the order they arrive.
 
-    This process is one worker, and ``workers - 1`` children made with
-    ``os.fork`` are the others; with one worker, or where ``os.fork`` is
-    missing or another Python thread runs, this process runs every task in
-    order.  Workers claim the next index from one pipe as they finish a
-    task.  The pipe is filled before the fork; if ``count`` is more than
-    it holds, this process tops it up between its own tasks and takes the
-    next index not yet written itself.  A child pickles each result back
-    over a pipe of its own, which this process reads between its own tasks.
+    The tasks run on one worker per usable CPU, at most ``count`` and at
+    most the caller's cap ``workers``.  This process is one worker, and
+    children made with ``os.fork`` are the others; with one worker, or
+    where ``os.fork`` is missing or another Python thread runs, this
+    process runs every task in order.  Workers claim the next index from
+    one pipe as they finish a task.  The pipe is filled before the fork; if
+    ``count`` is more than it holds, this process tops it up between its
+    own tasks and takes the next index not yet written itself.  A child
+    pickles each result back over a pipe of its own, which this process
+    reads between its own tasks.
 
     An exception in a child is raised here with its type and message, and
     its traceback as the cause.  On any exception here, KeyboardInterrupt
     included, every child is killed.  Every child is reaped before this
     returns or raises.
     """
+    workers = min(_usable_cpus(), count, workers)
     if workers < 2 or not _can_fork():
         for index in range(count):
             collect(index, task(index))
@@ -246,7 +252,7 @@ def _receive(poller, buffers, timeout, deliver):
         if not events:
             return
         for fd, _ in events:
-            data = os.read(fd, 1 << 20)
+            data = os.read(fd, _READ)
             if not data:
                 poller.unregister(fd)
                 os.close(fd)

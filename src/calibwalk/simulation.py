@@ -40,7 +40,7 @@ from .data import (
     _walk_statistics_rows,
     build_dataset,
 )
-from ._pool import _usable_cpus, run_forked
+from ._pool import run_forked
 from .distributions import chi_square_sf
 from .stattests import (
     _expit,
@@ -301,7 +301,7 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     """Build every cell and check its figure name, so a bad cell fails
     before the first replicate; then run every cell's spans.
 
-    The spans run on ``_usable_cpus()`` worker processes (``run_forked``),
+    The spans run on one worker process per usable CPU (``run_forked``),
     capped at the number of spans and by ``_STUDY_MEMORY_BYTES``; each
     worker claims the next span as it finishes one.  Every replicate draws
     from its own stream and spans are put back in replicate order, so the
@@ -343,9 +343,8 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
 
     block_values = max(_block_rows(s) * s.n for s in scenarios)
     worker_bytes = _WORKER_BYTES + _WORKER_BYTES_PER_VALUE * block_values
-    workers = min(_usable_cpus(), len(spans),
-                  max(1, _STUDY_MEMORY_BYTES // worker_bytes))
-    run_forked(task, len(spans), workers, collect)
+    run_forked(task, len(spans),
+               max(1, _STUDY_MEMORY_BYTES // worker_bytes), collect)
     return summaries
 
 

@@ -14,14 +14,14 @@ resampled null.  The walk tests read the statistics of one walk
 from __future__ import annotations
 
 import math
+import mmap
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._pool import _usable_cpus
+from ._pool import run_forked
 from .data import CalibrationDataset, WalkLocation, WalkStatistics
 from . import distributions as dist
 
@@ -349,8 +349,9 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
 _BLOCK_VALUES = 1 << 17
 
 # Float64 values (4 MiB) that all workers' buffers may hold together, two
-# workers' full blocks.  It caps the worker count, so scratch memory does
-# not grow with the number of CPUs; above n = 2^17 one worker runs.
+# workers' full blocks.  Each forked worker writes to its own copy of the
+# buffers, so the budget caps the worker count, and scratch memory does not
+# grow with the number of CPUs; above n = 2^17 one worker runs.
 _SCRATCH_VALUES = 4 * _BLOCK_VALUES
 
 
@@ -368,15 +369,15 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     Outcomes are redrawn as independent Bernoulli(p_i); the float64 walk
     arithmetic here is the Monte Carlo engine, deliberately independent of
     the extended-precision path used for observed data.  Replicates run in
-    blocks of about 2^17 values, one worker thread per usable CPU (the
-    calling thread is one of them) up to the number of blocks and the
-    scratch budget, each claiming the next block as it finishes one.  A
-    block starts its worker's generator at ``PCG64(seed)`` advanced by one
-    64-bit step per value before it, and fills its rows in row-major order,
-    so replicate r sees the same uniforms as one ``default_rng(seed)``
-    stream whatever the block size or the number of workers.  Each worker
-    updates two blocks of buffers in place, allocated before any worker
-    starts; ``_SCRATCH_VALUES`` bounds them all together, so scratch memory
+    blocks of about 2^17 values on ``run_forked``'s workers, the calling
+    process and processes forked from it, each claiming the next block as
+    it finishes one.  A block starts the generator at ``PCG64(seed)``
+    advanced by one 64-bit step per value before it, and fills its rows in
+    row-major order, so replicate r sees the same uniforms as one
+    ``default_rng(seed)`` stream whatever the block size or the number of
+    workers.  The generator and one block of buffers are allocated before
+    the fork, and each worker updates its own copy of them in place;
+    ``_SCRATCH_VALUES`` bounds all the copies together, so scratch memory
     is a few rows of n floats whatever the number of CPUs.
     """
     p = data.predictions
@@ -387,61 +388,38 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     del variances
     sqrt_t = math.sqrt(total_variance)
 
-    s_star = np.empty(replications)
-    b_star = np.empty(replications)
-    s_n = np.empty(replications)
+    # one table in memory shared with the forked workers, so no result is
+    # sent back through a pipe
+    s_star, b_star, s_n = np.frombuffer(mmap.mmap(-1, 24 * replications),
+                                        np.float64).reshape(3, replications)
     block = max(1, min(replications, _BLOCK_VALUES // n))
     starts = range(0, replications, block)
-    workers = min(_usable_cpus(), len(starts),
-                  max(1, _SCRATCH_VALUES // (2 * block * n)))
     origin = np.random.PCG64(seed).state
-    buffers = [(np.random.default_rng(seed), np.empty((block, n)),
-                np.empty((block, n))) for _ in range(workers)]
-    claims = iter(starts)
-    lock = threading.Lock()
-    errors = []
+    rng = np.random.default_rng(seed)
+    walk, bridge = np.empty((block, n)), np.empty((block, n))
 
-    def work(rng, walk, bridge):
-        try:
-            while not errors:
-                with lock:
-                    start = next(claims, None)
-                if start is None:
-                    return
-                m = min(block, replications - start)
-                rows = slice(start, start + m)
-                w = walk[:m]
-                rng.bit_generator.state = origin
-                rng.bit_generator.advance(start * n)
-                rng.random(out=w)
-                np.less(w, p, out=w, casting="unsafe")
-                np.subtract(w, p, out=w)
-                np.cumsum(w, axis=1, out=w)
-                np.divide(w, sqrt_t, out=w)
-                s_n[rows] = w[:, -1]
-                _max_abs(w, s_star[rows])
-                br = bridge[:m]
-                np.multiply(times, s_n[rows, None], out=br)
-                np.subtract(w, br, out=br)
-                _max_abs(br, b_star[rows])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
+    def run_block(index):
+        start = starts[index]
+        m = min(block, replications - start)
+        rows = slice(start, start + m)
+        w = walk[:m]
+        rng.bit_generator.state = origin
+        rng.bit_generator.advance(start * n)
+        rng.random(out=w)
+        np.less(w, p, out=w, casting="unsafe")
+        np.subtract(w, p, out=w)
+        np.cumsum(w, axis=1, out=w)
+        np.divide(w, sqrt_t, out=w)
+        s_n[rows] = w[:, -1]
+        _max_abs(w, s_star[rows])
+        br = bridge[:m]
+        np.multiply(times, s_n[rows, None], out=br)
+        np.subtract(w, br, out=br)
+        _max_abs(br, b_star[rows])
 
-    threads = [threading.Thread(target=work, args=args)
-               for args in buffers[1:]]
-    try:
-        for thread in threads:
-            thread.start()
-        work(*buffers[0])
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:  # an interrupt outside a block
-        errors.append(exc)
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    if errors:
-        raise errors[0]
+    run_forked(run_block, len(starts),
+               max(1, _SCRATCH_VALUES // (2 * block * n)),
+               lambda index, result: None)
     return s_star, b_star, s_n
 
 

@@ -13,7 +13,7 @@ from calibwalk import (
     render_cumulative_plot,
     write_report_json,
 )
-from calibwalk import simulation
+from calibwalk import _pool, simulation
 from calibwalk.cli import main
 
 TWO_POINT = "p,y\n0.6,1\n0.2,0\n"
@@ -283,11 +283,11 @@ class TestCmdSimulate:
                                           capsys):
         argv = ["simulate", "power", "--a", "0", "0.5", "--b", "1", "--n",
                 "10", "1000", "--reps", "9", "--seed", "3"]
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         assert main(argv + ["--out", str(tmp_path / "one")]) == 0
         one = capsys.readouterr()
         # one-block spans on three workers: cells finish in any order
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
         assert main(argv + ["--out", str(tmp_path / "many")]) == 0
         many = capsys.readouterr()

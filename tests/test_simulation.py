@@ -284,7 +284,7 @@ class TestBlocksMatchAnalyze:
 def _use_cpus(monkeypatch, cpus):
     # spans of one block each, and the memory budget lifted, so that the
     # CPU count alone sets the workers (up to the number of spans)
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
     monkeypatch.setattr(simulation, "_STUDY_MEMORY_BYTES", 1 << 60)
 
@@ -445,7 +445,7 @@ class TestWorkerProcesses:
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(os, "fork", no_fork)
         # 64 rows at n = 1000 fill one span of the real size
         summary = run_power_study("logit_power", [0.0], [1.0], [1000],
@@ -469,7 +469,7 @@ class TestWorkerProcesses:
                               (506_812, 1)])
     def test_memory_budget_caps_the_workers(self, monkeypatch, n, workers):
         # 64 CPUs under the real budget
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
         chosen = []
 
         def in_order(task, count, workers, collect):

@@ -2,8 +2,9 @@
 
 import dataclasses
 import math
-import sys
+import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from calibwalk import (
     walk_statistics,
     weak_calibration_lr_test,
 )
-from calibwalk import stattests
+from calibwalk import _pool, stattests
 from calibwalk.stattests import bb_test_from_process, bm_test_from_process
 from calibwalk.simulation import SimulationScenario, generate_dataset
 
@@ -472,22 +473,28 @@ ENGINE_CASES = [
 def _use_cpus(monkeypatch, cpus):
     # with the scratch budget lifted, so that the CPU count alone sets the
     # workers (up to the number of blocks)
-    monkeypatch.setattr(stattests, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(stattests, "_SCRATCH_VALUES", 1 << 40)
 
 
 @pytest.fixture
-def started(monkeypatch):
-    """A list that gets one item per thread made from here on."""
+def forks(monkeypatch):
+    """A list that gets one item per process forked from here on."""
     made = []
-    real_thread = threading.Thread
+    fork = os.fork
 
-    def counting(*args, **kwargs):
+    def counting():
         made.append(1)
-        return real_thread(*args, **kwargs)
+        return fork()
 
-    monkeypatch.setattr(threading, "Thread", counting)
+    monkeypatch.setattr(os, "fork", counting)
     return made
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
 class TestMonteCarloEngine:
@@ -549,68 +556,83 @@ class TestMonteCarloEngine:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(_bits(g), _bits(w))
 
-    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch,
-                                                  started):
+    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch, forks):
         _use_cpus(monkeypatch, 8)
         data = _random_dataset(5, n=1000)
         stattests._simulate_null_statistics(data, 131, seed=1)  # one block
-        assert started == []
+        assert forks == []
         stattests._simulate_null_statistics(data, 300, seed=1)  # three
-        assert len(started) == 2  # the calling thread is the third worker
+        assert len(forks) == 2  # the calling process is the third worker
+        assert _no_children()
 
-    def test_claims_survive_frequent_thread_switches(self, monkeypatch):
-        # 8 workers on 23 blocks, switching threads every microsecond: a
-        # block claimed twice or never would change or miss its rows
-        data = _random_dataset(6, n=1000)
-        _use_cpus(monkeypatch, 1)
-        want = stattests._simulate_null_statistics(data, 3000, seed=4)
+    def test_runs_in_this_process_while_another_thread_runs(self,
+                                                            monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
         _use_cpus(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = _random_dataset(6, n=1000)
+        parked = threading.Event()
+        thread = threading.Thread(target=parked.wait)
+        thread.start()
         try:
             got = stattests._simulate_null_statistics(data, 3000, seed=4)
         finally:
-            sys.setswitchinterval(interval)
+            parked.set()
+            thread.join()
+        want = _per_replicate_null(data, 3000, 4)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(_bits(g), _bits(w))
 
     @pytest.mark.parametrize("on_caller", [False, True],
                              ids=["worker", "caller"])
-    def test_error_in_a_block_stops_claims_and_joins(self, monkeypatch,
-                                                     on_caller):
+    def test_error_in_a_block_ends_every_worker(self, monkeypatch, tmp_path,
+                                                on_caller):
+        # 4 workers on 23 blocks: the error is raised in each child's first
+        # block, or in the caller's once every child has started a block
         _use_cpus(monkeypatch, 4)
         data = _random_dataset(7, n=1000)
-        caller = threading.current_thread()
+        parent, log = os.getpid(), tmp_path / "pids"
         error = KeyboardInterrupt if on_caller else RuntimeError
         max_abs = stattests._max_abs
-        lock = threading.Lock()
-        calls, failed_at = [], []
+
+        def pids():
+            return log.read_text().split()
 
         def failing(block, out):
-            with lock:
-                calls.append(threading.current_thread())
-                call = len(calls)
-            if on_caller:
-                fails = calls[call - 1] is caller  # the caller's first block
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if os.getpid() == parent:
+                deadline = time.monotonic() + 30
+                while (len(set(pids())) < 4
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                if on_caller:
+                    raise error("block failed")
+            elif on_caller:
+                time.sleep(0.05)
             else:
-                fails = call == 5  # whichever worker makes the call
-            if fails:
-                failed_at.append(call)
                 raise error("block failed")
             max_abs(block, out)
 
         monkeypatch.setattr(stattests, "_max_abs", failing)
-        baseline = threading.active_count()
-        with pytest.raises(error, match="block failed"):
+        with pytest.raises(error, match="^block failed$") as caught:
             stattests._simulate_null_statistics(data, 3000, seed=1)
-        assert threading.active_count() == baseline
-        # of 23 blocks, each of the three other workers finishes the one
-        # it holds and at most one claimed as the failure was recorded
-        assert len(calls) - failed_at[0] <= 3 * 2 * 2
+        assert type(caught.value) is error
+        assert len(set(pids())) == 4
+        if on_caller:
+            # of 23 blocks, the children ran the few they held when killed
+            assert len(pids()) < 20
+        else:
+            assert "in a worker process" in str(caught.value.__cause__)
+        assert _no_children()
 
     def test_scratch_is_one_block_of_buffers_per_worker(self, monkeypatch):
-        # at this n a block is one row: each of the 4 workers holds a walk
-        # and a bridge row, and all share the n variance times
+        # at this n a block is one row.  The buffers are allocated before
+        # the fork, so on 4 workers this process holds one walk and one
+        # bridge row, as each child does in its own copy, and the n
+        # variance times
         _use_cpus(monkeypatch, 4)
         n = 100_000
         data = _random_dataset(3, n=n)
@@ -620,24 +642,17 @@ class TestMonteCarloEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        row = 8 * n
-        # half a row of slack: a third buffer per worker would be 4 rows
-        assert peak < (4 * 2 + 1.5) * row
+        # half a row of slack: a second pair of buffers would be 2 rows
+        assert peak < (2 + 1.5) * 8 * n
+        assert _no_children()
 
     @pytest.mark.parametrize("n, workers",
                              [(100_000, 2), (BLOCK_VALUES + 1, 1)])
-    def test_scratch_budget_caps_the_workers(self, monkeypatch, started, n,
+    def test_scratch_budget_caps_the_workers(self, monkeypatch, forks, n,
                                              workers):
-        # 64 CPUs under the real budget: no more workers, and no more
-        # scratch, than two CPUs give
-        monkeypatch.setattr(stattests, "_usable_cpus", lambda: 64)
+        # 64 CPUs under the real budget: no more workers than two CPUs give
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
         data = _random_dataset(3, n=n)
-        tracemalloc.start()
-        try:
-            stattests._simulate_null_statistics(data, 50, seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(started) == workers - 1
-        assert peak < (workers * 2 + 1.5) * 8 * n
-        assert peak < 8_000_000  # test_scratch_memory_is_a_few_rows's bound
+        stattests._simulate_null_statistics(data, 50, seed=2)  # 50 blocks
+        assert len(forks) == workers - 1
+        assert _no_children()
