@@ -1,11 +1,14 @@
-"""Worker pool: the usable CPU count, and tasks run in forked processes.
+"""Worker pool: the usable CPU count, tasks run in forked processes, and the
+shared memory they write their results into.
 
-The Monte Carlo engine's blocks, a study's spans and a CSV file's row
+The Monte Carlo engine's blocks, a study's blocks and a CSV file's row
 ranges all run through ``run_forked``, in processes: a study replicate
 spends most of its time in Python and numpy call overhead under the GIL,
 and numpy's loader holds it too.  ``run_forked`` takes one worker per
 usable CPU (``_usable_cpus()``), capped by the caller, and has no option
-to set.
+to set.  Every task writes its results in place, into arrays from
+``shared`` that the caller allocates before the fork, so a worker sends
+back only the index of each task it finishes.
 
 ``run_forked`` is a pool of its own rather than ``multiprocessing.Pool`` or
 ``ProcessPoolExecutor``: with those the calling process only waits, which
@@ -15,12 +18,15 @@ and a ``multiprocessing.Pool`` waits forever for a worker that dies.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import select
 import signal
 import threading
 import warnings
+
+import numpy as np
 
 # bytes of one claim record (a task index) and of a message's length prefix
 _RECORD = 4
@@ -36,6 +42,15 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def shared(shape, dtype=np.float64):
+    """A zeroed array of ``shape`` in anonymous shared memory: what a
+    process forked after this call writes into it, every process sees."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    memory = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(memory, dtype, count).reshape(shape)
 
 
 def _feed(fd, start, stop) -> int:
@@ -64,22 +79,12 @@ def _claim(fd):
     return int.from_bytes(record, "little") if record else None
 
 
-def _frame(message) -> bytes:
+def _send(fd, message):
+    """Write ``message`` to ``fd``, pickled after its length, all of it."""
     data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    return len(data).to_bytes(_HEADER, "little") + data
-
-
-def _write(fd, outbox: bytearray):
-    """Write ``outbox`` to ``fd`` and remove what was written: all of it
-    when ``fd`` blocks, what the pipe takes now when it does not."""
-    written = 0
-    try:
-        with memoryview(outbox) as view:
-            while written < len(view):
-                written += os.write(fd, view[written:])
-    except BlockingIOError:  # the pipe is full
-        pass
-    del outbox[:written]
+    data = len(data).to_bytes(_HEADER, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _portable(exc):
@@ -93,13 +98,13 @@ def _portable(exc):
 
 
 def _child(task, claims, results, inherited):
-    """A forked worker's whole life: run claimed tasks, send each result
-    (or the first exception) to the parent, and leave through ``os._exit``,
-    which runs no atexit handler and flushes no stdio buffer.
+    """A forked worker's whole life: run claimed tasks, send the index of
+    each finished one (or the first exception) to the parent, and leave
+    through ``os._exit``, which runs no atexit handler and flushes no stdio
+    buffer.
 
-    Results the pipe cannot take yet wait in ``outbox`` while the child
-    runs its next task, so a child never waits for a parent that is busy
-    with a task of its own; only the last results are sent blocking.
+    An index takes under 20 bytes of the pipe, so a write waits for a
+    parent busy with a task of its own only after thousands of them.
     """
     code = 1
     try:
@@ -107,21 +112,16 @@ def _child(task, claims, results, inherited):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         for fd in inherited:
             os.close(fd)
-        outbox = bytearray()
-        os.set_blocking(results, False)
         try:
             while (index := _claim(claims)) is not None:
-                outbox += _frame((index, task(index)))
-                _write(results, outbox)
+                task(index)
+                _send(results, index)
         except BaseException as exc:
             import traceback  # only a failing worker needs it
 
-            outbox += _frame((None, (_portable(exc),
-                                     traceback.format_exc())))
+            _send(results, (_portable(exc), traceback.format_exc()))
         else:
             code = 0
-        os.set_blocking(results, True)
-        _write(results, outbox)
     finally:
         os._exit(code)
 
@@ -130,42 +130,46 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def run_forked(task, count, workers, collect):
-    """Run ``task(i)`` for each i in ``range(count)`` and hand every result
-    to ``collect(i, result)`` in this process, in the order they arrive.
+def run_forked(task, count, workers, done=None):
+    """Run ``task(i)`` for each i in ``range(count)``, and call ``done(i)``,
+    if given, in this process as each task finishes.
 
-    The tasks run on one worker per usable CPU, at most ``count`` and at
-    most the caller's cap ``workers``.  This process is one worker, and
-    children made with ``os.fork`` are the others; with one worker, or
+    A task writes its results into ``shared`` arrays; what it returns is
+    dropped.  The tasks run on one worker per usable CPU, at most ``count``
+    and at most the caller's cap ``workers``.  This process is one worker,
+    and children made with ``os.fork`` are the others; with one worker, or
     where ``os.fork`` is missing or another Python thread runs, this
-    process runs every task in order.  Workers claim the next index from
-    one pipe as they finish a task.  The pipe is filled before the fork; if
-    ``count`` is more than it holds, this process tops it up between its
-    own tasks and takes the next index not yet written itself.  A child
-    pickles each result back over a pipe of its own, which this process
-    reads between its own tasks.
+    process runs every task in order.  Where ``os.fork`` fails, such as
+    under a process limit, the workers already started run every task.
+    Workers claim the next index from one pipe as they finish a task.  The
+    pipe is filled before the fork; if ``count`` is more than it holds,
+    this process tops it up between its own tasks and takes the next index
+    not yet written itself.  A child sends the index of each task it
+    finishes over a pipe of its own, which this process reads between its
+    own tasks.
 
     An exception in a child is raised here with its type and message, and
     its traceback as the cause.  On any exception here, KeyboardInterrupt
     included, every child is killed.  Every child is reaped before this
     returns or raises.
     """
+    done = done or (lambda index: None)
     workers = min(_usable_cpus(), count, workers)
     if workers < 2 or not _can_fork():
         for index in range(count):
-            collect(index, task(index))
+            task(index)
+            done(index)
         return
 
-    received = 0
+    finished = 0
 
     def deliver(message):
-        nonlocal received
-        index, result = message
-        if index is None:
-            exc, text = result
+        nonlocal finished
+        if isinstance(message, tuple):
+            exc, text = message
             raise exc from RuntimeError(f"in a worker process:\n{text}")
-        collect(index, result)
-        received += 1
+        done(message)
+        finished += 1
 
     claims, feeder = os.pipe()
     os.set_blocking(feeder, False)
@@ -177,7 +181,10 @@ def run_forked(task, count, workers, collect):
     poller = select.poll()
     try:
         for _ in range(workers - 1):
-            _fork(task, claims, feeder, pids, buffers, poller)
+            try:
+                _fork(task, claims, feeder, pids, buffers, poller)
+            except OSError:  # such as EAGAIN: the others claim its tasks
+                break
         while True:
             if feeder is not None:
                 fed = _feed(feeder, fed, count)
@@ -190,7 +197,8 @@ def run_forked(task, count, workers, collect):
                 index = _claim(claims)
                 if index is None:
                     break
-            deliver((index, task(index)))
+            task(index)
+            deliver(index)
             _receive(poller, buffers, 0, deliver)
         # every child closes its pipe when it exits
         _receive(poller, buffers, None, deliver)
@@ -204,10 +212,10 @@ def run_forked(task, count, workers, collect):
         for fd in [claims, feeder, *buffers]:
             if fd is not None:
                 os.close(fd)
-    if any(statuses) or received < count:
+    if any(statuses) or finished < count:
         raise RuntimeError(
             f"worker processes exited with statuses {statuses}; "
-            f"{count - received} of {count} results are missing")
+            f"{count - finished} of {count} tasks did not finish")
 
 
 def _fork(task, claims, feeder, pids, buffers, poller):

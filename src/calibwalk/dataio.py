@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import mmap
 import os
 import stat
 import warnings
@@ -236,8 +235,7 @@ def _read_csv_ranges(source, usecols):
     (at most ``_MAX_RANGES``); None where the stream reader must read the
     file instead.
 
-    Each worker writes its rows into one table in memory shared with the
-    forked workers, so no rows are sent back through a pipe.
+    Each worker writes its rows into one ``_pool.shared`` table.
     """
     # absolute, so that numpy's loader never takes the name for a URL
     path = os.path.abspath(os.fsdecode(source))
@@ -247,8 +245,7 @@ def _read_csv_ranges(source, usecols):
     bounds = _row_bounds(path, workers)
     if bounds is None:
         return None
-    table = np.frombuffer(mmap.mmap(-1, 16 * bounds[-1]),
-                          np.float64).reshape(-1, 2)
+    table = _pool.shared((bounds[-1], 2))
 
     def parse(index):
         start, stop = bounds[index], bounds[index + 1]
@@ -260,7 +257,7 @@ def _read_csv_ranges(source, usecols):
 
     ranges = len(bounds) - 1
     try:
-        _pool.run_forked(parse, ranges, ranges, lambda index, result: None)
+        _pool.run_forked(parse, ranges, ranges)
     except ValueError:
         return None  # the stream reader's error names the row
     return table

@@ -18,10 +18,11 @@ counter), so cells and replicates can run in any order or concurrently and
 still reproduce bit-identically.  A cell runs its replicates in blocks of
 about ``_STUDY_BLOCK_VALUES`` values: each row draws from its replicate's
 own stream, and every p-value equals ``analyze`` on ``generate_dataset``
-of that replicate, bit for bit.  A study splits its cells into spans of
-whole blocks and runs them on every usable core, in this process and in
-forked worker processes, with no option to set.  Spans come back in
-replicate order, so a study gives the same bits on any number of cores.
+of that replicate, bit for bit.  A study runs its blocks on every usable
+core, in this process and in forked worker processes, with no option to
+set.  Each block writes its p-values in place, at its replicates' columns
+of its cell's table, so a study gives the same bits on any number of
+cores.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from .data import (
     _walk_statistics_rows,
     build_dataset,
 )
-from ._pool import run_forked
+from ._pool import run_forked, shared
 from .distributions import chi_square_sf
 from .stattests import (
     _expit,
@@ -57,19 +59,16 @@ POWER_TESTS = ("lr", "hl", "bm", "bb")
 NULL_TESTS = ("bm", "bb")
 # Hosmer-Lemeshow rank groups in power cells
 HL_GROUPS = 10
-# Values per block of study replicates: max(1, _STUDY_BLOCK_VALUES // n)
-# rows, 4 at n = 1000.  Blocks of 64 rows there raised the peak RSS of a
-# 3 x 3 power grid by a third.
+# Values per block of study replicates, the unit a worker claims:
+# max(1, _STUDY_BLOCK_VALUES // n) rows, 4 at n = 1000, whatever the number
+# of workers.  Blocks of 64 rows there raised the peak RSS of a 3 x 3 power
+# grid by a third.
 _STUDY_BLOCK_VALUES = 1 << 12
-# Values per span, the unit a worker claims: max(1, _SPAN_VALUES // (block
-# values)) whole blocks, 64 rows at n = 1000.  It does not depend on the
-# number of workers.
-_SPAN_VALUES = 1 << 16
 # Bytes of memory that all study workers may take together.  A worker
 # takes _WORKER_BYTES of pages of its own (what a forked child copies on
-# write, its results and its interpreter state: 6.0 MB a child at n = 1000
-# with 2 to 16 workers, on a 2-vCPU host) and _WORKER_BYTES_PER_VALUE per
-# value of its block (17.8 MB in all for a child at n = 1e5).  The budget caps the
+# write and its interpreter state: 6.0 MB a child at n = 1000 with 2 to 16
+# workers, on a 2-vCPU host) and _WORKER_BYTES_PER_VALUE per value of its
+# block (17.8 MB in all for a child at n = 1e5).  The budget caps the
 # workers at 19 for n = 1000, 7 for n = 1e5 and 1 above n = 506811, so the
 # memory a study takes does not grow with the number of CPUs.
 _STUDY_MEMORY_BYTES = 1 << 27
@@ -91,10 +90,22 @@ class SimulationScenario:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("n", "replications", "seed"):
+            value = getattr(self, name)
+            try:
+                integer = operator.index(value)
+            except TypeError:
+                integer = None
+            if integer is None or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a Python int, so the frozen scenario writes as JSON
+            object.__setattr__(self, name, integer)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("beta0", "a", "b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -199,86 +210,65 @@ def _block_rows(scenario: SimulationScenario) -> int:
     return max(1, _STUDY_BLOCK_VALUES // scenario.n)
 
 
-def _spans(scenario: SimulationScenario):
-    """(start, stop) of each span of a cell: runs of whole blocks of about
-    ``_SPAN_VALUES`` values, the last one short."""
-    block = _block_rows(scenario)
-    rows = block * max(1, _SPAN_VALUES // (block * scenario.n))
-    return [(start, min(start + rows, scenario.replications))
-            for start in range(0, scenario.replications, rows)]
+def _tests(scenario: SimulationScenario):
+    return NULL_TESTS if scenario.family == "null" else POWER_TESTS
 
 
-def _run_span(scenario: SimulationScenario, start: int, stop: int):
-    """Every test on replicates ``start`` to ``stop`` of one cell: their
-    p-values by test name, and the number of LR fits that did not converge.
+def _run_block(scenario: SimulationScenario, start: int, stop: int,
+               pvalues) -> int:
+    """Every test on replicates ``start`` to ``stop`` of one cell, a block
+    of at most ``_block_rows(scenario)`` rows that starts at a multiple of
+    it.  Write their p-values into columns ``start`` to ``stop`` of
+    ``pvalues``, the cell's table with one row per test of
+    ``_tests(scenario)``; return the number of LR fits that did not
+    converge.
 
-    Replicates run in blocks of ``max(1, _STUDY_BLOCK_VALUES // n)`` rows,
-    and ``start`` is a multiple of that: generation, validation and sort,
-    the walk and the HL group sums take one pass per block, and the
-    p-values and the LR fit one call per row.
+    Null cells run the walk tests, power cells every test.  The
+    Hosmer-Lemeshow comparator uses ``HL_GROUPS`` groups and
+    ``df = groups`` because the simulated predictions are externally
+    fixed, never fitted to the replicate's outcomes.  A non-converged LR
+    fit counts as a non-rejection, with p-value 1.  Generation, validation
+    and sort, the walk and the HL group sums take one pass over the block,
+    and the p-values and the LR fit one call per row.
     """
     power = scenario.family != "null"
-    tests = POWER_TESTS if power else NULL_TESTS
-    samples = {name: np.empty(stop - start) for name in tests}
+    predictions, outcomes, tie_flags = _sort_rows(*_generate_block(
+        scenario, _cell_key(scenario), start, stop - start))
+    _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
+    stats = _walk_statistics_rows(times, walk, raw_sums, predictions)
+    columns = dict(zip(_tests(scenario), pvalues[:, start:stop]))
+    if power:
+        sizes, observed, expected = _rank_group_sums(
+            predictions, outcomes, HL_GROUPS)
+        observed, expected = observed.tolist(), expected.tolist()
     lr_failures = 0
-    cell_key = _cell_key(scenario)
-    block = _block_rows(scenario)
-    for first in range(start, stop, block):
-        rows = min(block, stop - first)
-        predictions, outcomes, tie_flags = _sort_rows(
-            *_generate_block(scenario, cell_key, first, rows))
-        _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
-        stats = _walk_statistics_rows(times, walk, raw_sums, predictions)
-        if power:
-            sizes, observed, expected = _rank_group_sums(
-                predictions, outcomes, HL_GROUPS)
-            observed, expected = observed.tolist(), expected.tolist()
-        for i in range(rows):
-            r = first - start + i
-            samples["bm"][r] = bm_test_from_process(stats[i]).p_value
-            samples["bb"][r] = bb_test_from_process(stats[i]).p_unified
-            if not power:
-                continue
-            statistic = _hl_statistic(zip(sizes, observed[i], expected[i]))
-            samples["hl"][r] = chi_square_sf(statistic, HL_GROUPS)
-            weak = weak_calibration_lr_test(CalibrationDataset(
-                predictions[i], outcomes[i], bool(tie_flags[i])))
-            samples["lr"][r] = weak.p_value if weak.converged else 1.0
-            if not weak.converged:
-                lr_failures += 1
-    return samples, lr_failures
+    for i in range(stop - start):
+        columns["bm"][i] = bm_test_from_process(stats[i]).p_value
+        columns["bb"][i] = bb_test_from_process(stats[i]).p_unified
+        if not power:
+            continue
+        statistic = _hl_statistic(zip(sizes, observed[i], expected[i]))
+        columns["hl"][i] = chi_square_sf(statistic, HL_GROUPS)
+        weak = weak_calibration_lr_test(CalibrationDataset(
+            predictions[i], outcomes[i], bool(tie_flags[i])))
+        columns["lr"][i] = weak.p_value if weak.converged else 1.0
+        lr_failures += not weak.converged
+    return lr_failures
 
 
-def _summary(scenario: SimulationScenario, parts) -> SimulationSummary:
-    """A cell's summary from the ``_run_span`` results of its spans, in
-    replicate order."""
-    samples = {name: np.concatenate([part[name] for part, _ in parts])
-               for name in parts[0][0]}
+def _summary(scenario: SimulationScenario, pvalues,
+             lr_failures: int) -> SimulationSummary:
+    """A cell's summary from its table of p-values (see ``_run_block``)
+    and its number of LR fits that did not converge."""
+    samples = dict(zip(_tests(scenario), pvalues))
     rejections, standard_errors = _rejection_summary(samples, scenario.alpha)
     return SimulationSummary(
         scenario=scenario,
         rejections=rejections,
         standard_errors=standard_errors,
-        lr_failures=sum(failures for _, failures in parts),
+        lr_failures=int(lr_failures),
         pvalues=samples,
     )
-
-
-def run_scenario(scenario: SimulationScenario) -> SimulationSummary:
-    """Run one cell: every test on every replicate.
-
-    Null cells keep the walk tests (``NULL_TESTS``), power cells every test
-    (``POWER_TESTS``).  The Hosmer-Lemeshow comparator uses ``HL_GROUPS``
-    groups and ``df = groups`` because the simulated predictions are
-    externally fixed, never fitted to the replicate's outcomes.  A
-    non-converged LR fit counts as a non-rejection and increments
-    ``lr_failures``.  The summary carries every replicate's p-values.
-
-    The cell runs as a one-cell study, in spans on every usable core.
-    Each p-value is the one ``analyze(generate_dataset(scenario, r),
-    groups=HL_GROUPS, df_rule="g")`` reports.
-    """
-    return _run_study([scenario])[0]
 
 
 def study_figure_names(scenarios) -> list:
@@ -299,52 +289,56 @@ def study_figure_names(scenarios) -> list:
 
 def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     """Build every cell and check its figure name, so a bad cell fails
-    before the first replicate; then run every cell's spans.
+    before the first replicate; then run every cell's blocks.
 
-    The spans run on one worker process per usable CPU (``run_forked``),
-    capped at the number of spans and by ``_STUDY_MEMORY_BYTES``; each
-    worker claims the next span as it finishes one.  Every replicate draws
-    from its own stream and spans are put back in replicate order, so the
-    summaries are bit-identical for any number of workers.  When a cell's
-    last span arrives, ``progress(done, total, summary)`` is called with
-    the number of cells done so far.
+    The blocks run on one worker process per usable CPU (``run_forked``),
+    capped at the number of blocks and by ``_STUDY_MEMORY_BYTES``; each
+    worker claims the next block as it finishes one and writes it in
+    place, into its cell's ``shared`` table of p-values and its entry of a
+    ``shared`` array of LR failure counts.  Every replicate draws from its
+    own stream and has its own column, so the summaries are bit-identical
+    for any number of workers.  When a cell's last block is done,
+    ``progress(done, total, summary)`` is called with the number of cells
+    done so far.
     """
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("grids must be non-empty")
     study_figure_names(scenarios)
-    # (cell, start, stop) of every span, and each cell's span indices
-    spans, cells = [], []
+    # (cell, start, stop) of every block, and each cell's block indices
+    blocks, cells = [], []
     for cell, scenario in enumerate(scenarios):
-        first = len(spans)
-        spans += [(cell, start, stop) for start, stop in _spans(scenario)]
-        cells.append(range(first, len(spans)))
-    pending = [len(indices) for indices in cells]
-    results = [None] * len(spans)
+        first, rows = len(blocks), _block_rows(scenario)
+        blocks += [(cell, start, min(start + rows, scenario.replications))
+                   for start in range(0, scenario.replications, rows)]
+        cells.append(slice(first, len(blocks)))
+    tables = [shared((len(_tests(s)), s.replications)) for s in scenarios]
+    lr_failures = shared(len(blocks), np.int64)
+    pending = [indices.stop - indices.start for indices in cells]
     summaries = [None] * len(scenarios)
-    done = 0
+    finished = 0
 
     def task(index):
-        cell, start, stop = spans[index]
-        return _run_span(scenarios[cell], start, stop)
+        cell, start, stop = blocks[index]
+        lr_failures[index] = _run_block(scenarios[cell], start, stop,
+                                        tables[cell])
 
-    def collect(index, result):
-        nonlocal done
-        results[index] = result
-        cell = spans[index][0]
+    def done(index):
+        nonlocal finished
+        cell = blocks[index][0]
         pending[cell] -= 1
         if pending[cell]:
             return
-        summaries[cell] = _summary(scenarios[cell],
-                                   [results[i] for i in cells[cell]])
-        done += 1
+        summaries[cell] = _summary(scenarios[cell], tables[cell],
+                                   lr_failures[cells[cell]].sum())
+        finished += 1
         if progress is not None:
-            progress(done, len(scenarios), summaries[cell])
+            progress(finished, len(scenarios), summaries[cell])
 
     block_values = max(_block_rows(s) * s.n for s in scenarios)
     worker_bytes = _WORKER_BYTES + _WORKER_BYTES_PER_VALUE * block_values
-    run_forked(task, len(spans),
-               max(1, _STUDY_MEMORY_BYTES // worker_bytes), collect)
+    run_forked(task, len(blocks),
+               max(1, _STUDY_MEMORY_BYTES // worker_bytes), done)
     return summaries
 
 

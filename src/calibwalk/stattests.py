@@ -14,14 +14,13 @@ resampled null.  The walk tests read the statistics of one walk
 from __future__ import annotations
 
 import math
-import mmap
 import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._pool import run_forked
+from ._pool import run_forked, shared
 from .data import CalibrationDataset, WalkLocation, WalkStatistics
 from . import distributions as dist
 
@@ -388,10 +387,7 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     del variances
     sqrt_t = math.sqrt(total_variance)
 
-    # one table in memory shared with the forked workers, so no result is
-    # sent back through a pipe
-    s_star, b_star, s_n = np.frombuffer(mmap.mmap(-1, 24 * replications),
-                                        np.float64).reshape(3, replications)
+    s_star, b_star, s_n = shared((3, replications))
     block = max(1, min(replications, _BLOCK_VALUES // n))
     starts = range(0, replications, block)
     origin = np.random.PCG64(seed).state
@@ -418,8 +414,7 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
         _max_abs(br, b_star[rows])
 
     run_forked(run_block, len(starts),
-               max(1, _SCRATCH_VALUES // (2 * block * n)),
-               lambda index, result: None)
+               max(1, _SCRATCH_VALUES // (2 * block * n)))
     return s_star, b_star, s_n
 
 

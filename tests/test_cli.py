@@ -286,9 +286,8 @@ class TestCmdSimulate:
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         assert main(argv + ["--out", str(tmp_path / "one")]) == 0
         one = capsys.readouterr()
-        # one-block spans on three workers: cells finish in any order
+        # blocks on three workers: cells finish in any order
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
         assert main(argv + ["--out", str(tmp_path / "many")]) == 0
         many = capsys.readouterr()
         labels = [f"logit_linear a={a} b=1 n={n}"

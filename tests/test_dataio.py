@@ -33,7 +33,7 @@ from calibwalk.dataio import (
     study_to_dict,
     summarize_dataset,
 )
-from calibwalk.simulation import SimulationScenario, run_null_study, run_scenario
+from calibwalk.simulation import SimulationScenario, _run_study, run_null_study
 
 
 def _sample_report(seed=0, n=300, with_optional=True):
@@ -505,7 +505,7 @@ class TestStudyRoundTrip:
         path = tmp_path / "study.json"
         write_study_json(summaries, path)
         cell = json.loads(path.read_text(encoding="utf-8"))["cells"][0]
-        replayed = run_scenario(SimulationScenario(**cell["scenario"]))
+        replayed = _run_study([SimulationScenario(**cell["scenario"])])[0]
         assert replayed == summaries[0]
         np.testing.assert_array_equal(replayed.pvalues["bb"],
                                       summaries[0].pvalues["bb"])

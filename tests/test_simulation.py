@@ -1,5 +1,6 @@
 """Scenario generators and study runners."""
 
+import errno
 import math
 import os
 import time
@@ -8,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from calibwalk import _pool, simulation
-from calibwalk.dataio import analyze, write_study_json
+from calibwalk import _pool, dataio, simulation, stattests
+from calibwalk.data import build_dataset
+from calibwalk.dataio import analyze, read_dataset_csv, write_study_json
 from calibwalk.simulation import (
     HL_GROUPS,
     SimulationScenario,
@@ -20,8 +22,12 @@ from calibwalk.simulation import (
     pvalue_ecdf,
     run_null_study,
     run_power_study,
-    run_scenario,
 )
+
+
+def _run_cell(scenario):
+    """One cell run as a one-cell study."""
+    return simulation._run_study([scenario])[0]
 
 
 class TestScenarioValidation:
@@ -34,6 +40,8 @@ class TestScenarioValidation:
             SimulationScenario(**{**good, "n": 0})
         with pytest.raises(ValueError):
             SimulationScenario(**{**good, "replications": 0})
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SimulationScenario(**{**good, "seed": -1})
         with pytest.raises(ValueError):
             SimulationScenario(**{**good, "alpha": 1.0})
         with pytest.raises(ValueError):
@@ -42,6 +50,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="n=9 is smaller than groups=10"):
             SimulationScenario(family="logit_power", n=9, replications=5,
                                seed=0)
+
+    def test_integer_fields_become_python_ints(self, tmp_path):
+        scenario = SimulationScenario(family="null", n=np.int64(50),
+                                      replications=np.uint8(5),
+                                      seed=np.int64(2))
+        for name in ("n", "replications", "seed"):
+            assert type(getattr(scenario, name)) is int
+        summaries = run_null_study([-1.0], np.array([50]), np.int32(5),
+                                   seed=np.int64(2))
+        assert type(summaries[0].scenario.seed) is int
+        write_study_json(summaries, tmp_path / "study.json")
+
+    @pytest.mark.parametrize("value", [True, False, 50.0, "50", None])
+    @pytest.mark.parametrize("name", ["n", "replications", "seed"])
+    def test_rejects_non_integer_counts(self, name, value):
+        fields = dict(family="null", n=50, replications=5, seed=0)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got "):
+            SimulationScenario(**{**fields, name: value})
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["beta0", "a", "b"])
@@ -203,7 +230,7 @@ class TestStudies:
         # least the Hosmer-Lemeshow comparator of a power cell needs
         scenario = SimulationScenario(family="logit_linear", n=10,
                                       replications=60, seed=3, a=0.0, b=1.0)
-        summary = run_scenario(scenario)
+        summary = _run_cell(scenario)
         assert summary.lr_failures > 0
         failures = int(np.count_nonzero(summary.pvalues["lr"] == 1.0))
         assert failures >= summary.lr_failures
@@ -254,7 +281,7 @@ class TestBlocksMatchAnalyze:
         scenario = SimulationScenario(family=family, n=n,
                                       replications=replications, seed=6,
                                       **values)
-        summary = run_scenario(scenario)
+        summary = _run_cell(scenario)
         pvalues, failures = _analyzed_pvalues(scenario)
         assert set(summary.pvalues) == set(pvalues)
         for name, expected in pvalues.items():
@@ -270,11 +297,11 @@ class TestBlocksMatchAnalyze:
         scenario = SimulationScenario(family="logit_power", n=1000,
                                       replications=12, seed=1, a=0.25, b=2.0)
         # a first cell imports what the cells use
-        run_scenario(SimulationScenario(family="logit_power", n=10,
-                                        replications=2, seed=1))
+        _run_cell(SimulationScenario(family="logit_power", n=10,
+                                     replications=2, seed=1))
         tracemalloc.start()
         try:
-            run_scenario(scenario)
+            _run_cell(scenario)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,10 +309,9 @@ class TestBlocksMatchAnalyze:
 
 
 def _use_cpus(monkeypatch, cpus):
-    # spans of one block each, and the memory budget lifted, so that the
-    # CPU count alone sets the workers (up to the number of spans)
+    # the memory budget lifted, so that the CPU count alone sets the
+    # workers (up to the number of blocks)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulation, "_SPAN_VALUES", 1)
     monkeypatch.setattr(simulation, "_STUDY_MEMORY_BYTES", 1 << 60)
 
 
@@ -295,9 +321,10 @@ def _no_children():
     return True
 
 
-# (name, study): 16 spans over eight power cells, the n = 1000 cells in two
-# spans of 4 rows and a short one of 1; 12 spans over four null cells,
-# n = 4099 in one-row spans; and 3 spans of one cell, fewer than 8 workers
+# (name, study): 16 blocks over eight power cells, the n = 1000 cells in
+# two blocks of 4 rows and a short one of 1; 12 blocks over four null
+# cells, n = 4099 in one-row blocks; and 3 blocks of one cell, fewer than
+# 8 workers
 POOL_STUDIES = [
     ("power", lambda: run_power_study("logit_linear", [0.0, 0.5], [1.0, 3.0],
                                       [10, 1000], replications=9, seed=4)),
@@ -308,28 +335,40 @@ POOL_STUDIES = [
 ]
 
 
-def _span_pids(monkeypatch, tmp_path, before):
-    """Patch ``_run_span`` to log the pid of the process that runs each
-    span and then call ``before(is_parent, start, pids)``; return ``pids``,
-    which reads the log."""
+def _block_pids(monkeypatch, tmp_path, before):
+    """Patch ``_run_block`` to log the pid of the process that runs each
+    block and then call ``before(is_parent, start, pids)``; return
+    ``pids``, which reads the log."""
     parent, log = os.getpid(), tmp_path / "pids"
-    run_span = simulation._run_span
+    run_block = simulation._run_block
 
     def pids():
         return list(map(int, log.read_text().split()))
 
-    def logged(scenario, start, stop):
+    def logged(scenario, start, stop, pvalues):
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()}\n")
         before(os.getpid() == parent, start, pids)
-        return run_span(scenario, start, stop)
+        return run_block(scenario, start, stop, pvalues)
 
-    monkeypatch.setattr(simulation, "_run_span", logged)
+    monkeypatch.setattr(simulation, "_run_block", logged)
     return pids
 
 
+def _in_order(scenario):
+    """A cell's summary from its blocks run in order in this process."""
+    table = np.empty((len(simulation._tests(scenario)),
+                      scenario.replications))
+    rows = simulation._block_rows(scenario)
+    failures = sum(
+        simulation._run_block(scenario, start,
+                              min(start + rows, scenario.replications), table)
+        for start in range(0, scenario.replications, rows))
+    return simulation._summary(scenario, table, failures)
+
+
 def _wait_for_workers(pids, count):
-    """Wait, up to 30 s, until ``count`` processes have started a span."""
+    """Wait, up to 30 s, until ``count`` processes have started a block."""
     deadline = time.monotonic() + 30
     while len(set(pids())) < count and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -343,9 +382,7 @@ class TestWorkerProcesses:
                                                 cpus, name, study):
         _use_cpus(monkeypatch, cpus)
         got = study()
-        # each cell as one span, in this process
-        want = [simulation._summary(s.scenario, [simulation._run_span(
-            s.scenario, 0, s.scenario.replications)]) for s in got]
+        want = [_in_order(s.scenario) for s in got]
         assert got == want
         for g, w in zip(got, want):
             assert set(g.pvalues) == set(w.pvalues)
@@ -358,7 +395,7 @@ class TestWorkerProcesses:
             (tmp_path / "want.json").read_bytes()
         assert _no_children()
 
-    def test_spans_run_in_forked_workers(self, monkeypatch, tmp_path):
+    def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
         def before(is_parent, start, pids):
             if is_parent:
                 _wait_for_workers(pids, 3)
@@ -366,8 +403,8 @@ class TestWorkerProcesses:
                 time.sleep(0.02)
 
         _use_cpus(monkeypatch, 3)
-        pids = _span_pids(monkeypatch, tmp_path, before)
-        run_null_study([0.0], [1000], replications=160, seed=3)  # 40 spans
+        pids = _block_pids(monkeypatch, tmp_path, before)
+        run_null_study([0.0], [1000], replications=160, seed=3)  # 40 blocks
         assert len(pids()) == 40
         assert os.getpid() in pids() and len(set(pids())) == 3
         assert _no_children()
@@ -378,12 +415,12 @@ class TestWorkerProcesses:
             if is_parent:
                 _wait_for_workers(pids, 2)
             else:
-                raise LookupError(f"span at {start} failed")
+                raise LookupError(f"block at {start} failed")
 
         _use_cpus(monkeypatch, 2)
-        _span_pids(monkeypatch, tmp_path, before)
+        _block_pids(monkeypatch, tmp_path, before)
         with pytest.raises(LookupError,
-                           match=r"^span at \d+ failed$") as caught:
+                           match=r"^block at \d+ failed$") as caught:
             run_null_study([0.0], [1000], replications=40, seed=3)
         assert type(caught.value) is LookupError
         assert "in a worker process" in str(caught.value.__cause__)
@@ -399,58 +436,108 @@ class TestWorkerProcesses:
             time.sleep(0.05)
 
         _use_cpus(monkeypatch, 3)
-        pids = _span_pids(monkeypatch, tmp_path, before)
+        pids = _block_pids(monkeypatch, tmp_path, before)
         with pytest.raises(error, match="parent failed"):
             run_null_study([0.0], [1000], replications=400, seed=3)
         assert len(set(pids())) == 3
-        # of 100 spans, the children ran the few they held when killed
+        # of 100 blocks, the children ran the few they held when killed
         assert len(pids()) < 20
         assert _no_children()
 
     def test_more_tasks_than_the_claims_pipe_holds(self):
         # 20000 four-byte claims overfill a 64 KiB pipe: the parent tops it
         # up between its own tasks and takes the next unwritten index
-        results = {}
+        squares, done = _pool.shared(20_000, np.int64), []
 
-        def collect(index, result):
-            assert index not in results
-            results[index] = result
+        def task(index):
+            squares[index] = index * index
 
-        _pool.run_forked(lambda index: index * index, 20_000, 3, collect)
-        assert results == {index: index * index for index in range(20_000)}
+        _pool.run_forked(task, 20_000, 3, done.append)
+        assert sorted(done) == list(range(20_000))
+        assert (squares == np.arange(20_000) ** 2).all()
         assert _no_children()
 
     def test_child_runs_on_while_the_parent_is_busy(self):
-        # every result (160 kB) overfills a 64 KiB pipe, and the parent's
-        # task takes 1 s: the child runs all the others meanwhile instead
-        # of waiting for the parent to read its first result
-        parent, ran = os.getpid(), {}
+        # the parent's task takes 1 s: the child runs all the others
+        # meanwhile, and every result is in the shared arrays
+        parent = os.getpid()
+        ran, values = _pool.shared(12, np.int64), _pool.shared((12, 20_000))
 
         def task(index):
             if os.getpid() == parent:
                 time.sleep(1.0)
-            return os.getpid(), np.full(20_000, float(index))
+            values[index] = index
+            ran[index] = os.getpid()
 
-        def collect(index, result):
-            pid, values = result
-            assert (values == index).all()
-            ran[index] = pid
-
-        _pool.run_forked(task, 12, 2, collect)
-        assert sorted(ran) == list(range(12))
-        assert list(ran.values()).count(parent) <= 1
+        done = []
+        _pool.run_forked(task, 12, 2, done.append)
+        assert sorted(done) == list(range(12))
+        assert (values == np.arange(12.0)[:, None]).all()
+        assert (ran != 0).all()
+        assert list(ran).count(parent) <= 1
         assert _no_children()
 
-    def test_one_span_study_never_forks(self, monkeypatch):
+    def test_failed_fork_runs_on_the_workers_started(self, monkeypatch,
+                                                     tmp_path):
+        # every second fork fails, as under a process limit: each pool of
+        # four workers runs on this process and one child
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) % 2 == 0:
+                raise BlockingIOError(errno.EAGAIN, "fork failed")
+            return fork()
+
+        rng = np.random.default_rng(8)
+        rows = zip(rng.uniform(0.05, 0.95, 400).tolist(),
+                   rng.integers(0, 2, 400).tolist())
+        path = tmp_path / "d.csv"
+        path.write_text("p,y\n" + "".join(f"{p!r},{y}\n" for p, y in rows))
+        data = build_dataset(rng.uniform(0.05, 0.95, 1000),
+                             rng.integers(0, 2, 1000))
+
+        def run():
+            return (run_power_study("logit_linear", [0.0], [1.0, 2.0], [1000],
+                                    replications=30, seed=4),
+                    stattests._simulate_null_statistics(data, 600, seed=5),
+                    read_dataset_csv(path))
+
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+        want_study, want_null, want_table = run()
+        # 4 CPUs, with the study and Monte Carlo budgets lifted and the file
+        # cut into 4 row ranges
+        _use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(stattests, "_SCRATCH_VALUES", 1 << 40)
+        monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
+        monkeypatch.setattr(os, "fork", second_fails)
+        study, null, table = run()
+        # three pools, each with one fork made and one failed
+        assert len(forks) == 6
+        assert study == want_study
+        for got, want in zip(study, want_study):
+            for test in want.pvalues:
+                np.testing.assert_array_equal(
+                    got.pvalues[test].view(np.uint64),
+                    want.pvalues[test].view(np.uint64))
+        for got, want in zip(null, want_null):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+        assert table.predictions.tobytes() == want_table.predictions.tobytes()
+        assert table.outcomes.tobytes() == want_table.outcomes.tobytes()
+        assert _no_children()
+
+    def test_one_block_study_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(os, "fork", no_fork)
-        # 64 rows at n = 1000 fill one span of the real size
+        # 4 rows at n = 1000 fill one block of the real size
         summary = run_power_study("logit_power", [0.0], [1.0], [1000],
-                                  replications=64, seed=1)[0]
-        assert len(summary.pvalues["lr"]) == 64
+                                  replications=4, seed=1)[0]
+        assert len(summary.pvalues["lr"]) == 4
+        assert _no_children()
 
     def test_progress_reports_each_cell_once(self, monkeypatch):
         _use_cpus(monkeypatch, 3)
@@ -463,6 +550,7 @@ class TestWorkerProcesses:
         assert {total for _, total, _ in calls} == {4}
         assert sorted(label for _, _, label in calls) == \
             sorted(s.scenario.label for s in summaries)
+        assert _no_children()
 
     @pytest.mark.parametrize("n, workers",
                              [(1000, 19), (100_000, 7), (506_811, 2),
@@ -472,18 +560,18 @@ class TestWorkerProcesses:
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
         chosen = []
 
-        def in_order(task, count, workers, collect):
+        def in_order(task, count, workers, done):
             chosen.append(workers)
             for index in range(count):
-                collect(index, task(index))
+                task(index)
+                done(index)
 
         monkeypatch.setattr(simulation, "run_forked", in_order)
-        monkeypatch.setattr(simulation, "_run_span",
-                            lambda scenario, start, stop: (
-                                {"bm": np.zeros(stop - start),
-                                 "bb": np.zeros(stop - start)}, 0))
+        monkeypatch.setattr(simulation, "_run_block",
+                            lambda scenario, start, stop, pvalues: 0)
         run_null_study([0.0], [n], replications=5000, seed=0)
         assert chosen == [workers]
+        assert _no_children()
 
 
 class TestPvalueEcdf:

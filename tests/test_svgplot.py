@@ -19,7 +19,7 @@ from calibwalk import (
     run_power_study,
     walk_statistics,
 )
-from calibwalk.simulation import run_scenario
+from calibwalk.simulation import _run_study
 from calibwalk.stattests import _rank_group_bounds
 from calibwalk.svgplot import (
     _BRIDGE_COLOR,
@@ -355,8 +355,8 @@ class TestStudyFigures:
     def test_repeated_figure_name_rejected(self):
         # the study runners reject such a grid up front; hand-built
         # summaries meet the same check here
-        summaries = [run_scenario(SimulationScenario(
-            family="null", n=20, replications=2, seed=1, beta0=beta0))
+        summaries = [_run_study([SimulationScenario(
+            family="null", n=20, replications=2, seed=1, beta0=beta0)])[0]
             for beta0 in (-1.0, -1.0000001)]
         with pytest.raises(ValueError, match="'null_beta0=-1_n=20'"):
             render_study_figures(summaries)
