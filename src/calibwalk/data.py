@@ -208,35 +208,33 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     inside the path for any non-degenerate walk.  Argmax ties resolve to
     the smallest index.
     """
-    return _walk_statistics_rows(proc.times[None], proc.walk[None],
-                                 proc.raw_sums[None],
-                                 proc.source.predictions[None])[0]
+    c_star = np.abs(proc.raw_sums).max().item()
+    extremes = _walk_extremes(proc.times[None], proc.walk[None].copy(),
+                              np.empty((1, proc.n)))
+    i_bm, s_star, s_n, i_bb, b_star = (column.item() for column in extremes)
+
+    def location(i):
+        return WalkLocation(i + 1, proc.times[i].item(),
+                            proc.source.predictions[i].item())
+
+    return WalkStatistics(c_star, s_star, s_n, proc.raw_sums[-1].item(),
+                          b_star, location(i_bm), location(i_bb))
 
 
-def _walk_statistics_rows(times, walk, raw_sums, predictions) -> list:
-    """``walk_statistics`` of each row of (rows, n) blocks, as a list."""
+def _walk_extremes(times, walk, bridge):
+    """Per row of a (rows, n) block: the argmax and max of |walk|, the
+    terminal value, and the argmax and max of |walk - times * terminal|.
+
+    ``times`` is (rows, n), or one (n,) row shared by every row.  Argmax
+    ties go to the smallest index; an all-zero row has maximum +0.0.
+    ``walk`` and the scratch ``bridge`` of its shape are overwritten with
+    |walk| and |bridged walk|.
+    """
+    s_n = walk[:, -1].copy()
+    np.multiply(times, s_n[:, None], out=bridge)
+    np.subtract(walk, bridge, out=bridge)
+    np.abs(bridge, out=bridge)
+    np.abs(walk, out=walk)
     rows = np.arange(walk.shape[0])
-    abs_walk = np.abs(walk)
-    i_bm = np.argmax(abs_walk, axis=1)
-    s_n = walk[:, -1]
-
-    bridged = np.abs(walk - times * s_n[:, None])
-    i_bb = np.argmax(bridged, axis=1)
-
-    columns = zip(
-        np.max(np.abs(raw_sums), axis=1).tolist(),
-        abs_walk[rows, i_bm].tolist(),
-        s_n.tolist(),
-        raw_sums[:, -1].tolist(),
-        bridged[rows, i_bb].tolist(),
-        _locations(i_bm, times, predictions),
-        _locations(i_bb, times, predictions),
-    )
-    return [WalkStatistics(*row) for row in columns]
-
-
-def _locations(indices, times, predictions):
-    rows = np.arange(indices.size)
-    return [WalkLocation(i + 1, t, p) for i, t, p in zip(
-        indices.tolist(), times[rows, indices].tolist(),
-        predictions[rows, indices].tolist())]
+    i_bm, i_bb = walk.argmax(axis=1), bridge.argmax(axis=1)
+    return i_bm, walk[rows, i_bm], s_n, i_bb, bridge[rows, i_bb]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -38,18 +39,17 @@ import numpy as np
 from .data import (
     CalibrationDataset,
     _sort_rows,
+    _walk_extremes,
     _walk_rows,
-    _walk_statistics_rows,
     build_dataset,
 )
 from ._pool import run_forked, shared
-from .distributions import chi_square_sf
+from .distributions import chi_square_sf, sup_abs_bm_sf
 from .stattests import (
+    _bb_p_values,
     _expit,
     _hl_statistic,
     _rank_group_sums,
-    bb_test_from_process,
-    bm_test_from_process,
     weak_calibration_lr_test,
 )
 
@@ -106,6 +106,12 @@ class SimulationScenario:
             raise ValueError("replications must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        for name in ("beta0", "a", "b", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # a Python float: the stream and JSON echo ignore the type
+            object.__setattr__(self, name, float(value))
         for name in ("beta0", "a", "b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -228,27 +234,27 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     ``df = groups`` because the simulated predictions are externally
     fixed, never fitted to the replicate's outcomes.  A non-converged LR
     fit counts as a non-rejection, with p-value 1.  Generation, validation
-    and sort, the walk and the HL group sums take one pass over the block,
-    and the p-values and the LR fit one call per row.
+    and sort, the walk, its extremes and the HL group sums take one pass
+    over the block; each p-value and LR fit is one call per row.
     """
-    power = scenario.family != "null"
     predictions, outcomes, tie_flags = _sort_rows(*_generate_block(
         scenario, _cell_key(scenario), start, stop - start))
     _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
-    stats = _walk_statistics_rows(times, walk, raw_sums, predictions)
+    # the raw sums are not needed: their buffer is the bridge scratch
+    _, s_star, s_n, _, b_star = _walk_extremes(times, walk, raw_sums)
     columns = dict(zip(_tests(scenario), pvalues[:, start:stop]))
-    if power:
-        sizes, observed, expected = _rank_group_sums(
-            predictions, outcomes, HL_GROUPS)
-        observed, expected = observed.tolist(), expected.tolist()
+    columns["bm"][:] = [sup_abs_bm_sf(s) for s in s_star.tolist()]
+    columns["bb"][:] = [_bb_p_values(s, b)[2]
+                        for s, b in zip(s_n.tolist(), b_star.tolist())]
+    if scenario.family == "null":
+        return 0
+    sizes, observed, expected = _rank_group_sums(
+        predictions, outcomes, HL_GROUPS)
+    columns["hl"][:] = [
+        chi_square_sf(_hl_statistic(zip(sizes, o, e)), HL_GROUPS)
+        for o, e in zip(observed.tolist(), expected.tolist())]
     lr_failures = 0
     for i in range(stop - start):
-        columns["bm"][i] = bm_test_from_process(stats[i]).p_value
-        columns["bb"][i] = bb_test_from_process(stats[i]).p_unified
-        if not power:
-            continue
-        statistic = _hl_statistic(zip(sizes, observed[i], expected[i]))
-        columns["hl"][i] = chi_square_sf(statistic, HL_GROUPS)
         weak = weak_calibration_lr_test(CalibrationDataset(
             predictions[i], outcomes[i], bool(tie_flags[i])))
         columns["lr"][i] = weak.p_value if weak.converged else 1.0

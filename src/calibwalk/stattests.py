@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from ._pool import run_forked, shared
-from .data import CalibrationDataset, WalkLocation, WalkStatistics
+from .data import (CalibrationDataset, WalkLocation, WalkStatistics,
+                   _walk_extremes)
 from . import distributions as dist
 
 
@@ -106,20 +107,20 @@ def bb_test_from_process(stats: WalkStatistics) -> BBTestResult:
     the bridged walk a Kolmogorov p-value; the two are asymptotically
     independent and are pooled by Fisher's method (chi-square, 4 df).
     """
-    p_a, log_p_a = dist._normal_two_sided_p_and_log(stats.s_n)
-    p_b, log_p_b = dist._kolmogorov_sf_and_log(stats.b_star)
+    p_a, p_b, p_unified = _bb_p_values(stats.s_n, stats.b_star)
+    return BBTestResult(stats.c_n, stats.s_n, p_a, stats.b_star, p_b,
+                        stats.argmax_bb, p_unified)
+
+
+def _bb_p_values(s_n: float, b_star: float):
+    """The bridge test's terminal-value, bridged-maximum and unified
+    p-values of terminal value ``s_n`` and bridged maximum ``b_star``."""
+    p_a, log_p_a = dist._normal_two_sided_p_and_log(s_n)
+    p_b, log_p_b = dist._kolmogorov_sf_and_log(b_star)
     # Fisher combination in log space so underflowing components still
     # produce a well-defined unified p-value.
     fisher = -2.0 * (log_p_a + log_p_b)
-    return BBTestResult(
-        c_n=stats.c_n,
-        s_n=stats.s_n,
-        p_a=p_a,
-        b_star=stats.b_star,
-        p_b=p_b,
-        location_bridge=stats.argmax_bb,
-        p_unified=dist.chi_square_sf(max(fisher, 0.0), 4),
-    )
+    return p_a, p_b, dist.chi_square_sf(max(fisher, 0.0), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -354,30 +355,24 @@ _BLOCK_VALUES = 1 << 17
 _SCRATCH_VALUES = 4 * _BLOCK_VALUES
 
 
-def _max_abs(block, out):
-    """Row maxima of |block| into ``out``, with +0.0 for an all-zero row;
-    ``block`` is left as it is."""
-    np.maximum(block.max(axis=1), -block.min(axis=1), out=out)
-    out += 0.0  # -0.0 + 0.0 is +0.0, as abs would give
-
-
 def _simulate_null_statistics(data: CalibrationDataset, replications: int,
                               seed: int):
     """Null samples of (max |walk|, max |bridged walk|, terminal value).
 
     Outcomes are redrawn as independent Bernoulli(p_i); the float64 walk
     arithmetic here is the Monte Carlo engine, deliberately independent of
-    the extended-precision path used for observed data.  Replicates run in
-    blocks of about 2^17 values on ``run_forked``'s workers, the calling
-    process and processes forked from it, each claiming the next block as
-    it finishes one.  A block starts the generator at ``PCG64(seed)``
-    advanced by one 64-bit step per value before it, and fills its rows in
-    row-major order, so replicate r sees the same uniforms as one
-    ``default_rng(seed)`` stream whatever the block size or the number of
-    workers.  The generator and one block of buffers are allocated before
-    the fork, and each worker updates its own copy of them in place;
-    ``_SCRATCH_VALUES`` bounds all the copies together, so scratch memory
-    is a few rows of n floats whatever the number of CPUs.
+    the extended-precision path used for observed data; its extremes come
+    from ``data._walk_extremes``, as the observed walk's and the study
+    blocks' do.  Replicates run in blocks of about 2^17 values on
+    ``run_forked``'s workers, the calling process and processes forked from
+    it, each claiming the next block as it finishes one.  A block starts the
+    generator at ``PCG64(seed)`` advanced by one 64-bit step per value
+    before it, and fills its rows in row-major order, so replicate r sees
+    the same uniforms as one ``default_rng(seed)`` stream whatever the block
+    size or the number of workers.  The generator and one block of buffers
+    are allocated before the fork, and each worker updates its own copy of
+    them in place; ``_SCRATCH_VALUES`` bounds all the copies together, so
+    scratch memory is a few rows of n floats whatever the number of CPUs.
     """
     p = data.predictions
     n = data.n
@@ -406,12 +401,8 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
         np.subtract(w, p, out=w)
         np.cumsum(w, axis=1, out=w)
         np.divide(w, sqrt_t, out=w)
-        s_n[rows] = w[:, -1]
-        _max_abs(w, s_star[rows])
-        br = bridge[:m]
-        np.multiply(times, s_n[rows, None], out=br)
-        np.subtract(w, br, out=br)
-        _max_abs(br, b_star[rows])
+        _, s_star[rows], s_n[rows], _, b_star[rows] = _walk_extremes(
+            times, w, bridge[:m])
 
     run_forked(run_block, len(starts),
                max(1, _SCRATCH_VALUES // (2 * block * n)))

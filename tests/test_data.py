@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibwalk import build_dataset, cumulative_process, walk_statistics
-from calibwalk.data import _sort_rows
+from calibwalk.data import _sort_rows, _walk_extremes
 
 
 @st.composite
@@ -299,3 +299,97 @@ class TestWalkStatistics:
             cumulative_process(build_dataset(p[order], y[order]))
         )
         assert base == shuffled
+
+
+def test_walk_statistics_peak_memory_per_row():
+    # a copy of the walk and one bridge row of scratch: 16 B/row
+    n = 200_000
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0.05, 0.95, n)
+    proc = cumulative_process(build_dataset(p, rng.random(n) < p))
+    tracemalloc.start()
+    try:
+        walk_statistics(proc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 17.0, f"{peak / n:.1f} B/row"
+
+
+def _extremes_oracle(times, walk):
+    """``_walk_extremes`` one Python float at a time: the first maximum of
+    |walk| and of |walk - times * terminal| in each row."""
+    columns = []
+    for t, w in zip(np.broadcast_to(times, walk.shape).tolist(),
+                    walk.tolist()):
+        bridged = [abs(w_j - t_j * w[-1]) for t_j, w_j in zip(t, w)]
+        absolute = [abs(w_j) for w_j in w]
+        i_bm = max(range(len(w)), key=absolute.__getitem__)
+        i_bb = max(range(len(w)), key=bridged.__getitem__)
+        columns.append((i_bm, absolute[i_bm], w[-1], i_bb, bridged[i_bb]))
+    return [np.array(column) for column in zip(*columns)]
+
+
+def _assert_extremes_match_oracle(times, walk):
+    want = _extremes_oracle(times, walk)
+    walk = walk.copy()
+    got = _walk_extremes(times, walk, np.empty_like(walk))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+    return got
+
+
+@st.composite
+def walk_blocks(draw):
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    variances = rng.uniform(0.01, 0.25, (rows, n))
+    times = np.cumsum(variances, axis=1) / variances.sum(axis=1)[:, None]
+    steps = rng.standard_normal((rows, n))
+    if draw(st.booleans()):  # unit steps: |walk| peaks repeat
+        steps = np.sign(steps)
+    walk = np.cumsum(steps, axis=1)
+    # the engine's rows share one row of times, the study rows have their own
+    return (times[0] if draw(st.booleans()) else times), walk
+
+
+class TestWalkExtremesOracle:
+    """``_walk_extremes`` against Python scalar arithmetic, bit for bit."""
+
+    def test_all_zero_rows_and_negative_zero_terminal(self):
+        times = np.array([0.25, 0.5, 1.0])
+        walk = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0],
+                         [0.5, -1.0, -0.0]])
+        i_bm, s_star, s_n, i_bb, b_star = _assert_extremes_match_oracle(
+            times, walk)
+        assert not np.signbit(s_star).any() and not np.signbit(b_star).any()
+        np.testing.assert_array_equal(np.signbit(s_n), [False, True, True])
+
+    def test_ties_go_to_the_smallest_index(self):
+        times = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+        walk = np.array([[1.0, -2.0, 2.0, 0.0, 1.0],
+                         [0.0, 2.0, 0.0, -2.0, 0.0]])
+        i_bm, _, _, i_bb, _ = _assert_extremes_match_oracle(times, walk)
+        np.testing.assert_array_equal(i_bm, [1, 1])
+        np.testing.assert_array_equal(i_bb, [1, 1])
+
+    def test_single_observation(self):
+        walk = np.array([[0.7], [-1.5]])
+        _, s_star, _, _, b_star = _assert_extremes_match_oracle(
+            np.array([1.0]), walk)
+        np.testing.assert_array_equal(s_star, [0.7, 1.5])
+        np.testing.assert_array_equal(b_star, [0.0, 0.0])
+        _assert_extremes_match_oracle(np.ones((2, 1)), walk)
+
+    def test_buffers_hold_the_absolute_walk_and_bridge(self):
+        times = np.array([[0.5, 1.0]])
+        walk, bridge = np.array([[-1.0, 3.0]]), np.empty((1, 2))
+        _walk_extremes(times, walk, bridge)
+        np.testing.assert_array_equal(walk, [[1.0, 3.0]])
+        np.testing.assert_array_equal(bridge, [[2.5, 0.0]])
+
+    @given(walk_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_random_blocks(self, block):
+        _assert_extremes_match_oracle(*block)

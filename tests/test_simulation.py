@@ -70,6 +70,49 @@ class TestScenarioValidation:
                            match=f"^{name} must be an integer, got "):
             SimulationScenario(**{**fields, name: value})
 
+    @pytest.mark.parametrize("value", [int, np.float64, np.float32,
+                                       np.int64])
+    def test_grid_value_type_does_not_change_the_study(self, tmp_path,
+                                                       value):
+        # the same numbers as Python floats: the same streams and bytes
+        def study(number, path):
+            summaries = (
+                run_null_study([number(-1)], [50], 20, seed=2)
+                + run_power_study("logit_power", [number(0)], [number(2)],
+                                  [30], 10, seed=2))
+            write_study_json(summaries, path)
+            return summaries
+
+        got = study(value, tmp_path / "got.json")
+        want = study(float, tmp_path / "want.json")
+        for g, w in zip(got, want):
+            assert g == w
+            for test in w.pvalues:
+                np.testing.assert_array_equal(g.pvalues[test].view(np.uint64),
+                                              w.pvalues[test].view(np.uint64))
+        assert (tmp_path / "got.json").read_bytes() == \
+            (tmp_path / "want.json").read_bytes()
+
+    def test_real_fields_become_python_floats(self, tmp_path):
+        scenario = SimulationScenario(
+            family="logit_linear", n=10, replications=5, seed=0,
+            beta0=np.int64(1), a=np.float32(0.5), b=2, alpha=np.float32(0.25))
+        for name in ("beta0", "a", "b", "alpha"):
+            assert type(getattr(scenario, name)) is float
+        assert scenario.alpha == float(np.float32(0.25))
+        summaries = run_null_study(np.array([-1.0], dtype=np.float32), [50],
+                                   5, seed=2, alpha=np.float32(0.05))
+        write_study_json(summaries, tmp_path / "study.json")
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1.0", None])
+    @pytest.mark.parametrize("name", ["beta0", "a", "b", "alpha"])
+    def test_rejects_non_numbers(self, name, value):
+        family = "logit_linear" if name in ("a", "b") else "null"
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a number, got "):
+            SimulationScenario(family=family, n=10, replications=5, seed=0,
+                               **{name: value})
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["beta0", "a", "b"])
     def test_rejects_non_finite_grid_values(self, name, value):

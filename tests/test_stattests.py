@@ -595,12 +595,12 @@ class TestMonteCarloEngine:
         data = _random_dataset(7, n=1000)
         parent, log = os.getpid(), tmp_path / "pids"
         error = KeyboardInterrupt if on_caller else RuntimeError
-        max_abs = stattests._max_abs
+        walk_extremes = stattests._walk_extremes
 
         def pids():
             return log.read_text().split()
 
-        def failing(block, out):
+        def failing(times, walk, bridge):
             with open(log, "a") as handle:
                 handle.write(f"{os.getpid()}\n")
             if os.getpid() == parent:
@@ -614,9 +614,9 @@ class TestMonteCarloEngine:
                 time.sleep(0.05)
             else:
                 raise error("block failed")
-            max_abs(block, out)
+            return walk_extremes(times, walk, bridge)
 
-        monkeypatch.setattr(stattests, "_max_abs", failing)
+        monkeypatch.setattr(stattests, "_walk_extremes", failing)
         with pytest.raises(error, match="^block failed$") as caught:
             stattests._simulate_null_statistics(data, 3000, seed=1)
         assert type(caught.value) is error
