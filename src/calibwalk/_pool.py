@@ -5,10 +5,10 @@ The Monte Carlo engine's blocks, a study's blocks and a CSV file's row
 ranges all run through ``run_forked``, in processes: a study replicate
 spends most of its time in Python and numpy call overhead under the GIL,
 and numpy's loader holds it too.  ``run_forked`` takes one worker per
-usable CPU (``_usable_cpus()``), capped by the caller, and has no option
-to set.  Every task writes its results in place, into arrays from
-``shared`` that the caller allocates before the fork, so a worker sends
-back only the index of each task it finishes.
+usable CPU, as many as one memory budget holds, and has no option to
+set.  Every task writes its results in place, into arrays from ``shared``
+that the caller allocates before the fork, so a worker sends back only
+the index of each task it finishes.
 
 ``run_forked`` is a pool of its own rather than ``multiprocessing.Pool`` or
 ``ProcessPoolExecutor``: with those the calling process only waits, which
@@ -34,6 +34,12 @@ _HEADER = 8
 # bytes asked of a results pipe per read: a pipe's default capacity, so a
 # read does not allocate a larger buffer than the pipe can fill
 _READ = 1 << 16
+# Bytes that all workers of a pool may take together, so that it does not
+# grow with the CPUs: each takes _WORKER_BYTES of pages of its own (6.0 MB
+# a study child at n = 1000 with 2 to 16 workers, on a 2-vCPU host) plus
+# the scratch its caller names.
+_MEMORY_BYTES = 1 << 27
+_WORKER_BYTES = 6 << 20
 
 
 def _usable_cpus() -> int:
@@ -130,16 +136,23 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1
 
 
-def run_forked(task, count, workers, done=None):
+def _workers(count, scratch_bytes):
+    """Workers for ``count`` tasks that hold ``scratch_bytes`` each."""
+    return min(_usable_cpus(), count,
+               max(1, _MEMORY_BYTES // (_WORKER_BYTES + scratch_bytes)))
+
+
+def run_forked(task, count, scratch_bytes=0, done=None):
     """Run ``task(i)`` for each i in ``range(count)``, and call ``done(i)``,
     if given, in this process as each task finishes.
 
     A task writes its results into ``shared`` arrays; what it returns is
     dropped.  The tasks run on one worker per usable CPU, at most ``count``
-    and at most the caller's cap ``workers``.  This process is one worker,
-    and children made with ``os.fork`` are the others; with one worker, or
-    where ``os.fork`` is missing or another Python thread runs, this
-    process runs every task in order.  Where ``os.fork`` fails, such as
+    and at most what ``_MEMORY_BYTES`` holds at ``_WORKER_BYTES`` plus
+    ``scratch_bytes``, a task's own memory, each.  This process is one
+    worker, and children made with ``os.fork`` are the others; with one
+    worker, or where ``os.fork`` is missing or another Python thread runs,
+    this process runs every task in order.  Where ``os.fork`` fails, such as
     under a process limit, the workers already started run every task.
     Workers claim the next index from one pipe as they finish a task.  The
     pipe is filled before the fork; if ``count`` is more than it holds,
@@ -154,7 +167,7 @@ def run_forked(task, count, workers, done=None):
     returns or raises.
     """
     done = done or (lambda index: None)
-    workers = min(_usable_cpus(), count, workers)
+    workers = _workers(count, scratch_bytes)
     if workers < 2 or not _can_fork():
         for index in range(count):
             task(index)

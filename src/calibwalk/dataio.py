@@ -257,7 +257,7 @@ def _read_csv_ranges(source, usecols):
 
     ranges = len(bounds) - 1
     try:
-        _pool.run_forked(parse, ranges, ranges)
+        _pool.run_forked(parse, ranges)
     except ValueError:
         return None  # the stream reader's error names the row
     return table

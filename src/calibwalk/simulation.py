@@ -64,15 +64,8 @@ HL_GROUPS = 10
 # of workers.  Blocks of 64 rows there raised the peak RSS of a 3 x 3 power
 # grid by a third.
 _STUDY_BLOCK_VALUES = 1 << 12
-# Bytes of memory that all study workers may take together.  A worker
-# takes _WORKER_BYTES of pages of its own (what a forked child copies on
-# write and its interpreter state: 6.0 MB a child at n = 1000 with 2 to 16
-# workers, on a 2-vCPU host) and _WORKER_BYTES_PER_VALUE per value of its
-# block (17.8 MB in all for a child at n = 1e5).  The budget caps the
-# workers at 19 for n = 1000, 7 for n = 1e5 and 1 above n = 506811, so the
-# memory a study takes does not grow with the number of CPUs.
-_STUDY_MEMORY_BYTES = 1 << 27
-_WORKER_BYTES = 6 << 20
+# Bytes a study worker holds per value of its block, its scratch for
+# ``run_forked`` (17.8 MB in all for a child at n = 1e5, on a 2-vCPU host)
 _WORKER_BYTES_PER_VALUE = 120
 
 
@@ -297,15 +290,15 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     """Build every cell and check its figure name, so a bad cell fails
     before the first replicate; then run every cell's blocks.
 
-    The blocks run on one worker process per usable CPU (``run_forked``),
-    capped at the number of blocks and by ``_STUDY_MEMORY_BYTES``; each
-    worker claims the next block as it finishes one and writes it in
-    place, into its cell's ``shared`` table of p-values and its entry of a
-    ``shared`` array of LR failure counts.  Every replicate draws from its
-    own stream and has its own column, so the summaries are bit-identical
-    for any number of workers.  When a cell's last block is done,
-    ``progress(done, total, summary)`` is called with the number of cells
-    done so far.
+    The blocks run on ``run_forked``'s workers, with the largest block's
+    ``_WORKER_BYTES_PER_VALUE`` per value as scratch: 19 at n = 1000, 7 at
+    n = 1e5, one above n = 506811.  Each worker claims the next block as
+    it finishes one and writes it in place, into its cell's ``shared``
+    table of p-values and its entry of a ``shared`` array of LR failure
+    counts.  Every replicate draws from its own stream and has its own
+    column, so the summaries are bit-identical for any number of workers.
+    When a cell's last block is done, ``progress(done, total, summary)`` is
+    called with the number of cells done so far.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -342,9 +335,8 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
             progress(finished, len(scenarios), summaries[cell])
 
     block_values = max(_block_rows(s) * s.n for s in scenarios)
-    worker_bytes = _WORKER_BYTES + _WORKER_BYTES_PER_VALUE * block_values
-    run_forked(task, len(blocks),
-               max(1, _STUDY_MEMORY_BYTES // worker_bytes), done)
+    run_forked(task, len(blocks), _WORKER_BYTES_PER_VALUE * block_values,
+               done)
     return summaries
 
 

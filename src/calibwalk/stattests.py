@@ -348,12 +348,6 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
 # 1.8x slower.
 _BLOCK_VALUES = 1 << 17
 
-# Float64 values (4 MiB) that all workers' buffers may hold together, two
-# workers' full blocks.  Each forked worker writes to its own copy of the
-# buffers, so the budget caps the worker count, and scratch memory does not
-# grow with the number of CPUs; above n = 2^17 one worker runs.
-_SCRATCH_VALUES = 4 * _BLOCK_VALUES
-
 
 def _simulate_null_statistics(data: CalibrationDataset, replications: int,
                               seed: int):
@@ -370,9 +364,9 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     before it, and fills its rows in row-major order, so replicate r sees
     the same uniforms as one ``default_rng(seed)`` stream whatever the block
     size or the number of workers.  The generator and one block of buffers
-    are allocated before the fork, and each worker updates its own copy of
-    them in place; ``_SCRATCH_VALUES`` bounds all the copies together, so
-    scratch memory is a few rows of n floats whatever the number of CPUs.
+    are allocated before the fork and each worker updates its own copy in
+    place: they are its scratch for ``run_forked``'s memory budget, which
+    caps the workers at 17 at n = 1e5, 6 at n = 1e6 and one above 3801088.
     """
     p = data.predictions
     n = data.n
@@ -404,8 +398,7 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
         _, s_star[rows], s_n[rows], _, b_star[rows] = _walk_extremes(
             times, w, bridge[:m])
 
-    run_forked(run_block, len(starts),
-               max(1, _SCRATCH_VALUES // (2 * block * n)))
+    run_forked(run_block, len(starts), walk.nbytes + bridge.nbytes)
     return s_star, b_star, s_n
 
 

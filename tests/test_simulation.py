@@ -355,7 +355,7 @@ def _use_cpus(monkeypatch, cpus):
     # the memory budget lifted, so that the CPU count alone sets the
     # workers (up to the number of blocks)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulation, "_STUDY_MEMORY_BYTES", 1 << 60)
+    monkeypatch.setattr(_pool, "_MEMORY_BYTES", 1 << 60)
 
 
 def _no_children():
@@ -548,10 +548,9 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         want_study, want_null, want_table = run()
-        # 4 CPUs, with the study and Monte Carlo budgets lifted and the file
-        # cut into 4 row ranges
+        # 4 CPUs, with the memory budget lifted and the file cut into 4 row
+        # ranges
         _use_cpus(monkeypatch, 4)
-        monkeypatch.setattr(stattests, "_SCRATCH_VALUES", 1 << 40)
         monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
         monkeypatch.setattr(os, "fork", second_fails)
         study, null, table = run()
@@ -603,8 +602,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
         chosen = []
 
-        def in_order(task, count, workers, done):
-            chosen.append(workers)
+        def in_order(task, count, scratch_bytes, done):
+            chosen.append(_pool._workers(count, scratch_bytes))
             for index in range(count):
                 task(index)
                 done(index)

@@ -25,7 +25,7 @@ from calibwalk import (
     walk_statistics,
     weak_calibration_lr_test,
 )
-from calibwalk import _pool, stattests
+from calibwalk import _pool, dataio, simulation, stattests
 from calibwalk.stattests import bb_test_from_process, bm_test_from_process
 from calibwalk.simulation import SimulationScenario, generate_dataset
 
@@ -471,10 +471,10 @@ ENGINE_CASES = [
 
 
 def _use_cpus(monkeypatch, cpus):
-    # with the scratch budget lifted, so that the CPU count alone sets the
+    # with the memory budget lifted, so that the CPU count alone sets the
     # workers (up to the number of blocks)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(stattests, "_SCRATCH_VALUES", 1 << 40)
+    monkeypatch.setattr(_pool, "_MEMORY_BYTES", 1 << 60)
 
 
 @pytest.fixture
@@ -646,13 +646,85 @@ class TestMonteCarloEngine:
         assert peak < (2 + 1.5) * 8 * n
         assert _no_children()
 
-    @pytest.mark.parametrize("n, workers",
-                             [(100_000, 2), (BLOCK_VALUES + 1, 1)])
-    def test_scratch_budget_caps_the_workers(self, monkeypatch, forks, n,
-                                             workers):
-        # 64 CPUs under the real budget: no more workers than two CPUs give
-        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
+
+
+# (what runs, at which n, and its workers under 64 CPUs and the real
+# memory budget)
+BUDGET_CASES = [
+    ("engine", 100_000, 17),
+    ("engine", BLOCK_VALUES + 1, 15),
+    ("engine", 1_000_000, 6),
+    ("study", 1000, 19),
+    ("study", 100_000, 7),
+    ("study", 506_811, 2),
+    ("study", 506_812, 1),
+    ("csv", None, 4),
+]
+
+
+@pytest.mark.parametrize("what, n, workers", BUDGET_CASES,
+                         ids=[f"{what}-{n}-{workers}"
+                              for what, n, workers in BUDGET_CASES])
+def test_one_memory_budget_sets_the_workers(monkeypatch, tmp_path, forks,
+                                            what, n, workers):
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
+    if what == "engine":
         data = _random_dataset(3, n=n)
-        stattests._simulate_null_statistics(data, 50, seed=2)  # 50 blocks
-        assert len(forks) == workers - 1
-        assert _no_children()
+        stattests._simulate_null_statistics(data, 20, seed=2)  # 20 blocks
+    elif what == "study":
+        # 40 blocks of the real size, each left as zeros
+        monkeypatch.setattr(simulation, "_run_block",
+                            lambda scenario, start, stop, pvalues: 0)
+        simulation.run_null_study([0.0], [n], seed=0,
+                                  replications=40 * max(1, 4096 // n))
+    else:
+        # 4 ranges of at least _RANGE_BYTES, patched to 4 KiB
+        monkeypatch.setattr(dataio, "_RANGE_BYTES", 1 << 12)
+        path = tmp_path / "d.csv"
+        path.write_text("p,y\n" + "0.25,1\n" * 2600)
+        dataio.read_dataset_csv(path)
+    assert len(forks) == workers - 1
+    assert _no_children()
+
+
+def _private_bytes():
+    """This process's private memory, from ``/proc/self/smaps_rollup``."""
+    with open("/proc/self/smaps_rollup") as rollup:
+        return 1024 * sum(int(line.split()[1]) for line in rollup
+                          if line.startswith(("Private_Clean:",
+                                              "Private_Dirty:")))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                    reason="needs /proc/self/smaps_rollup")
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_engine_children_stay_inside_the_budget(monkeypatch, n):
+    # each of the 3 children on 4 CPUs records its private memory after
+    # every block it runs, into the slot of its fork
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
+    data = _random_dataset(4, n=n)
+    parent, private = os.getpid(), _pool.shared(4, np.int64)
+    slot, fork, walk_extremes = [0], os.fork, stattests._walk_extremes
+
+    def numbered():
+        slot[0] += 1
+        return fork()
+
+    def measured(times, walk, bridge):
+        extremes = walk_extremes(times, walk, bridge)
+        if os.getpid() != parent:
+            private[slot[0]] = max(private[slot[0]], _private_bytes())
+        else:  # until every child has run a block
+            deadline = time.monotonic() + 30
+            while (private[1:] == 0).any() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return extremes
+
+    monkeypatch.setattr(os, "fork", numbered)
+    monkeypatch.setattr(stattests, "_walk_extremes", measured)
+    stattests._simulate_null_statistics(data, 12, seed=5)  # one-row blocks
+    scratch = 2 * 8 * n  # one walk and one bridge row
+    assert slot[0] == 3
+    assert (private[1:] > 0).all()
+    assert (private[1:] < _pool._WORKER_BYTES + scratch).all(), private
+    assert _no_children()
