@@ -103,8 +103,12 @@ class SimulationScenario:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            # a Python float: the stream and JSON echo ignore the type
-            object.__setattr__(self, name, float(value))
+            try:
+                # a Python float: the stream and JSON echo ignore the type
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, name, value)
         for name in ("beta0", "a", "b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

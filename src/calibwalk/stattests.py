@@ -366,7 +366,8 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     size or the number of workers.  The generator and one block of buffers
     are allocated before the fork and each worker updates its own copy in
     place: they are its scratch for ``run_forked``'s memory budget, which
-    caps the workers at 17 at n = 1e5, 6 at n = 1e6 and one above 3801088.
+    caps the workers at 17 at n = 1e5, 6 at n = 1e6 and one above
+    n = 3801088.
     """
     p = data.predictions
     n = data.n
@@ -416,6 +417,9 @@ def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
     the two empirical ones are discrete and dependent.  ``stats`` are the
     observed walk statistics of ``data``.
     """
+    for name, value in (("replications", replications), ("seed", seed)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     # Python ints, so that numpy integers do not reach the JSON report
     replications, seed = operator.index(replications), operator.index(seed)
     if replications < 1:

@@ -121,6 +121,17 @@ class TestScenarioValidation:
             SimulationScenario(family=family, n=10, replications=5, seed=0,
                                **{name: value})
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name", ["beta0", "a", "b", "alpha"])
+    def test_ints_beyond_the_float_range_are_value_errors(self, name, sign):
+        # float() of such an int raises OverflowError, not a ValueError
+        family = "logit_linear" if name in ("a", "b") else "null"
+        message = (r"alpha must be inside \(0, 1\)" if name == "alpha"
+                   else f"{name} must be finite")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimulationScenario(family=family, n=10, replications=5, seed=0,
+                               **{name: sign * 10**400})
+
     def test_non_finite_grid_value_fails_before_any_replicate(
             self, monkeypatch):
         def no_replicate(*args):

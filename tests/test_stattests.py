@@ -415,6 +415,23 @@ class TestMonteCarloTest:
             monte_carlo_test(data, 0, 1,
                              walk_statistics(cumulative_process(data)))
 
+    @pytest.mark.parametrize("name", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, name, value):
+        # analyze(data, mc=True) once ran one replicate, and seed=False
+        # ran seed 0
+        data = _random_dataset(0, n=10)
+        counts = {"replications": 5, "seed": 1, name: value}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            monte_carlo_test(data, counts["replications"], counts["seed"],
+                             walk_statistics(cumulative_process(data)))
+        if counts["replications"]:  # mc=False runs no Monte Carlo test
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be an integer"):
+                analyze(data, hl=False, lr=False,
+                        mc=counts["replications"], seed=counts["seed"])
+
     def test_agreement_with_asymptotic_at_large_n(self):
         # under the null at n = 1000 the exact p runs ~0.01 below the
         # asymptotic p; 20k replications keep the Monte Carlo noise from
@@ -647,7 +664,6 @@ class TestMonteCarloEngine:
         assert _no_children()
 
 
-
 # (what runs, at which n, and its workers under 64 CPUs and the real
 # memory budget)
 BUDGET_CASES = [
@@ -714,14 +730,14 @@ def test_engine_children_stay_inside_the_budget(monkeypatch, n):
         extremes = walk_extremes(times, walk, bridge)
         if os.getpid() != parent:
             private[slot[0]] = max(private[slot[0]], _private_bytes())
-        else:  # until every child has run a block
-            deadline = time.monotonic() + 30
+        else:  # wait, up to 30 s in all, until every child has run a block
             while (private[1:] == 0).any() and time.monotonic() < deadline:
                 time.sleep(0.01)
         return extremes
 
     monkeypatch.setattr(os, "fork", numbered)
     monkeypatch.setattr(stattests, "_walk_extremes", measured)
+    deadline = time.monotonic() + 30
     stattests._simulate_null_statistics(data, 12, seed=5)  # one-row blocks
     scratch = 2 * 8 * n  # one walk and one bridge row
     assert slot[0] == 3
