@@ -8,7 +8,8 @@ and numpy's loader holds it too.  ``run_forked`` takes one worker per
 usable CPU, as many as one memory budget holds, and has no option to
 set.  Every task writes its results in place, into arrays from ``shared``
 that the caller allocates before the fork, so a worker sends back only
-the index of each task it finishes.
+the index of each task it finishes, in a ``multiprocessing.connection``
+message; only a pool that forks imports that module.
 
 ``run_forked`` is a pool of its own rather than ``multiprocessing.Pool`` or
 ``ProcessPoolExecutor``: with those the calling process only waits, which
@@ -28,12 +29,8 @@ import warnings
 
 import numpy as np
 
-# bytes of one claim record (a task index) and of a message's length prefix
+# bytes of one claim record (a task index)
 _RECORD = 4
-_HEADER = 8
-# bytes asked of a results pipe per read: a pipe's default capacity, so a
-# read does not allocate a larger buffer than the pipe can fill
-_READ = 1 << 16
 # Bytes that all workers of a pool may take together, so that it does not
 # grow with the CPUs: each takes _WORKER_BYTES of pages of its own (6.0 MB
 # a study child at n = 1000 with 2 to 16 workers, on a 2-vCPU host) plus
@@ -85,14 +82,6 @@ def _claim(fd):
     return int.from_bytes(record, "little") if record else None
 
 
-def _send(fd, message):
-    """Write ``message`` to ``fd``, pickled after its length, all of it."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    data = len(data).to_bytes(_HEADER, "little") + data
-    while data:
-        data = data[os.write(fd, data):]
-
-
 def _portable(exc):
     """``exc`` if it survives a pickle round trip, else a RuntimeError that
     names its type and message."""
@@ -105,12 +94,13 @@ def _portable(exc):
 
 def _child(task, claims, results, inherited):
     """A forked worker's whole life: run claimed tasks, send the index of
-    each finished one (or the first exception) to the parent, and leave
-    through ``os._exit``, which runs no atexit handler and flushes no stdio
-    buffer.
+    each finished one (or the first exception and its traceback) to the
+    parent over the ``Connection`` ``results``, and leave through
+    ``os._exit``, which runs no atexit handler and flushes no stdio buffer.
 
-    An index takes under 20 bytes of the pipe, so a write waits for a
-    parent busy with a task of its own only after thousands of them.
+    An index takes at most 21 bytes of the pipe, a 4-byte length and its
+    pickle, so a send waits for a parent busy with a task of its own only
+    after thousands of them.
     """
     code = 1
     try:
@@ -121,11 +111,11 @@ def _child(task, claims, results, inherited):
         try:
             while (index := _claim(claims)) is not None:
                 task(index)
-                _send(results, index)
+                results.send(index)
         except BaseException as exc:
             import traceback  # only a failing worker needs it
 
-            _send(results, (_portable(exc), traceback.format_exc()))
+            results.send((_portable(exc), traceback.format_exc()))
         else:
             code = 0
     finally:
@@ -158,8 +148,8 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     pipe is filled before the fork; if ``count`` is more than it holds,
     this process tops it up between its own tasks and takes the next index
     not yet written itself.  A child sends the index of each task it
-    finishes over a pipe of its own, which this process reads between its
-    own tasks.
+    finishes as a ``Connection`` message over a pipe of its own, which this
+    process reads between its own tasks.
 
     An exception in a child is raised here with its type and message, and
     its traceback as the cause.  On any exception here, KeyboardInterrupt
@@ -190,12 +180,11 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     if fed == count:
         os.close(feeder)
         feeder = None
-    pids, buffers = [], {}
-    poller = select.poll()
+    pids, pipes = [], []
     try:
         for _ in range(workers - 1):
             try:
-                _fork(task, claims, feeder, pids, buffers, poller)
+                _fork(task, claims, feeder, pids, pipes)
             except OSError:  # such as EAGAIN: the others claim its tasks
                 break
         while True:
@@ -212,9 +201,9 @@ def run_forked(task, count, scratch_bytes=0, done=None):
                     break
             task(index)
             deliver(index)
-            _receive(poller, buffers, 0, deliver)
+            _receive(pipes, 0, deliver)
         # every child closes its pipe when it exits
-        _receive(poller, buffers, None, deliver)
+        _receive(pipes, None, deliver)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -222,20 +211,25 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     finally:
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     for pid in pids]
-        for fd in [claims, feeder, *buffers]:
+        for fd in [claims, feeder]:
             if fd is not None:
                 os.close(fd)
+        for pipe in pipes:
+            pipe.close()
     if any(statuses) or finished < count:
         raise RuntimeError(
             f"worker processes exited with statuses {statuses}; "
             f"{count - finished} of {count} tasks did not finish")
 
 
-def _fork(task, claims, feeder, pids, buffers, poller):
+def _fork(task, claims, feeder, pids, pipes):
     """Start one child on the claims pipe.  Its pid goes into ``pids`` and
-    the read end of its results pipe into ``buffers`` and ``poller``; the
+    the read end of its results pipe, a ``Connection``, into ``pipes``; the
     child closes the parent's other pipe ends."""
-    inherited = [fd for fd in [feeder, *buffers] if fd is not None]
+    from multiprocessing.connection import Connection
+
+    inherited = [fd for fd in [feeder, *(pipe.fileno() for pipe in pipes)]
+                 if fd is not None]
     results, end = os.pipe()
     # SIGINT stays blocked until the child ignores it and the parent has
     # recorded the pid, so ^C can neither raise in the child on the
@@ -252,39 +246,30 @@ def _fork(task, claims, feeder, pids, buffers, poller):
         raise
     else:
         if pid == 0:
-            _child(task, claims, end, [results, *inherited])
+            _child(task, claims, Connection(end, readable=False),
+                   [results, *inherited])
         pids.append(pid)
-        buffers[results] = bytearray()
-        poller.register(results, select.POLLIN)
+        pipes.append(Connection(results, writable=False))
     finally:
         os.close(end)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-def _receive(poller, buffers, timeout, deliver):
-    """Read what the children have sent and ``deliver`` each message.
+def _receive(pipes, timeout, deliver):
+    """Receive the messages the children have sent and ``deliver`` each.
 
-    With ``timeout`` 0, return when no pipe has data ready; with None,
-    return when every child has closed its pipe.  A closed pipe is closed
-    here too and leaves ``buffers``.
+    With ``timeout`` 0, return when no pipe has a message ready; with None,
+    return when every child has closed its pipe.  A pipe its child has
+    closed is closed here too and leaves ``pipes``.
     """
-    while buffers:
-        events = poller.poll(timeout)
-        if not events:
-            return
-        for fd, _ in events:
-            data = os.read(fd, _READ)
-            if not data:
-                poller.unregister(fd)
-                os.close(fd)
-                del buffers[fd]
-                continue
-            buffer = buffers[fd]
-            buffer += data
-            while len(buffer) >= _HEADER:
-                size = int.from_bytes(buffer[:_HEADER], "little")
-                if len(buffer) < _HEADER + size:
-                    break
-                message = pickle.loads(buffer[_HEADER:_HEADER + size])
-                del buffer[:_HEADER + size]
+    from multiprocessing.connection import wait
+
+    while pipes and (ready := wait(pipes, timeout)):
+        for pipe in ready:
+            try:
+                message = pipe.recv()
+            except EOFError:
+                pipe.close()
+                pipes.remove(pipe)
+            else:
                 deliver(message)

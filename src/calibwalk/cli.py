@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .data import build_dataset
+from .data import _integer, build_dataset
 from .dataio import (
     SMALL_SAMPLE_VARIANCE,
     analyze,
@@ -235,9 +235,13 @@ def run_case_study(seed, dev_n=50_000, small_n=500, holdout_n=10_000,
     level ``alpha``) are written when ``out_dir`` is given, once every
     figure of both models has rendered.
     """
+    seed = _integer("seed", seed, 0)
+    dev_n = _integer("dev_n", dev_n, 1)
+    small_n = _integer("small_n", small_n, 1)
+    holdout_n = _integer("holdout_n", holdout_n, 1)
     if small_n > dev_n:
         raise ValueError("small_n cannot exceed dev_n")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xCA5E)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xCA5E)))
     x_dev = rng.standard_normal(dev_n)
     y_dev = (rng.random(dev_n) < _expit(-2.0 + x_dev)).astype(float)
     x_hold = rng.standard_normal(holdout_n)

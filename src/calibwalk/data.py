@@ -8,6 +8,7 @@ calibration the path behaves like standard Brownian motion on [0, 1].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,21 @@ import numpy as np
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, so that numpy integers do not reach a
+    JSON file; a bool, a non-integer or a value below ``minimum`` raises a
+    ValueError that names ``name``."""
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        integer = None
+    if integer is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if integer < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return integer
 
 
 def _accumulate(values: np.ndarray) -> np.ndarray:
@@ -47,15 +63,18 @@ class CumulativeProcess:
     """The standardized cumulative-error walk of a dataset.
 
     ``times[i]`` is the variance-proportional clock in [0, 1] (last entry
-    exactly 1), ``walk[i]`` the standardized partial sum of prediction
-    errors, ``raw_sums[i]`` the same partial sum scaled by 1/n instead.
-    The origin (0, 0) is implicit and not stored.
+    exactly 1) and ``walk[i]`` the standardized partial sum of prediction
+    errors.  The origin (0, 0) is implicit and not stored.  On the raw
+    scale, the partial sums divided by n, only two numbers are kept:
+    ``c_star``, their largest absolute value, and ``c_n``, the last one
+    (the mean prediction error).
     """
 
     total_variance: float
     times: np.ndarray
     walk: np.ndarray
-    raw_sums: np.ndarray
+    c_star: float
+    c_n: float
     source: CalibrationDataset
 
     @property
@@ -168,23 +187,29 @@ def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:
 
     With predictions p and outcomes y sorted ascending by p:
 
-    * raw_sums[i] = (1/n) * sum_{j<=i} (y_j - p_j)
-    * times[i]    = sum_{j<=i} p_j (1 - p_j) / T,  T = sum p (1 - p)
-    * walk[i]     = sum_{j<=i} (y_j - p_j) / sqrt(T)
+    * times[i] = sum_{j<=i} p_j (1 - p_j) / T,  T = sum p (1 - p)
+    * walk[i]  = sum_{j<=i} (y_j - p_j) / sqrt(T)
+    * c_star   = max_i |sum_{j<=i} (y_j - p_j)| / n
+    * c_n      = sum_j (y_j - p_j) / n
+
+    Dividing by n and rounding to float64 are monotone, so ``c_star`` is
+    the largest of the rounded |partial sums / n|, bit for bit.
     """
-    total_variance, times, walk, raw_sums = _walk_rows(
+    total_variance, times, walk, errors = _walk_rows(
         data.predictions[None], data.outcomes[None])
     return CumulativeProcess(
         total_variance=float(total_variance[0]),
         times=_readonly(times[0]),
         walk=_readonly(walk[0]),
-        raw_sums=_readonly(raw_sums[0]),
+        c_star=float(max(errors.max(), -errors.min()) / data.n),
+        c_n=float(errors[0, -1] / data.n),
         source=data,
     )
 
 
 def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray):
-    """Total variances, times, walks and raw sums of (rows, n) sorted blocks.
+    """Total variances, times and walks of (rows, n) sorted blocks, and
+    their running sums of prediction errors in long double.
 
     ``cumulative_process`` is the one-row case.
     """
@@ -194,10 +219,9 @@ def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray):
     times = np.asarray(cum_var / cum_var[:, -1:], dtype=np.float64)
 
     errors = _accumulate(outcomes - predictions)
-    raw_sums = np.asarray(errors / predictions.shape[1], dtype=np.float64)
     scale = np.sqrt(total_variance.astype(np.longdouble))[:, None]
     walk = np.asarray(errors / scale, dtype=np.float64)
-    return total_variance, times, walk, raw_sums
+    return total_variance, times, walk, errors
 
 
 def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
@@ -208,7 +232,6 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     inside the path for any non-degenerate walk.  Argmax ties resolve to
     the smallest index.
     """
-    c_star = np.abs(proc.raw_sums).max().item()
     extremes = _walk_extremes(proc.times[None], proc.walk[None].copy(),
                               np.empty((1, proc.n)))
     i_bm, s_star, s_n, i_bb, b_star = (column.item() for column in extremes)
@@ -217,8 +240,8 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
         return WalkLocation(i + 1, proc.times[i].item(),
                             proc.source.predictions[i].item())
 
-    return WalkStatistics(c_star, s_star, s_n, proc.raw_sums[-1].item(),
-                          b_star, location(i_bm), location(i_bb))
+    return WalkStatistics(proc.c_star, s_star, s_n, proc.c_n, b_star,
+                          location(i_bm), location(i_bb))
 
 
 def _walk_extremes(times, walk, bridge):

@@ -31,13 +31,13 @@ import hashlib
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import (
     CalibrationDataset,
+    _integer,
     _sort_rows,
     _walk_extremes,
     _walk_rows,
@@ -83,22 +83,9 @@ class SimulationScenario:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("n", "replications", "seed"):
-            value = getattr(self, name)
-            try:
-                integer = operator.index(value)
-            except TypeError:
-                integer = None
-            if integer is None or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # a Python int, so the frozen scenario writes as JSON
-            object.__setattr__(self, name, integer)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, minimum in (("n", 1), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), minimum))
         for name in ("beta0", "a", "b", "alpha"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -236,9 +223,10 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     """
     predictions, outcomes, tie_flags = _sort_rows(*_generate_block(
         scenario, _cell_key(scenario), start, stop - start))
-    _, times, walk, raw_sums = _walk_rows(predictions, outcomes)
-    # the raw sums are not needed: their buffer is the bridge scratch
-    _, s_star, s_n, _, b_star = _walk_extremes(times, walk, raw_sums)
+    # the error sums are dropped here; the bridge takes scratch of its own
+    times, walk = _walk_rows(predictions, outcomes)[1:3]
+    _, s_star, s_n, _, b_star = _walk_extremes(times, walk,
+                                               np.empty_like(walk))
     columns = dict(zip(_tests(scenario), pvalues[:, start:stop]))
     columns["bm"][:] = [sup_abs_bm_sf(s) for s in s_star.tolist()]
     columns["bb"][:] = [_bb_p_values(s, b)[2]

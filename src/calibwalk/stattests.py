@@ -14,7 +14,6 @@ resampled null.  The walk tests read the statistics of one walk
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from ._pool import run_forked, shared
 from .data import (CalibrationDataset, WalkLocation, WalkStatistics,
-                   _walk_extremes)
+                   _integer, _walk_extremes)
 from . import distributions as dist
 
 
@@ -417,13 +416,8 @@ def monte_carlo_test(data: CalibrationDataset, replications: int, seed: int,
     the two empirical ones are discrete and dependent.  ``stats`` are the
     observed walk statistics of ``data``.
     """
-    for name, value in (("replications", replications), ("seed", seed)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    # Python ints, so that numpy integers do not reach the JSON report
-    replications, seed = operator.index(replications), operator.index(seed)
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    replications = _integer("replications", replications, 1)
+    seed = _integer("seed", seed, 0)
     s_star, b_star, s_n = _simulate_null_statistics(data, replications, seed)
 
     def add_one(exceeds):

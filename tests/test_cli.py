@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,18 @@ def _write_csv(tmp_path, text=TWO_POINT, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def test_import_leaves_multiprocessing_out():
+    # the worker pool imports multiprocessing.connection only when it forks
+    code = ("import sys, calibwalk.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing'))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(calibwalk.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestArgumentHandling:
@@ -429,6 +444,35 @@ class TestCmdCasestudy:
         assert main(["casestudy", "--seed", "1", "--dev-n", "100",
                      "--small-n", "200", "--holdout-n", "100",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dev-n", "-5", "dev_n must be >= 1"),
+        ("--small-n", "0", "small_n must be >= 1"),
+        ("--holdout-n", "-1", "holdout_n must be >= 1"),
+    ], ids=["dev-n", "small-n", "holdout-n"])
+    def test_size_below_one_exits_two(self, tmp_path, capsys, flag, value,
+                                      message):
+        # "small_n cannot exceed dev_n" and "negative dimensions are not
+        # allowed" once stood for these
+        argv = ["casestudy", "--seed", "1", "--dev-n", "100", "--small-n",
+                "50", "--holdout-n", "100", "--out", str(tmp_path / "o")]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("arguments, message", [
+        ((2.7,), "seed must be an integer, got 2.7"),
+        ((True,), "seed must be an integer, got True"),
+        ((-1,), "seed must be >= 0"),
+        ((1, 100.0), "dev_n must be an integer, got 100.0"),
+    ], ids=["float-seed", "bool-seed", "negative-seed", "float-dev-n"])
+    def test_rejects_non_integer_or_negative_arguments(self, arguments,
+                                                      message):
+        from calibwalk.cli import run_case_study
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_case_study(*arguments, small_n=10, holdout_n=10)
 
     def test_full_model_calibrated_across_seeds(self):
         # the large-split model is calibrated by construction, so its

@@ -2,14 +2,15 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calibwalk import build_dataset, cumulative_process, walk_statistics
-from calibwalk.data import _sort_rows, _walk_extremes
+from calibwalk.data import _accumulate, _sort_rows, _walk_extremes
 
 
 @st.composite
@@ -18,6 +19,18 @@ def datasets(draw, max_n=60):
     p = draw(st.lists(
         st.floats(0.01, 0.99, allow_nan=False), min_size=n, max_size=n,
     ))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return build_dataset(p, y)
+
+
+@st.composite
+def tied_datasets(draw, max_n=60):
+    """Predictions drawn from at most four levels; one level makes them
+    constant."""
+    n = draw(st.integers(1, max_n))
+    levels = draw(st.lists(st.floats(0.01, 0.99, allow_nan=False),
+                           min_size=1, max_size=4))
+    p = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
     y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return build_dataset(p, y)
 
@@ -183,7 +196,8 @@ class TestCumulativeProcess:
         proc = cumulative_process(build_dataset([0.2, 0.6], [0, 1]))
         assert proc.total_variance == pytest.approx(0.40, abs=1e-15)
         np.testing.assert_allclose(proc.times, [0.40, 1.00], atol=1e-15)
-        np.testing.assert_allclose(proc.raw_sums, [-0.10, 0.10], atol=1e-15)
+        assert proc.c_star == pytest.approx(0.10, abs=1e-15)
+        assert proc.c_n == pytest.approx(0.10, abs=1e-15)
         np.testing.assert_allclose(
             proc.walk, [-0.31622777, 0.31622777], atol=1e-8,
         )
@@ -193,7 +207,7 @@ class TestCumulativeProcess:
         assert proc.total_variance == pytest.approx(0.25)
         np.testing.assert_allclose(proc.times, [1.0])
         np.testing.assert_allclose(proc.walk, [1.0])
-        np.testing.assert_allclose(proc.raw_sums, [0.5])
+        assert proc.c_star == proc.c_n == 0.5
 
     def test_sign_symmetry_at_half(self):
         proc = cumulative_process(build_dataset([0.5], [0]))
@@ -215,11 +229,39 @@ class TestCumulativeProcess:
     @given(datasets())
     @settings(max_examples=60, deadline=None)
     def test_scaling_identity(self, data):
-        # walk * sqrt(T) == n * raw_sums
+        # max |walk| * sqrt(T) == n * c_star, walk[-1] * sqrt(T) == n * c_n
         proc = cumulative_process(data)
-        lhs = proc.walk * math.sqrt(proc.total_variance)
-        rhs = data.n * proc.raw_sums
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-300)
+        lhs = np.array([np.abs(proc.walk).max(), proc.walk[-1]])
+        rhs = data.n * np.array([proc.c_star, proc.c_n])
+        np.testing.assert_allclose(lhs * math.sqrt(proc.total_variance), rhs,
+                                   rtol=1e-10, atol=1e-300)
+
+    @given(st.one_of(datasets(), tied_datasets()))
+    @example(build_dataset([0.5], [1]))
+    @example(build_dataset([0.3] * 4, [1, 0, 0, 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_raw_scale_statistics_oracle(self, data):
+        proc = cumulative_process(data)
+        n = data.n
+        # exact partial sums of the inputs' values
+        sums, total = [], Fraction(0)
+        for p, y in zip(data.predictions.tolist(), data.outcomes.tolist()):
+            total += Fraction(y) - Fraction(p)
+            sums.append(total)
+        c_star = max(abs(s) for s in sums) / n
+        assert abs(Fraction(proc.c_star) - c_star) <= c_star * 1e-12
+        # the terminal sum can cancel to near 0: its error is measured on
+        # the scale of the largest partial sum
+        assert abs(Fraction(proc.c_n) - sums[-1] / n) <= c_star * 1e-12
+        # bit for bit, the maximum and last entry of the float64 partial
+        # sums divided by n
+        raw_sums = np.asarray(
+            _accumulate(data.outcomes[None] - data.predictions[None]) / n,
+            dtype=np.float64)[0]
+        got = np.array([proc.c_star, proc.c_n])
+        want = np.array([np.abs(raw_sums).max(), raw_sums[-1]])
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
     def test_extended_precision_accumulation(self):
         # constant tiny increments over a long walk stay exact to 1e-12
@@ -299,6 +341,22 @@ class TestWalkStatistics:
             cumulative_process(build_dataset(p[order], y[order]))
         )
         assert base == shuffled
+
+
+def test_cumulative_process_memory_per_row():
+    # it keeps the times and the walk, 8 B/row each, and no raw-scale sums
+    n = 200_000
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0.05, 0.95, n)
+    data = build_dataset(p, rng.random(n) < p)
+    tracemalloc.start()
+    try:
+        proc = cumulative_process(data)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert proc.n == n
+    assert retained / n <= 16.05, f"{retained / n:.2f} B/row"
 
 
 def test_walk_statistics_peak_memory_per_row():

@@ -428,6 +428,21 @@ def _wait_for_workers(pids, count):
         time.sleep(0.01)
 
 
+def _exit_three():
+    os._exit(3)
+
+
+def _raise_unpicklable():
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    raise Unpicklable("cannot travel")
+
+
+def _raise_long():
+    raise ValueError("x" * 1_000_000)  # longer than a pipe holds
+
+
 class TestWorkerProcesses:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("name, study", POOL_STUDIES,
@@ -498,20 +513,24 @@ class TestWorkerProcesses:
         assert len(pids()) < 20
         assert _no_children()
 
-    def test_more_tasks_than_the_claims_pipe_holds(self):
+    def test_more_tasks_than_the_claims_pipe_holds(self, monkeypatch,
+                                                   forks):
         # 20000 four-byte claims overfill a 64 KiB pipe: the parent tops it
         # up between its own tasks and takes the next unwritten index
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
         squares, done = _pool.shared(20_000, np.int64), []
 
         def task(index):
             squares[index] = index * index
 
-        _pool.run_forked(task, 20_000, 3, done.append)
+        _pool.run_forked(task, 20_000, done=done.append)
+        assert len(forks) == 2
         assert sorted(done) == list(range(20_000))
         assert (squares == np.arange(20_000) ** 2).all()
         assert _no_children()
 
-    def test_child_runs_on_while_the_parent_is_busy(self):
+    def test_child_runs_on_while_the_parent_is_busy(self, monkeypatch,
+                                                    forks):
         # the parent's task takes 1 s: the child runs all the others
         # meanwhile, and every result is in the shared arrays
         parent = os.getpid()
@@ -523,12 +542,44 @@ class TestWorkerProcesses:
             values[index] = index
             ran[index] = os.getpid()
 
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         done = []
-        _pool.run_forked(task, 12, 2, done.append)
+        _pool.run_forked(task, 12, done=done.append)
+        assert len(forks) == 1
         assert sorted(done) == list(range(12))
         assert (values == np.arange(12.0)[:, None]).all()
         assert (ran != 0).all()
         assert list(ran).count(parent) <= 1
+        assert _no_children()
+
+    @pytest.mark.parametrize("fail, error, message", [
+        (_exit_three, RuntimeError, "worker processes exited with statuses "
+                                    "[3]; 1 of 8 tasks did not finish"),
+        (_raise_unpicklable, RuntimeError, "Unpicklable: cannot travel"),
+        (_raise_long, ValueError, "x" * 1_000_000),
+    ], ids=["exit", "unpicklable", "long"])
+    def test_failed_child_reaches_the_caller(self, monkeypatch, fail, error,
+                                             message):
+        # the child fails in its first task, while the parent waits for it
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        parent, failed = os.getpid(), _pool.shared(1, np.int64)
+
+        def task(index):
+            if os.getpid() != parent:
+                failed[0] = 1
+                fail()
+            deadline = time.monotonic() + 30
+            while not failed[0] and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        with pytest.raises(error) as caught:
+            _pool.run_forked(task, 8)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        if fail is _exit_three:
+            assert caught.value.__cause__ is None
+        else:
+            assert "in a worker process" in str(caught.value.__cause__)
         assert _no_children()
 
     def test_failed_fork_runs_on_the_workers_started(self, monkeypatch,

@@ -416,19 +416,22 @@ class TestMonteCarloTest:
                              walk_statistics(cumulative_process(data)))
 
     @pytest.mark.parametrize("name", ["replications", "seed"])
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, 2.5, -1])
     def test_rejects_bools(self, name, value):
-        # analyze(data, mc=True) once ran one replicate, and seed=False
-        # ran seed 0
+        # analyze(data, mc=True) once ran one replicate, seed=False ran
+        # seed 0, replications=2.5 raised a TypeError and seed=-1 numpy's
+        # own error
         data = _random_dataset(0, n=10)
         counts = {"replications": 5, "seed": 1, name: value}
-        with pytest.raises(ValueError,
-                           match=f"^{name} must be an integer, got {value}$"):
+        if value == -1:
+            message = f"{name} must be >= {1 if name == 'replications' else 0}"
+        else:
+            message = f"{name} must be an integer, got {value}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             monte_carlo_test(data, counts["replications"], counts["seed"],
                              walk_statistics(cumulative_process(data)))
         if counts["replications"]:  # mc=False runs no Monte Carlo test
-            with pytest.raises(ValueError,
-                               match=f"^{name} must be an integer"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 analyze(data, hl=False, lr=False,
                         mc=counts["replications"], seed=counts["seed"])
 
@@ -492,20 +495,6 @@ def _use_cpus(monkeypatch, cpus):
     # workers (up to the number of blocks)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(_pool, "_MEMORY_BYTES", 1 << 60)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """A list that gets one item per process forked from here on."""
-    made = []
-    fork = os.fork
-
-    def counting():
-        made.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return made
 
 
 def _no_children():
