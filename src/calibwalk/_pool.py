@@ -29,8 +29,11 @@ import warnings
 
 import numpy as np
 
-# bytes of one claim record (a task index)
+# bytes of one claim record, a claim number
 _RECORD = 4
+# the most claims one write of at most PIPE_BUF bytes holds, which an empty
+# pipe takes whole: 1024 on Linux
+_CLAIMS = select.PIPE_BUF // _RECORD
 # Bytes that all workers of a pool may take together, so that it does not
 # grow with the CPUs: each takes _WORKER_BYTES of pages of its own (6.0 MB
 # a study child at n = 1000 with 2 to 16 workers, on a 2-vCPU host) plus
@@ -56,30 +59,21 @@ def shared(shape, dtype=np.float64):
     return np.frombuffer(memory, dtype, count).reshape(shape)
 
 
-def _feed(fd, start, stop) -> int:
-    """Write the claim records ``start`` to ``stop`` into the claims pipe
-    while whole chunks fit; return the first index not written.
+def _run_claims(task, count, claims, report):
+    """Read claims from the pipe ``claims`` until its end; for each, run
+    ``task(i)`` and then ``report(i)`` for every index i it covers.
 
-    Each chunk is at most ``PIPE_BUF`` bytes, so a write to the
-    non-blocking pipe is all or nothing and the pipe only ever holds whole
-    records.
+    ``run_forked`` writes the claim numbers 0 to C - 1 into the pipe, C
+    being the less of ``count`` and ``_CLAIMS``.  Claim j covers the
+    indices ``j * count // C`` up to ``(j + 1) * count // C``: one each up
+    to ``_CLAIMS`` tasks.
     """
-    per_chunk = select.PIPE_BUF // _RECORD
-    while start < stop:
-        end = min(start + per_chunk, stop)
-        try:
-            os.write(fd, b"".join(i.to_bytes(_RECORD, "little")
-                                  for i in range(start, end)))
-        except BlockingIOError:  # the pipe is full
-            break
-        start = end
-    return start
-
-
-def _claim(fd):
-    """The next task index from the claims pipe, or None at its end."""
-    record = os.read(fd, _RECORD)
-    return int.from_bytes(record, "little") if record else None
+    claimed = min(count, _CLAIMS)
+    while record := os.read(claims, _RECORD):
+        j = int.from_bytes(record, "little")
+        for index in range(j * count // claimed, (j + 1) * count // claimed):
+            task(index)
+            report(index)
 
 
 def _portable(exc):
@@ -92,11 +86,12 @@ def _portable(exc):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _child(task, claims, results, inherited):
-    """A forked worker's whole life: run claimed tasks, send the index of
-    each finished one (or the first exception and its traceback) to the
-    parent over the ``Connection`` ``results``, and leave through
-    ``os._exit``, which runs no atexit handler and flushes no stdio buffer.
+def _child(task, count, claims, results, inherited):
+    """A forked worker's whole life: run the tasks of the claims it reads
+    (``_run_claims``), send the index of each finished one (or the first
+    exception and its traceback) to the parent over the ``Connection``
+    ``results``, and leave through ``os._exit``, which runs no atexit
+    handler and flushes no stdio buffer.
 
     An index takes at most 21 bytes of the pipe, a 4-byte length and its
     pickle, so a send waits for a parent busy with a task of its own only
@@ -109,9 +104,7 @@ def _child(task, claims, results, inherited):
         for fd in inherited:
             os.close(fd)
         try:
-            while (index := _claim(claims)) is not None:
-                task(index)
-                results.send(index)
+            _run_claims(task, count, claims, results.send)
         except BaseException as exc:
             import traceback  # only a failing worker needs it
 
@@ -144,12 +137,12 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     worker, or where ``os.fork`` is missing or another Python thread runs,
     this process runs every task in order.  Where ``os.fork`` fails, such as
     under a process limit, the workers already started run every task.
-    Workers claim the next index from one pipe as they finish a task.  The
-    pipe is filled before the fork; if ``count`` is more than it holds,
-    this process tops it up between its own tasks and takes the next index
-    not yet written itself.  A child sends the index of each task it
-    finishes as a ``Connection`` message over a pipe of its own, which this
-    process reads between its own tasks.
+    Every claim is written into one pipe before the first fork, and the
+    workers read the next claim as they finish the tasks of one: one task
+    each up to ``_CLAIMS`` tasks (1024 on Linux), and that many runs of
+    consecutive tasks above it (``_run_claims``).  A child sends the
+    index of each task it finishes as a ``Connection`` message over a pipe
+    of its own, which this process reads between its own tasks.
 
     An exception in a child is raised here with its type and message, and
     its traceback as the cause.  On any exception here, KeyboardInterrupt
@@ -174,34 +167,22 @@ def run_forked(task, count, scratch_bytes=0, done=None):
         done(message)
         finished += 1
 
-    claims, feeder = os.pipe()
-    os.set_blocking(feeder, False)
-    fed = _feed(feeder, 0, count)
-    if fed == count:
-        os.close(feeder)
-        feeder = None
+    def report(index):
+        deliver(index)
+        _receive(pipes, 0, deliver)
+
+    claims, writer = os.pipe()
+    os.write(writer, b"".join(j.to_bytes(_RECORD, "little")
+                              for j in range(min(count, _CLAIMS))))
+    os.close(writer)
     pids, pipes = [], []
     try:
         for _ in range(workers - 1):
             try:
-                _fork(task, claims, feeder, pids, pipes)
+                _fork(task, count, claims, pids, pipes)
             except OSError:  # such as EAGAIN: the others claim its tasks
                 break
-        while True:
-            if feeder is not None:
-                fed = _feed(feeder, fed, count)
-            if fed < count:
-                index, fed = fed, fed + 1
-            else:
-                if feeder is not None:
-                    os.close(feeder)
-                    feeder = None
-                index = _claim(claims)
-                if index is None:
-                    break
-            task(index)
-            deliver(index)
-            _receive(pipes, 0, deliver)
+        _run_claims(task, count, claims, report)
         # every child closes its pipe when it exits
         _receive(pipes, None, deliver)
     except BaseException:
@@ -211,9 +192,7 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     finally:
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     for pid in pids]
-        for fd in [claims, feeder]:
-            if fd is not None:
-                os.close(fd)
+        os.close(claims)
         for pipe in pipes:
             pipe.close()
     if any(statuses) or finished < count:
@@ -222,14 +201,14 @@ def run_forked(task, count, scratch_bytes=0, done=None):
             f"{count - finished} of {count} tasks did not finish")
 
 
-def _fork(task, claims, feeder, pids, pipes):
-    """Start one child on the claims pipe.  Its pid goes into ``pids`` and
-    the read end of its results pipe, a ``Connection``, into ``pipes``; the
-    child closes the parent's other pipe ends."""
+def _fork(task, count, claims, pids, pipes):
+    """Start one child on the claims pipe, which holds the claims of
+    ``count`` tasks.  Its pid goes into ``pids`` and the read end of its
+    results pipe, a ``Connection``, into ``pipes``; the child closes the
+    parent's ends of the results pipes."""
     from multiprocessing.connection import Connection
 
-    inherited = [fd for fd in [feeder, *(pipe.fileno() for pipe in pipes)]
-                 if fd is not None]
+    inherited = [pipe.fileno() for pipe in pipes]
     results, end = os.pipe()
     # SIGINT stays blocked until the child ignores it and the parent has
     # recorded the pid, so ^C can neither raise in the child on the
@@ -246,7 +225,7 @@ def _fork(task, claims, feeder, pids, pipes):
         raise
     else:
         if pid == 0:
-            _child(task, claims, Connection(end, readable=False),
+            _child(task, count, claims, Connection(end, readable=False),
                    [results, *inherited])
         pids.append(pid)
         pipes.append(Connection(results, writable=False))

@@ -213,10 +213,10 @@ def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray):
 
     ``cumulative_process`` is the one-row case.
     """
-    variances = predictions * (1.0 - predictions)
-    cum_var = _accumulate(variances)
+    cum_var = _accumulate(predictions * (1.0 - predictions))
     total_variance = cum_var[:, -1].astype(np.float64)
     times = np.asarray(cum_var / cum_var[:, -1:], dtype=np.float64)
+    del cum_var
 
     errors = _accumulate(outcomes - predictions)
     scale = np.sqrt(total_variance.astype(np.longdouble))[:, None]

@@ -185,7 +185,10 @@ def _read_csv_stream(stream, prediction_column, outcome_column, clamp_epsilon):
     try:
         start = stream.tell()
     except OSError:  # a pipe, or a file already iterated with next()
-        stream = io.StringIO(stream.read())
+        # held as UTF-8, 1 byte per ASCII character where a StringIO takes 4
+        stream = io.TextIOWrapper(
+            io.BytesIO(stream.read().encode("utf-8", "surrogatepass")),
+            "utf-8", "surrogatepass", newline="")
         start = 0
     usecols = _read_header(stream, prediction_column, outcome_column)
     try:

@@ -344,7 +344,9 @@ class TestWalkStatistics:
 
 
 def test_cumulative_process_memory_per_row():
-    # it keeps the times and the walk, 8 B/row each, and no raw-scale sums
+    # it keeps the times and the walk, 8 B/row each, and no raw-scale sums;
+    # at its peak it holds them, the long double error sums and their
+    # long double quotient, and no variances or variance sums
     n = 200_000
     rng = np.random.default_rng(3)
     p = rng.uniform(0.05, 0.95, n)
@@ -352,11 +354,12 @@ def test_cumulative_process_memory_per_row():
     tracemalloc.start()
     try:
         proc = cumulative_process(data)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert proc.n == n
     assert retained / n <= 16.05, f"{retained / n:.2f} B/row"
+    assert peak / n <= 48.05, f"{peak / n:.2f} B/row"
 
 
 def test_walk_statistics_peak_memory_per_row():

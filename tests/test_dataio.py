@@ -4,6 +4,7 @@ import io
 import json
 import os
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -367,7 +368,8 @@ class TestStreamReaderFallback:
         assert data.outcomes.tobytes() == expected.outcomes.tobytes()
 
     @pytest.mark.parametrize("case", ["two_points", "quoted", "bad_outcome",
-                                      "crlf_bom"])
+                                      "crlf_bom",
+                                      "trailing_lone_carriage_returns"])
     @pytest.mark.parametrize("kind", ["dev_fd_path", "file_descriptor"])
     def test_pipe_reads_as_a_stream(self, case, kind, split_files):
         raw, kwargs = _GRAMMAR[case]
@@ -382,6 +384,32 @@ class TestStreamReaderFallback:
             if kind == "dev_fd_path":  # open() closes a descriptor it gets
                 os.close(read_end)
         assert outcome == _stream_outcome(raw, **kwargs)
+
+    def test_piped_text_is_held_as_bytes(self):
+        # piped text is parsed from its UTF-8 bytes, 1 B per ASCII
+        # character; a StringIO holds 4 B per character
+        rng = np.random.default_rng(2)
+        rows = zip(rng.uniform(0.05, 0.95, 50_000).tolist(),
+                   rng.integers(0, 2, 50_000).tolist())
+        raw = _csv_lines(rows).encode()
+        read_end, write_end = os.pipe()
+
+        def write():
+            with open(write_end, "wb") as writer:
+                writer.write(raw)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        tracemalloc.start()
+        try:
+            data = read_dataset_csv(read_end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(20)
+        assert not writer.is_alive()
+        assert data.n == 50_000
+        assert peak / len(raw) < 4.0, f"{peak / len(raw):.2f} B/char"
 
     def test_named_fifo_is_opened_once(self, tmp_path, split_files):
         raw = _GRAMMAR["bad_outcome"][0].replace(b"yes", b"1")

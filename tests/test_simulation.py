@@ -513,20 +513,22 @@ class TestWorkerProcesses:
         assert len(pids()) < 20
         assert _no_children()
 
-    def test_more_tasks_than_the_claims_pipe_holds(self, monkeypatch,
-                                                   forks):
-        # 20000 four-byte claims overfill a 64 KiB pipe: the parent tops it
-        # up between its own tasks and takes the next unwritten index
+    @pytest.mark.parametrize("count", [1024, 1025, 20_000])
+    def test_more_tasks_than_the_claims_pipe_holds(self, monkeypatch, forks,
+                                                   count):
+        # all claims are written before the fork, 1024 on Linux: up to 1024
+        # tasks each claim is one task, and above it a run of consecutive
+        # tasks, two in one claim at 1025 and 19 or 20 in each at 20000
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 3)
-        squares, done = _pool.shared(20_000, np.int64), []
+        squares, done = _pool.shared(count, np.int64), []
 
         def task(index):
             squares[index] = index * index
 
-        _pool.run_forked(task, 20_000, done=done.append)
+        _pool.run_forked(task, count, done=done.append)
         assert len(forks) == 2
-        assert sorted(done) == list(range(20_000))
-        assert (squares == np.arange(20_000) ** 2).all()
+        assert sorted(done) == list(range(count))
+        assert (squares == np.arange(count) ** 2).all()
         assert _no_children()
 
     def test_child_runs_on_while_the_parent_is_busy(self, monkeypatch,
