@@ -32,8 +32,8 @@ import numpy as np
 # bytes of one claim record, a claim number
 _RECORD = 4
 # the most claims one write of at most PIPE_BUF bytes holds, which an empty
-# pipe takes whole: 1024 on Linux
-_CLAIMS = select.PIPE_BUF // _RECORD
+# pipe takes whole: 1024 on Linux, 128 at POSIX's least where select lacks it
+_CLAIMS = getattr(select, "PIPE_BUF", 512) // _RECORD
 # Bytes that all workers of a pool may take together, so that it does not
 # grow with the CPUs: each takes _WORKER_BYTES of pages of its own (6.0 MB
 # a study child at n = 1000 with 2 to 16 workers, on a 2-vCPU host) plus

@@ -19,17 +19,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _integer(name: str, value, minimum: int) -> int:
+def _integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a Python int, so that numpy integers do not reach a
-    JSON file; a bool, a non-integer or a value below ``minimum`` raises a
-    ValueError that names ``name``."""
+    JSON file; a bool, a non-integer or a value below ``minimum``, if
+    given, raises a ValueError that names ``name``."""
     try:
         integer = operator.index(value)
     except TypeError:
         integer = None
     if integer is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if integer < minimum:
+    if minimum is not None and integer < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return integer
 

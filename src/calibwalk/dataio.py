@@ -26,6 +26,7 @@ from ._version import __version__
 from .data import (
     CalibrationDataset,
     CumulativeProcess,
+    _integer,
     build_dataset,
     cumulative_process,
     walk_statistics,
@@ -125,6 +126,8 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     The timestamp is ``$CALIBWALK_TIMESTAMP`` when set, else the current
     UTC time.
     """
+    # checked before n is compared with it, so a bad value never skips HL
+    groups = _integer("groups", groups)
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
     report = AnalysisReport(

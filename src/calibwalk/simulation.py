@@ -27,6 +27,7 @@ cores.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -186,16 +187,6 @@ def generate_dataset(scenario: SimulationScenario,
     return build_dataset(predictions[0], outcomes[0])
 
 
-def _rejection_summary(pvalue_samples, alpha):
-    rejections, standard_errors = {}, {}
-    for name, sample in pvalue_samples.items():
-        m = len(sample)
-        prop = float(np.count_nonzero(np.asarray(sample) < alpha)) / m
-        rejections[name] = prop
-        standard_errors[name] = math.sqrt(prop * (1.0 - prop) / m)
-    return rejections, standard_errors
-
-
 def _block_rows(scenario: SimulationScenario) -> int:
     return max(1, _STUDY_BLOCK_VALUES // scenario.n)
 
@@ -205,21 +196,21 @@ def _tests(scenario: SimulationScenario):
 
 
 def _run_block(scenario: SimulationScenario, start: int, stop: int,
-               pvalues) -> int:
+               pvalues) -> None:
     """Every test on replicates ``start`` to ``stop`` of one cell, a block
     of at most ``_block_rows(scenario)`` rows that starts at a multiple of
     it.  Write their p-values into columns ``start`` to ``stop`` of
     ``pvalues``, the cell's table with one row per test of
-    ``_tests(scenario)``; return the number of LR fits that did not
-    converge.
+    ``_tests(scenario)``.
 
     Null cells run the walk tests, power cells every test.  The
     Hosmer-Lemeshow comparator uses ``HL_GROUPS`` groups and
     ``df = groups`` because the simulated predictions are externally
-    fixed, never fitted to the replicate's outcomes.  A non-converged LR
-    fit counts as a non-rejection, with p-value 1.  Generation, validation
-    and sort, the walk, its extremes and the HL group sums take one pass
-    over the block; each p-value and LR fit is one call per row.
+    fixed, never fitted to the replicate's outcomes.  An LR fit that did
+    not converge has no p-value: its entry is NaN, which ``_summary``
+    counts.  Generation, validation and sort, the walk, its extremes and
+    the HL group sums take one pass over the block; each p-value and LR
+    fit is one call per row.
     """
     predictions, outcomes, tie_flags = _sort_rows(*_generate_block(
         scenario, _cell_key(scenario), start, stop - start))
@@ -232,32 +223,38 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     columns["bb"][:] = [_bb_p_values(s, b)[2]
                         for s, b in zip(s_n.tolist(), b_star.tolist())]
     if scenario.family == "null":
-        return 0
+        return
     sizes, observed, expected = _rank_group_sums(
         predictions, outcomes, HL_GROUPS)
     columns["hl"][:] = [
         chi_square_sf(_hl_statistic(zip(sizes, o, e)), HL_GROUPS)
         for o, e in zip(observed.tolist(), expected.tolist())]
-    lr_failures = 0
     for i in range(stop - start):
         weak = weak_calibration_lr_test(CalibrationDataset(
             predictions[i], outcomes[i], bool(tie_flags[i])))
-        columns["lr"][i] = weak.p_value if weak.converged else 1.0
-        lr_failures += not weak.converged
-    return lr_failures
+        columns["lr"][i] = weak.p_value if weak.converged else math.nan
 
 
-def _summary(scenario: SimulationScenario, pvalues,
-             lr_failures: int) -> SimulationSummary:
-    """A cell's summary from its table of p-values (see ``_run_block``)
-    and its number of LR fits that did not converge."""
+def _summary(scenario: SimulationScenario, pvalues) -> SimulationSummary:
+    """A cell's summary from its table of p-values (see ``_run_block``).
+
+    The NaNs of the LR row are its fits that did not converge: they are
+    counted as ``lr_failures`` and then set to 1.0, a non-rejection.
+    """
     samples = dict(zip(_tests(scenario), pvalues))
-    rejections, standard_errors = _rejection_summary(samples, scenario.alpha)
+    lr = samples.get("lr", np.empty(0))  # a null cell has no LR row
+    unfitted = np.isnan(lr)
+    lr[unfitted] = 1.0
+    rejections, standard_errors = {}, {}
+    for name, sample in samples.items():
+        prop = float(np.count_nonzero(sample < scenario.alpha)) / sample.size
+        rejections[name] = prop
+        standard_errors[name] = math.sqrt(prop * (1.0 - prop) / sample.size)
     return SimulationSummary(
         scenario=scenario,
         rejections=rejections,
         standard_errors=standard_errors,
-        lr_failures=int(lr_failures),
+        lr_failures=int(np.count_nonzero(unfitted)),
         pvalues=samples,
     )
 
@@ -286,33 +283,30 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     ``_WORKER_BYTES_PER_VALUE`` per value as scratch: 19 at n = 1000, 7 at
     n = 1e5, one above n = 506811.  Each worker claims the next block as
     it finishes one and writes it in place, into its cell's ``shared``
-    table of p-values and its entry of a ``shared`` array of LR failure
-    counts.  Every replicate draws from its own stream and has its own
-    column, so the summaries are bit-identical for any number of workers.
-    When a cell's last block is done, ``progress(done, total, summary)`` is
-    called with the number of cells done so far.
+    table of p-values, the only result of a block.  Every replicate draws
+    from its own stream and has its own column, so the summaries are
+    bit-identical for any number of workers.  When a cell's last block is
+    done, ``progress(done, total, summary)`` is called with the number of
+    cells done so far.
     """
     scenarios = list(scenarios)
     if not scenarios:
         raise ValueError("grids must be non-empty")
     study_figure_names(scenarios)
-    # (cell, start, stop) of every block, and each cell's block indices
-    blocks, cells = [], []
+    # (cell, start, stop) of every block
+    blocks = []
     for cell, scenario in enumerate(scenarios):
-        first, rows = len(blocks), _block_rows(scenario)
+        rows = _block_rows(scenario)
         blocks += [(cell, start, min(start + rows, scenario.replications))
                    for start in range(0, scenario.replications, rows)]
-        cells.append(slice(first, len(blocks)))
     tables = [shared((len(_tests(s)), s.replications)) for s in scenarios]
-    lr_failures = shared(len(blocks), np.int64)
-    pending = [indices.stop - indices.start for indices in cells]
+    pending = collections.Counter(cell for cell, _, _ in blocks)
     summaries = [None] * len(scenarios)
     finished = 0
 
     def task(index):
         cell, start, stop = blocks[index]
-        lr_failures[index] = _run_block(scenarios[cell], start, stop,
-                                        tables[cell])
+        _run_block(scenarios[cell], start, stop, tables[cell])
 
     def done(index):
         nonlocal finished
@@ -320,8 +314,7 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
         pending[cell] -= 1
         if pending[cell]:
             return
-        summaries[cell] = _summary(scenarios[cell], tables[cell],
-                                   lr_failures[cells[cell]].sum())
+        summaries[cell] = _summary(scenarios[cell], tables[cell])
         finished += 1
         if progress is not None:
             progress(finished, len(scenarios), summaries[cell])

@@ -176,6 +176,7 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
     default) or ``"g"`` (appropriate when the predictions were not fitted
     to the evaluated data).
     """
+    groups = _integer("groups", groups)
     if groups < 2:
         raise ValueError(f"need at least 2 groups, got {groups}")
     if data.n < groups:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CalibrationDataset, CumulativeProcess
+from .data import CalibrationDataset, CumulativeProcess, _integer
 from .distributions import critical_value
 from .simulation import POWER_TESTS, pvalue_ecdf, study_figure_names
 from .stattests import BBTestResult, BMTestResult, _rank_groups
@@ -351,6 +351,7 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
 
 
 def _binned_points(data, groups):
+    groups = _integer("groups", groups)
     if groups < 1 or data.n < groups:
         raise ValueError(f"cannot form {groups} groups from n={data.n}")
     rows = []

@@ -1,10 +1,14 @@
 """Scenario generators and study runners."""
 
 import errno
+import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +293,27 @@ class TestStudies:
         failures = int(np.count_nonzero(summary.pvalues["lr"] == 1.0))
         assert failures >= summary.lr_failures
 
+    def test_unconverged_lr_fits_are_nan_in_the_table(self):
+        # n = 10 and a steep slope: many separated fits
+        scenario = SimulationScenario(family="logit_linear", n=10,
+                                      replications=60, seed=6, a=0.0, b=3.0)
+        fits = [stattests.weak_calibration_lr_test(
+            generate_dataset(scenario, r)) for r in range(60)]
+        unfitted = np.array([not fit.converged for fit in fits])
+        assert 0 < np.count_nonzero(unfitted) < 60
+        table = np.zeros((len(simulation._tests(scenario)), 60))
+        simulation._run_block(scenario, 0, 60, table)
+        row = simulation._tests(scenario).index("lr")
+        np.testing.assert_array_equal(np.isnan(table[row]), unfitted)
+        assert not np.isnan(np.delete(table, row, axis=0)).any()
+        np.testing.assert_array_equal(
+            table[row][~unfitted],
+            [fit.p_value for fit in fits if fit.converged])
+        summary = simulation._summary(scenario, table)
+        assert summary.lr_failures == np.count_nonzero(unfitted)
+        np.testing.assert_array_equal(summary.pvalues["lr"][unfitted], 1.0)
+        assert not np.isnan(summary.pvalues["lr"]).any()
+
 
 def _analyzed_pvalues(scenario):
     """Each replicate's p-values from ``analyze`` on its own dataset."""
@@ -414,11 +439,10 @@ def _in_order(scenario):
     table = np.empty((len(simulation._tests(scenario)),
                       scenario.replications))
     rows = simulation._block_rows(scenario)
-    failures = sum(
+    for start in range(0, scenario.replications, rows):
         simulation._run_block(scenario, start,
                               min(start + rows, scenario.replications), table)
-        for start in range(0, scenario.replications, rows))
-    return simulation._summary(scenario, table, failures)
+    return simulation._summary(scenario, table)
 
 
 def _wait_for_workers(pids, count):
@@ -530,6 +554,24 @@ class TestWorkerProcesses:
         assert sorted(done) == list(range(count))
         assert (squares == np.arange(count) ** 2).all()
         assert _no_children()
+
+    def test_claims_without_select_pipe_buf(self):
+        # where select has no PIPE_BUF the pool writes 128 claims, POSIX's
+        # least PIPE_BUF of 512 bytes; 200 one-row blocks then take claims
+        # of one or two blocks and give the study of a normal run
+        code = ("import json, select; del select.PIPE_BUF; "
+                "from calibwalk import _pool, dataio, simulation; "
+                "assert _pool._CLAIMS == 128; "
+                "print(json.dumps(dataio.study_to_dict("
+                "simulation.run_null_study([-1.0], [4099], "
+                "replications=200, seed=2))))")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        want = dataio.study_to_dict(
+            run_null_study([-1.0], [4099], replications=200, seed=2))
+        assert json.loads(result.stdout) == want
 
     def test_child_runs_on_while_the_parent_is_busy(self, monkeypatch,
                                                     forks):

@@ -199,6 +199,27 @@ class TestHosmerLemeshow:
         with pytest.raises(ValueError, match="degrees of freedom"):
             hosmer_lemeshow_test(data, groups=2, df_rule="g_minus_2")
 
+    def test_groups_must_be_an_integer(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CALIBWALK_TIMESTAMP", "2024-01-01T00:00:00+00:00")
+        data = _random_dataset(0, n=30)
+        for groups in (2.5, True, "10"):
+            with pytest.raises(ValueError, match="groups must be an integer"):
+                hosmer_lemeshow_test(data, groups=groups)
+        # a numpy integer is taken as a Python int, so the report writes
+        result = hosmer_lemeshow_test(data, groups=np.int64(10))
+        assert result == hosmer_lemeshow_test(data, groups=10)
+        assert type(result.groups) is int and type(result.df) is int
+        # analyze checks groups before it compares n with it
+        for groups in (5.5, "10"):
+            with pytest.raises(ValueError, match="groups must be an integer"):
+                analyze(_random_dataset(0, n=3), groups=groups)
+        _, report = analyze(data, groups=np.int64(10))
+        dataio.write_report_json(report, tmp_path / "report.json")
+        _, want = analyze(data, groups=10)
+        dataio.write_report_json(want, tmp_path / "want.json")
+        assert (tmp_path / "report.json").read_bytes() == \
+            (tmp_path / "want.json").read_bytes()
+
     def test_null_calibration_simulation(self):
         # externally fixed predictions: the statistic is chi-square with
         # g degrees of freedom, slightly conservative

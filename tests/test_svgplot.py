@@ -319,6 +319,16 @@ class TestBinnedPlot:
         with pytest.raises(ValueError):
             render_binned_calibration_plot(_dataset(n=5, seed=1), groups=10)
 
+    def test_groups_must_be_an_integer(self):
+        data = _dataset(seed=5, n=120)
+        for groups in (True, 2.5, "10"):
+            with pytest.raises(ValueError, match="groups must be an integer"):
+                render_binned_calibration_plot(data, groups)
+        with pytest.raises(ValueError, match="cannot form 0 groups"):
+            render_binned_calibration_plot(data, 0)
+        assert render_binned_calibration_plot(data, np.int64(10)) == \
+            render_binned_calibration_plot(data, 10)
+
 
 class TestStudyFigures:
     def test_null_grid_panel_count(self):
