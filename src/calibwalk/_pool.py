@@ -115,12 +115,10 @@ def _child(task, count, claims, results, inherited):
         os._exit(code)
 
 
-def _can_fork() -> bool:
-    return hasattr(os, "fork") and threading.active_count() == 1
-
-
 def _workers(count, scratch_bytes):
     """Workers for ``count`` tasks that hold ``scratch_bytes`` each."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     return min(_usable_cpus(), count,
                max(1, _MEMORY_BYTES // (_WORKER_BYTES + scratch_bytes)))
 
@@ -130,13 +128,12 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     if given, in this process as each task finishes.
 
     A task writes its results into ``shared`` arrays; what it returns is
-    dropped.  The tasks run on one worker per usable CPU, at most ``count``
-    and at most what ``_MEMORY_BYTES`` holds at ``_WORKER_BYTES`` plus
-    ``scratch_bytes``, a task's own memory, each.  This process is one
-    worker, and children made with ``os.fork`` are the others; with one
-    worker, or where ``os.fork`` is missing or another Python thread runs,
-    this process runs every task in order.  Where ``os.fork`` fails, such as
-    under a process limit, the workers already started run every task.
+    dropped.  The tasks run on ``_workers``: one per usable CPU, at most
+    ``count`` and at most what ``_MEMORY_BYTES`` holds at ``_WORKER_BYTES``
+    plus ``scratch_bytes``, a task's own memory, each.  This process is one
+    worker, and children made with ``os.fork`` are the others.  Where
+    ``os.fork`` fails, such as under a process limit, the workers already
+    started run every task.
     Every claim is written into one pipe before the first fork, and the
     workers read the next claim as they finish the tasks of one: one task
     each up to ``_CLAIMS`` tasks (1024 on Linux), and that many runs of
@@ -150,13 +147,6 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     returns or raises.
     """
     done = done or (lambda index: None)
-    workers = _workers(count, scratch_bytes)
-    if workers < 2 or not _can_fork():
-        for index in range(count):
-            task(index)
-            done(index)
-        return
-
     finished = 0
 
     def deliver(message):
@@ -177,7 +167,7 @@ def run_forked(task, count, scratch_bytes=0, done=None):
     os.close(writer)
     pids, pipes = [], []
     try:
-        for _ in range(workers - 1):
+        for _ in range(_workers(count, scratch_bytes) - 1):
             try:
                 _fork(task, count, claims, pids, pipes)
             except OSError:  # such as EAGAIN: the others claim its tasks
@@ -217,7 +207,7 @@ def _fork(task, count, claims, pids, pipes):
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns of any other OS thread, such as a BLAS
-            # pool; no other Python thread runs here (_can_fork)
+            # pool; no other Python thread runs here (_workers)
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
@@ -241,6 +231,8 @@ def _receive(pipes, timeout, deliver):
     return when every child has closed its pipe.  A pipe its child has
     closed is closed here too and leaves ``pipes``.
     """
+    if not pipes:  # a pool that forks nothing imports nothing
+        return
     from multiprocessing.connection import wait
 
     while pipes and (ready := wait(pipes, timeout)):

@@ -37,6 +37,7 @@ from .stattests import (
     HLTestResult,
     MonteCarloResult,
     WeakCalibResult,
+    _df_lost,
     bb_test_from_process,
     bm_test_from_process,
     hosmer_lemeshow_test,
@@ -47,7 +48,7 @@ from .stattests import (
 SCHEMA_VERSION = 1
 
 # A CSV file is parsed in ranges of whole lines of at least this many bytes,
-# at most one range per usable CPU: on a smaller range a forked worker costs
+# at most one range per worker: on a smaller range a forked worker costs
 # more than it saves.
 _RANGE_BYTES = 1 << 20
 
@@ -126,8 +127,9 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     The timestamp is ``$CALIBWALK_TIMESTAMP`` when set, else the current
     UTC time.
     """
-    # checked before n is compared with it, so a bad value never skips HL
+    # checked before HL may be skipped, so a bad value always raises
     groups = _integer("groups", groups)
+    _df_lost(df_rule)
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
     report = AnalysisReport(
@@ -237,9 +239,9 @@ def _to_dataset(table, clamp_epsilon):
 
 def _read_csv_ranges(source, usecols):
     """The (rows, 2) table of the regular CSV file at path ``source``, its
-    ranges of rows parsed by numpy's chunked file reader on every usable CPU
-    (at most ``_MAX_RANGES``); None where the stream reader must read the
-    file instead.
+    ranges of rows parsed by numpy's chunked file reader, one on each of the
+    pool's workers (``_pool._workers``, at most ``_MAX_RANGES``); None where
+    the stream reader must read the file instead.
 
     Each worker writes its rows into one ``_pool.shared`` table.
     """
@@ -247,8 +249,7 @@ def _read_csv_ranges(source, usecols):
     path = os.path.abspath(os.fsdecode(source))
     if path.endswith(_COMPRESSED_SUFFIXES):
         return None
-    workers = min(_pool._usable_cpus(), _MAX_RANGES)
-    bounds = _row_bounds(path, workers)
+    bounds = _row_bounds(path, _pool._workers(_MAX_RANGES, 0))
     if bounds is None:
         return None
     table = _pool.shared((bounds[-1], 2))

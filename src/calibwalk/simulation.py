@@ -281,13 +281,14 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
 
     The blocks run on ``run_forked``'s workers, with the largest block's
     ``_WORKER_BYTES_PER_VALUE`` per value as scratch: 19 at n = 1000, 7 at
-    n = 1e5, one above n = 506811.  Each worker claims the next block as
-    it finishes one and writes it in place, into its cell's ``shared``
-    table of p-values, the only result of a block.  Every replicate draws
-    from its own stream and has its own column, so the summaries are
-    bit-identical for any number of workers.  When a cell's last block is
-    done, ``progress(done, total, summary)`` is called with the number of
-    cells done so far.
+    n = 1e5, one above n = 506811.  Each worker claims the next block, or
+    above 1024 blocks the next run of blocks, as it finishes one and writes
+    it in place, into its cell's ``shared`` table of p-values, the only
+    result of a block.  Every replicate draws from its own stream and has
+    its own column, so the summaries are bit-identical for any number of
+    workers.  When a cell's last block is done,
+    ``progress(done, total, summary)`` is called with the number of cells
+    done so far.
     """
     scenarios = list(scenarios)
     if not scenarios:

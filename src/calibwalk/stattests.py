@@ -168,6 +168,16 @@ def _hl_statistic(groups) -> float:
     return statistic
 
 
+# the degrees of freedom each Hosmer-Lemeshow df_rule takes off the groups
+_DF_RULES = {"g_minus_2": 2, "g": 0}
+
+
+def _df_lost(df_rule) -> int:
+    if not isinstance(df_rule, str) or df_rule not in _DF_RULES:
+        raise ValueError(f"unknown df_rule {df_rule!r}")
+    return _DF_RULES[df_rule]
+
+
 def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
                          df_rule: str = "g_minus_2") -> HLTestResult:
     """Hosmer-Lemeshow chi-square test on rank-quantile groups.
@@ -181,12 +191,7 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
         raise ValueError(f"need at least 2 groups, got {groups}")
     if data.n < groups:
         raise ValueError(f"n={data.n} is smaller than groups={groups}")
-    if df_rule == "g_minus_2":
-        df = groups - 2
-    elif df_rule == "g":
-        df = groups
-    else:
-        raise ValueError(f"unknown df_rule {df_rule!r}")
+    df = groups - _df_lost(df_rule)
     if df < 1:
         raise ValueError(
             f"df_rule {df_rule!r} with {groups} groups leaves no degrees of "
@@ -359,15 +364,15 @@ def _simulate_null_statistics(data: CalibrationDataset, replications: int,
     from ``data._walk_extremes``, as the observed walk's and the study
     blocks' do.  Replicates run in blocks of about 2^17 values on
     ``run_forked``'s workers, the calling process and processes forked from
-    it, each claiming the next block as it finishes one.  A block starts the
-    generator at ``PCG64(seed)`` advanced by one 64-bit step per value
-    before it, and fills its rows in row-major order, so replicate r sees
-    the same uniforms as one ``default_rng(seed)`` stream whatever the block
-    size or the number of workers.  The generator and one block of buffers
-    are allocated before the fork and each worker updates its own copy in
-    place: they are its scratch for ``run_forked``'s memory budget, which
-    caps the workers at 17 at n = 1e5, 6 at n = 1e6 and one above
-    n = 3801088.
+    it, each claiming the next block, or above 1024 blocks the next run of
+    blocks, as it finishes one.  A block starts the generator at
+    ``PCG64(seed)`` advanced by one 64-bit step per value before it, and
+    fills its rows in row-major order, so replicate r sees the same uniforms
+    as one ``default_rng(seed)`` stream whatever the block size or the
+    number of workers.  The generator and one block of buffers are allocated
+    before the fork and each worker updates its own copy in place: they are
+    its scratch for ``run_forked``'s memory budget, which caps the workers
+    at 17 at n = 1e5, 6 at n = 1e6 and one above n = 3801088.
     """
     p = data.predictions
     n = data.n

@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
 import os
+import threading
 
 import pytest
 
@@ -17,3 +19,21 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting)
     return made
+
+
+@pytest.fixture
+def thread_alive():
+    """A context manager that keeps a second Python thread alive in it,
+    which makes the worker pool one worker, this process."""
+    @contextlib.contextmanager
+    def alive():
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            yield
+        finally:
+            stop.set()
+            thread.join()
+
+    return alive

@@ -35,8 +35,13 @@ def _write_csv(tmp_path, text=TWO_POINT, name="data.csv"):
 
 
 def test_import_leaves_multiprocessing_out():
-    # the worker pool imports multiprocessing.connection only when it forks
+    # the worker pool imports multiprocessing.connection only when it forks,
+    # and on one usable CPU a study of several blocks forks nothing
     code = ("import sys, calibwalk.cli; "
+            "from calibwalk import _pool, simulation; "
+            "_pool._usable_cpus = lambda: 1; "
+            "simulation.run_null_study([-1.0], [1000], replications=20, "
+            "seed=1); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'multiprocessing'))")
     env = {**os.environ,

@@ -351,7 +351,7 @@ class TestStreamReaderFallback:
             _stream_outcome(raw)
 
     def test_ranges_run_in_process_without_fork(self, tmp_path, split_files,
-                                                monkeypatch):
+                                                monkeypatch, thread_alive):
         rows = [(0.01 * i, i % 2) for i in range(1, 30)]
         path = tmp_path / "d.csv"
         path.write_text(_csv_lines(rows), encoding="utf-8")
@@ -360,10 +360,10 @@ class TestStreamReaderFallback:
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(dataio._pool, "_can_fork", lambda: False)
         monkeypatch.setattr(dataio._pool.os, "fork", no_fork)
         assert len(dataio._row_bounds(str(path), 3)) == 4
-        data = read_dataset_csv(path)
+        with thread_alive():
+            data = read_dataset_csv(path)
         assert data.predictions.tobytes() == expected.predictions.tobytes()
         assert data.outcomes.tobytes() == expected.outcomes.tobytes()
 

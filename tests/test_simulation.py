@@ -555,22 +555,38 @@ class TestWorkerProcesses:
         assert (squares == np.arange(count) ** 2).all()
         assert _no_children()
 
-    def test_claims_without_select_pipe_buf(self):
+    def test_claims_without_select_pipe_buf(self, monkeypatch, tmp_path):
         # where select has no PIPE_BUF the pool writes 128 claims, POSIX's
         # least PIPE_BUF of 512 bytes; 200 one-row blocks then take claims
-        # of one or two blocks and give the study of a normal run
-        code = ("import json, select; del select.PIPE_BUF; "
+        # of one or two blocks and give the study of a normal run; where
+        # os.fork is missing too, the pool is this process alone, and a CSV
+        # file of several row ranges is read as one
+        rng = np.random.default_rng(8)
+        rows = zip(rng.uniform(0.05, 0.95, 400).tolist(),
+                   rng.integers(0, 2, 400).tolist())
+        path = tmp_path / "d.csv"
+        path.write_text("p,y\n" + "".join(f"{p!r},{y}\n" for p, y in rows))
+        code = ("import json, os, select, sys; "
+                "del select.PIPE_BUF, os.fork; "
                 "from calibwalk import _pool, dataio, simulation; "
                 "assert _pool._CLAIMS == 128; "
-                "print(json.dumps(dataio.study_to_dict("
+                "dataio._RANGE_BYTES = 4; "
+                "data = dataio.read_dataset_csv(sys.argv[1]); "
+                "print(json.dumps([dataio.study_to_dict("
                 "simulation.run_null_study([-1.0], [4099], "
-                "replications=200, seed=2))))")
+                "replications=200, seed=2)), data.predictions.tolist(), "
+                "data.outcomes.tolist()]))")
         env = {**os.environ,
                "PYTHONPATH": str(Path(simulation.__file__).parents[1])}
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        want = dataio.study_to_dict(
-            run_null_study([-1.0], [4099], replications=200, seed=2))
+        result = subprocess.run([sys.executable, "-c", code, str(path)],
+                                env=env, capture_output=True, text=True,
+                                check=True)
+        _use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
+        data = read_dataset_csv(path)
+        want = [dataio.study_to_dict(
+            run_null_study([-1.0], [4099], replications=200, seed=2)),
+            data.predictions.tolist(), data.outcomes.tolist()]
         assert json.loads(result.stdout) == want
 
     def test_child_runs_on_while_the_parent_is_busy(self, monkeypatch,
@@ -673,6 +689,42 @@ class TestWorkerProcesses:
                                           want.view(np.uint64))
         assert table.predictions.tobytes() == want_table.predictions.tobytes()
         assert table.outcomes.tobytes() == want_table.outcomes.tobytes()
+        assert _no_children()
+
+    def test_another_thread_leaves_one_worker(self, monkeypatch, tmp_path,
+                                              forks, thread_alive):
+        # 8 CPUs and a file of 8 row ranges, but while another Python thread
+        # runs the pool is this process alone: it forks nothing, the file
+        # is one range, and the tasks run in order
+        rows = [(0.01 * i, i % 2) for i in range(1, 60)]
+        path = tmp_path / "d.csv"
+        path.write_text("p,y\n" + "".join(f"{p!r},{y}\n" for p, y in rows))
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
+        forked = read_dataset_csv(path)
+        assert len(forks) == 7
+        row_bounds, workers, done = dataio._row_bounds, [], []
+
+        def counted(path, count):
+            workers.append(count)
+            return row_bounds(path, count)
+
+        def task(index):
+            if index == 5:
+                raise KeyError(index)
+
+        monkeypatch.setattr(dataio, "_row_bounds", counted)
+        with thread_alive():
+            data = read_dataset_csv(path)
+            with pytest.raises(KeyError) as caught:
+                _pool.run_forked(task, 8, done=done.append)
+        assert workers == [1]
+        assert len(forks) == 7
+        assert data.predictions.tobytes() == forked.predictions.tobytes()
+        assert data.outcomes.tobytes() == forked.outcomes.tobytes()
+        assert done == [0, 1, 2, 3, 4]
+        assert type(caught.value) is KeyError
+        assert caught.value.__cause__ is None
         assert _no_children()
 
     def test_one_block_study_never_forks(self, monkeypatch):

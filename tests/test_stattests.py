@@ -220,6 +220,12 @@ class TestHosmerLemeshow:
         assert (tmp_path / "report.json").read_bytes() == \
             (tmp_path / "want.json").read_bytes()
 
+    @pytest.mark.parametrize("n, hl", [(5, True), (30, False)],
+                             ids=["n_below_groups", "hl_off"])
+    def test_analyze_checks_df_rule_when_hl_is_skipped(self, n, hl):
+        with pytest.raises(ValueError, match="unknown df_rule 'bogus'"):
+            analyze(_random_dataset(0, n=n), df_rule="bogus", hl=hl)
+
     def test_null_calibration_simulation(self):
         # externally fixed predictions: the statistic is chi-square with
         # g degrees of freedom, slightly conservative
