@@ -295,8 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every subcommand that writes files
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--alpha", type=_alpha, default=0.05,
+                        help="significance level for critical lines and "
+                             "rejection rates")
+    output.add_argument("--out", default=_default_outdir(),
+                        help="output directory (default: $CALIBWALK_OUTDIR "
+                             "or .)")
 
-    p_test = sub.add_parser("test", help="run the calibration tests on a CSV")
+    p_test = sub.add_parser("test", parents=[output],
+                            help="run the calibration tests on a CSV")
     p_test.add_argument("data", help="CSV with prediction and outcome columns")
     p_test.add_argument("--prediction-column", default="p")
     p_test.add_argument("--outcome-column", default="y")
@@ -310,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "- 2 (g-2, the default) or groups (g, for "
                              "validation data whose predictions were not "
                              "fitted to it)")
-    p_test.add_argument("--alpha", type=_alpha, default=0.05,
-                        help="significance level for critical lines")
     p_test.add_argument("--mc", type=_non_negative, default=0, metavar="N",
                         help="also run Monte Carlo variants with N "
                              "replications")
@@ -323,19 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the logistic recalibration LR test")
     p_test.add_argument("--no-plots", action="store_true",
                         help="write the report only")
-    p_test.add_argument("--out", default=_default_outdir(),
-                        help="output directory (default: $CALIBWALK_OUTDIR "
-                             "or .)")
     p_test.set_defaults(handler=cmd_test)
 
-    study = argparse.ArgumentParser(add_help=False)
+    study = argparse.ArgumentParser(add_help=False, parents=[output])
     study.add_argument("--n", type=int, nargs="+", required=True,
                        help="sample size grid")
     study.add_argument("--reps", type=int, required=True,
                        help="replications per cell")
     study.add_argument("--seed", type=_non_negative, default=0)
-    study.add_argument("--alpha", type=_alpha, default=0.05)
-    study.add_argument("--out", default=_default_outdir())
     p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.set_defaults(handler=cmd_simulate)
     kinds = p_sim.add_subparsers(dest="kind", required=True)
@@ -358,15 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
             kind.add_argument(flag, action=_OtherKindFlag, owner=owner)
 
     p_case = sub.add_parser(
-        "casestudy",
+        "casestudy", parents=[output],
         help="synthetic large-vs-small development sample demonstration",
     )
     p_case.add_argument("--seed", type=_non_negative, required=True)
     p_case.add_argument("--dev-n", type=int, default=50_000)
     p_case.add_argument("--small-n", type=int, default=500)
     p_case.add_argument("--holdout-n", type=int, default=10_000)
-    p_case.add_argument("--alpha", type=_alpha, default=0.05)
-    p_case.add_argument("--out", default=_default_outdir())
     p_case.set_defaults(handler=cmd_casestudy)
     return parser
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .data import _integer
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Below this the sup CDFs are < 1e-200: return 0 outright instead of
@@ -258,9 +260,7 @@ def chi_square_sf(x: float, df: int) -> float:
     regularized upper incomplete gamma.
     """
     _check_nonnegative(x, "x")
-    if not 1 <= df < math.inf:
-        # an infinite df would never end the lower-tail series
-        raise ValueError(f"df must be positive and finite, got {df}")
+    df = _integer("df", df, 1)
     if x == math.inf:
         return 0.0
     # exp(-x / 2) underflows past x ~ 1400, so larger x (and with it large

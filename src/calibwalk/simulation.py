@@ -183,7 +183,8 @@ def generate_dataset(scenario: SimulationScenario,
                      replicate_index: int) -> CalibrationDataset:
     """Draw one replicate dataset; deterministic in (scenario, index)."""
     predictions, outcomes = _generate_block(
-        scenario, _cell_key(scenario), replicate_index, 1)
+        scenario, _cell_key(scenario),
+        _integer("replicate_index", replicate_index, 0), 1)
     return build_dataset(predictions[0], outcomes[0])
 
 

@@ -157,10 +157,13 @@ class _Document:
         return "\n".join(self.parts + ["</svg>"])
 
 
-def _draw_frame(doc, amap, x_range, y_range, x_label, y_label,
-                x_tick_values=None):
+def _framed(x_range, y_range, x_label, y_label, x_tick_values=None):
+    """``(doc, amap, (left, top, right, bottom))``: a figure's document and
+    map with the frame of its data ranges drawn, and the frame's edges."""
     x_lo, x_hi = x_range
     y_lo, y_hi = y_range
+    amap = _panel_map(x_range, y_range)
+    doc = _Document()
     left, top = amap.to_px(x_lo, y_hi)
     right, bottom = amap.to_px(x_hi, y_lo)
     doc.rect(left, top, right - left, bottom - top, "#000000")
@@ -188,7 +191,7 @@ def _draw_frame(doc, amap, x_range, y_range, x_label, y_label,
         f'fill="#000000" transform="rotate(-90 14 {_fmt((top + bottom) / 2)})"'
         f'>{_escape(y_label)}</text>'
     )
-    return left, top, right, bottom
+    return doc, amap, (left, top, right, bottom)
 
 
 def _draw_secondary_axis(doc, amap, proc, top):
@@ -208,10 +211,8 @@ def _draw_secondary_axis(doc, amap, proc, top):
              color="#555555")
 
 
-def cumulative_plot_map(proc: CumulativeProcess, mode: str,
-                        alpha: float = 0.05) -> AffineMap:
-    """The data-to-pixel transform a cumulative plot will use."""
-    crit = _cumulative_critical(mode, alpha)
+def _cumulative_ranges(proc, mode, crit):
+    """A cumulative plot's x and y data ranges."""
     # 1.0 keeps the unit triangle's apexes in view
     extent = [float(np.max(np.abs(proc.walk))), 1.0]
     if mode == "bm":
@@ -219,7 +220,14 @@ def cumulative_plot_map(proc: CumulativeProcess, mode: str,
     else:
         extent.append(abs(float(proc.walk[-1])) + crit)
     y_max = 1.1 * max(extent)
-    return _panel_map((0.0, 1.0), (-y_max, y_max))
+    return (0.0, 1.0), (-y_max, y_max)
+
+
+def cumulative_plot_map(proc: CumulativeProcess, mode: str,
+                        alpha: float = 0.05) -> AffineMap:
+    """The data-to-pixel transform a cumulative plot will use."""
+    return _panel_map(*_cumulative_ranges(
+        proc, mode, _cumulative_critical(mode, alpha)))
 
 
 def _cumulative_critical(mode, alpha):
@@ -282,11 +290,8 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
     if not matches:
         raise ValueError("result was not computed from this process")
 
-    amap = cumulative_plot_map(proc, mode, alpha)
-    y_max = (_MARGIN_TOP - amap.y_offset) / amap.y_scale
-    doc = _Document()
-    left, top, right, bottom = _draw_frame(
-        doc, amap, (0.0, 1.0), (-y_max, y_max), "time", "cumulative error",
+    doc, amap, (left, top, right, bottom) = _framed(
+        *_cumulative_ranges(proc, mode, crit), "time", "cumulative error",
         x_tick_values=(0.0, 0.25, 0.5, 0.75, 1.0),
     )
 
@@ -374,12 +379,8 @@ def render_binned_calibration_plot(data: CalibrationDataset,
     marks perfect calibration.
     """
     rows, (_, upper) = _binned_points(data, groups)
-    amap = _panel_map((0.0, upper), (0.0, upper))
-    doc = _Document()
-    left, top, right, bottom = _draw_frame(
-        doc, amap, (0.0, upper), (0.0, upper),
-        "mean prediction", "observed proportion",
-    )
+    doc, amap, _ = _framed((0.0, upper), (0.0, upper),
+                           "mean prediction", "observed proportion")
     ix0, iy0 = amap.to_px(0.0, 0.0)
     ix1, iy1 = amap.to_px(upper, upper)
     doc.line(ix0, iy0, ix1, iy1, "#999999", dash="4 4")
@@ -408,10 +409,8 @@ def render_study_figures(summaries) -> dict:
 
 
 def _render_ecdf_panel(summary):
-    doc = _Document()
-    amap = _panel_map((0.0, 1.0), (0.0, 1.0))
-    left, top, right, bottom = _draw_frame(
-        doc, amap, (0.0, 1.0), (0.0, 1.0), "p-value", "empirical CDF",
+    doc, amap, (left, top, right, _) = _framed(
+        (0.0, 1.0), (0.0, 1.0), "p-value", "empirical CDF",
         x_tick_values=(0.0, 0.25, 0.5, 0.75, 1.0),
     )
     doc.line(*amap.to_px(0.0, 0.0), *amap.to_px(1.0, 1.0), "#aaaaaa",
@@ -438,11 +437,8 @@ _BAR_FILLS = {"lr": "#ffffff", "hl": "#bbbbbb", "bm": "#1f77b4",
 
 
 def _render_power_panel(summary):
-    doc = _Document()
-    x_range = (0.0, float(len(POWER_TESTS)))
-    amap = _panel_map(x_range, (0.0, 1.0))
-    left, top, right, bottom = _draw_frame(
-        doc, amap, x_range, (0.0, 1.0), "",
+    doc, amap, (left, top, right, _) = _framed(
+        (0.0, float(len(POWER_TESTS))), (0.0, 1.0), "",
         "rejection proportion", x_tick_values=(),
     )
     for i, name in enumerate(POWER_TESTS):

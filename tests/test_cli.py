@@ -72,9 +72,13 @@ class TestArgumentHandling:
             with pytest.raises(SystemExit) as exc:
                 main([*sub, "--help"])
             assert exc.value.code == 0
-            text = capsys.readouterr().out
+            text = " ".join(capsys.readouterr().out.split())
             for flag in flags:
                 assert flag in text
+            # every subcommand explains the flags it shares
+            for shared in ("--alpha ALPHA significance level",
+                           "--out OUT output directory"):
+                assert shared in text
             for flag in absent:
                 assert flag not in text
 

@@ -189,6 +189,19 @@ class TestGenerators:
         d2 = generate_dataset(scenario, 1)
         assert not np.array_equal(d1.predictions, d2.predictions)
 
+    def test_replicate_index_must_be_a_non_negative_integer(self):
+        scenario = SimulationScenario(family="null", n=10, replications=2,
+                                      seed=0)
+        for index in (True, 1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="replicate_index must be an "
+                                                 "integer"):
+                generate_dataset(scenario, index)
+        with pytest.raises(ValueError, match="replicate_index must be >= 0"):
+            generate_dataset(scenario, -1)
+        np.testing.assert_array_equal(
+            generate_dataset(scenario, np.int64(1)).predictions,
+            generate_dataset(scenario, 1).predictions)
+
     def test_replicate_streams_do_not_depend_on_order(self):
         scenario = SimulationScenario(family="null", n=30, replications=5,
                                       seed=9, beta0=-1.0)
@@ -387,18 +400,6 @@ class TestBlocksMatchAnalyze:
         assert peak < 1_000_000
 
 
-def _use_cpus(monkeypatch, cpus):
-    # the memory budget lifted, so that the CPU count alone sets the
-    # workers (up to the number of blocks)
-    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_pool, "_MEMORY_BYTES", 1 << 60)
-
-
-def _no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
 
 # (name, study): 16 blocks over eight power cells, the n = 1000 cells in
 # two blocks of 4 rows and a short one of 1; 12 blocks over four null
@@ -471,9 +472,9 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("name, study", POOL_STUDIES,
                              ids=[name for name, _ in POOL_STUDIES])
-    def test_bit_identical_for_any_worker_count(self, monkeypatch, tmp_path,
-                                                cpus, name, study):
-        _use_cpus(monkeypatch, cpus)
+    def test_bit_identical_for_any_worker_count(self, use_cpus, no_children,
+                                                tmp_path, cpus, name, study):
+        use_cpus(cpus)
         got = study()
         want = [_in_order(s.scenario) for s in got]
         assert got == want
@@ -486,60 +487,62 @@ class TestWorkerProcesses:
         write_study_json(want, tmp_path / "want.json")
         assert (tmp_path / "got.json").read_bytes() == \
             (tmp_path / "want.json").read_bytes()
-        assert _no_children()
+        assert no_children()
 
-    def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path):
+    def test_blocks_run_in_forked_workers(self, monkeypatch, tmp_path,
+                                          use_cpus, no_children):
         def before(is_parent, start, pids):
             if is_parent:
                 _wait_for_workers(pids, 3)
             else:
                 time.sleep(0.02)
 
-        _use_cpus(monkeypatch, 3)
+        use_cpus(3)
         pids = _block_pids(monkeypatch, tmp_path, before)
         run_null_study([0.0], [1000], replications=160, seed=3)  # 40 blocks
         assert len(pids()) == 40
         assert os.getpid() in pids() and len(set(pids())) == 3
-        assert _no_children()
+        assert no_children()
 
-    def test_error_in_a_child_reaches_the_caller(self, monkeypatch,
-                                                 tmp_path):
+    def test_error_in_a_child_reaches_the_caller(self, monkeypatch, tmp_path,
+                                                 use_cpus, no_children):
         def before(is_parent, start, pids):
             if is_parent:
                 _wait_for_workers(pids, 2)
             else:
                 raise LookupError(f"block at {start} failed")
 
-        _use_cpus(monkeypatch, 2)
+        use_cpus(2)
         _block_pids(monkeypatch, tmp_path, before)
         with pytest.raises(LookupError,
                            match=r"^block at \d+ failed$") as caught:
             run_null_study([0.0], [1000], replications=40, seed=3)
         assert type(caught.value) is LookupError
         assert "in a worker process" in str(caught.value.__cause__)
-        assert _no_children()
+        assert no_children()
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_in_the_parent_kills_the_children(self, monkeypatch,
-                                                    tmp_path, error):
+                                                    tmp_path, error, use_cpus,
+                                                    no_children):
         def before(is_parent, start, pids):
             if is_parent:
                 _wait_for_workers(pids, 3)
                 raise error("parent failed")
             time.sleep(0.05)
 
-        _use_cpus(monkeypatch, 3)
+        use_cpus(3)
         pids = _block_pids(monkeypatch, tmp_path, before)
         with pytest.raises(error, match="parent failed"):
             run_null_study([0.0], [1000], replications=400, seed=3)
         assert len(set(pids())) == 3
         # of 100 blocks, the children ran the few they held when killed
         assert len(pids()) < 20
-        assert _no_children()
+        assert no_children()
 
     @pytest.mark.parametrize("count", [1024, 1025, 20_000])
     def test_more_tasks_than_the_claims_pipe_holds(self, monkeypatch, forks,
-                                                   count):
+                                                   count, no_children):
         # all claims are written before the fork, 1024 on Linux: up to 1024
         # tasks each claim is one task, and above it a run of consecutive
         # tasks, two in one claim at 1025 and 19 or 20 in each at 20000
@@ -553,9 +556,10 @@ class TestWorkerProcesses:
         assert len(forks) == 2
         assert sorted(done) == list(range(count))
         assert (squares == np.arange(count) ** 2).all()
-        assert _no_children()
+        assert no_children()
 
-    def test_claims_without_select_pipe_buf(self, monkeypatch, tmp_path):
+    def test_claims_without_select_pipe_buf(self, monkeypatch, tmp_path,
+                                            use_cpus):
         # where select has no PIPE_BUF the pool writes 128 claims, POSIX's
         # least PIPE_BUF of 512 bytes; 200 one-row blocks then take claims
         # of one or two blocks and give the study of a normal run; where
@@ -581,7 +585,7 @@ class TestWorkerProcesses:
         result = subprocess.run([sys.executable, "-c", code, str(path)],
                                 env=env, capture_output=True, text=True,
                                 check=True)
-        _use_cpus(monkeypatch, 4)
+        use_cpus(4)
         monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
         data = read_dataset_csv(path)
         want = [dataio.study_to_dict(
@@ -590,7 +594,7 @@ class TestWorkerProcesses:
         assert json.loads(result.stdout) == want
 
     def test_child_runs_on_while_the_parent_is_busy(self, monkeypatch,
-                                                    forks):
+                                                    forks, no_children):
         # the parent's task takes 1 s: the child runs all the others
         # meanwhile, and every result is in the shared arrays
         parent = os.getpid()
@@ -610,7 +614,7 @@ class TestWorkerProcesses:
         assert (values == np.arange(12.0)[:, None]).all()
         assert (ran != 0).all()
         assert list(ran).count(parent) <= 1
-        assert _no_children()
+        assert no_children()
 
     @pytest.mark.parametrize("fail, error, message", [
         (_exit_three, RuntimeError, "worker processes exited with statuses "
@@ -619,7 +623,7 @@ class TestWorkerProcesses:
         (_raise_long, ValueError, "x" * 1_000_000),
     ], ids=["exit", "unpicklable", "long"])
     def test_failed_child_reaches_the_caller(self, monkeypatch, fail, error,
-                                             message):
+                                             message, no_children):
         # the child fails in its first task, while the parent waits for it
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
         parent, failed = os.getpid(), _pool.shared(1, np.int64)
@@ -640,10 +644,11 @@ class TestWorkerProcesses:
             assert caught.value.__cause__ is None
         else:
             assert "in a worker process" in str(caught.value.__cause__)
-        assert _no_children()
+        assert no_children()
 
     def test_failed_fork_runs_on_the_workers_started(self, monkeypatch,
-                                                     tmp_path):
+                                                     tmp_path, use_cpus,
+                                                     no_children):
         # every second fork fails, as under a process limit: each pool of
         # four workers runs on this process and one child
         fork, forks = os.fork, []
@@ -672,7 +677,7 @@ class TestWorkerProcesses:
         want_study, want_null, want_table = run()
         # 4 CPUs, with the memory budget lifted and the file cut into 4 row
         # ranges
-        _use_cpus(monkeypatch, 4)
+        use_cpus(4)
         monkeypatch.setattr(dataio, "_RANGE_BYTES", 4)
         monkeypatch.setattr(os, "fork", second_fails)
         study, null, table = run()
@@ -689,10 +694,11 @@ class TestWorkerProcesses:
                                           want.view(np.uint64))
         assert table.predictions.tobytes() == want_table.predictions.tobytes()
         assert table.outcomes.tobytes() == want_table.outcomes.tobytes()
-        assert _no_children()
+        assert no_children()
 
     def test_another_thread_leaves_one_worker(self, monkeypatch, tmp_path,
-                                              forks, thread_alive):
+                                              forks, thread_alive,
+                                              no_children):
         # 8 CPUs and a file of 8 row ranges, but while another Python thread
         # runs the pool is this process alone: it forks nothing, the file
         # is one range, and the tasks run in order
@@ -725,9 +731,9 @@ class TestWorkerProcesses:
         assert done == [0, 1, 2, 3, 4]
         assert type(caught.value) is KeyError
         assert caught.value.__cause__ is None
-        assert _no_children()
+        assert no_children()
 
-    def test_one_block_study_never_forks(self, monkeypatch):
+    def test_one_block_study_never_forks(self, monkeypatch, no_children):
         def no_fork():
             raise AssertionError("forked")
 
@@ -737,10 +743,11 @@ class TestWorkerProcesses:
         summary = run_power_study("logit_power", [0.0], [1.0], [1000],
                                   replications=4, seed=1)[0]
         assert len(summary.pvalues["lr"]) == 4
-        assert _no_children()
+        assert no_children()
 
-    def test_progress_reports_each_cell_once(self, monkeypatch):
-        _use_cpus(monkeypatch, 3)
+    def test_progress_reports_each_cell_once(self, monkeypatch, use_cpus,
+                                             no_children):
+        use_cpus(3)
         calls = []
         summaries = run_null_study(
             [-1.0, 0.0], [7, 1000], replications=9, seed=2,
@@ -750,12 +757,13 @@ class TestWorkerProcesses:
         assert {total for _, total, _ in calls} == {4}
         assert sorted(label for _, _, label in calls) == \
             sorted(s.scenario.label for s in summaries)
-        assert _no_children()
+        assert no_children()
 
     @pytest.mark.parametrize("n, workers",
                              [(1000, 19), (100_000, 7), (506_811, 2),
                               (506_812, 1)])
-    def test_memory_budget_caps_the_workers(self, monkeypatch, n, workers):
+    def test_memory_budget_caps_the_workers(self, monkeypatch, n, workers,
+                                            no_children):
         # 64 CPUs under the real budget
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
         chosen = []
@@ -771,7 +779,7 @@ class TestWorkerProcesses:
                             lambda scenario, start, stop, pvalues: 0)
         run_null_study([0.0], [n], replications=5000, seed=0)
         assert chosen == [workers]
-        assert _no_children()
+        assert no_children()
 
 
 class TestPvalueEcdf:

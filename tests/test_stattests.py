@@ -291,6 +291,10 @@ class TestChiSquareSF:
             chi_square_sf(1.0, 0)
         with pytest.raises(ValueError):
             chi_square_sf(1.0, math.inf)
+        # a float, a bool or a fractional df is not a degree-of-freedom count
+        for df in (2.0, True, 2.5):
+            with pytest.raises(ValueError, match="df must be an integer"):
+                chi_square_sf(3.0, df)
 
 
 class TestLogisticRecalibration:
@@ -517,18 +521,6 @@ ENGINE_CASES = [
 ]
 
 
-def _use_cpus(monkeypatch, cpus):
-    # with the memory budget lifted, so that the CPU count alone sets the
-    # workers (up to the number of blocks)
-    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_pool, "_MEMORY_BYTES", 1 << 60)
-
-
-def _no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
 
 class TestMonteCarloEngine:
     @pytest.mark.parametrize("n, replications", ENGINE_CASES)
@@ -580,30 +572,32 @@ class TestMonteCarloEngine:
     # 8 workers: more than the three blocks of the multi-block cases
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("n, replications", ENGINE_CASES)
-    def test_bit_identical_for_any_worker_count(self, monkeypatch, cpus, n,
+    def test_bit_identical_for_any_worker_count(self, use_cpus, cpus, n,
                                                 replications):
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         data = _random_dataset(n, n=n)
         got = stattests._simulate_null_statistics(data, replications, seed=11)
         want = _per_replicate_null(data, replications, 11)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(_bits(g), _bits(w))
 
-    def test_worker_count_is_capped_at_the_blocks(self, monkeypatch, forks):
-        _use_cpus(monkeypatch, 8)
+    def test_worker_count_is_capped_at_the_blocks(self, forks, use_cpus,
+                                                  no_children):
+        use_cpus(8)
         data = _random_dataset(5, n=1000)
         stattests._simulate_null_statistics(data, 131, seed=1)  # one block
         assert forks == []
         stattests._simulate_null_statistics(data, 300, seed=1)  # three
         assert len(forks) == 2  # the calling process is the third worker
-        assert _no_children()
+        assert no_children()
 
     def test_runs_in_this_process_while_another_thread_runs(self,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            use_cpus):
         def no_fork():
             raise AssertionError("forked")
 
-        _use_cpus(monkeypatch, 8)
+        use_cpus(8)
         monkeypatch.setattr(os, "fork", no_fork)
         data = _random_dataset(6, n=1000)
         parked = threading.Event()
@@ -621,10 +615,11 @@ class TestMonteCarloEngine:
     @pytest.mark.parametrize("on_caller", [False, True],
                              ids=["worker", "caller"])
     def test_error_in_a_block_ends_every_worker(self, monkeypatch, tmp_path,
-                                                on_caller):
+                                                on_caller, use_cpus,
+                                                no_children):
         # 4 workers on 23 blocks: the error is raised in each child's first
         # block, or in the caller's once every child has started a block
-        _use_cpus(monkeypatch, 4)
+        use_cpus(4)
         data = _random_dataset(7, n=1000)
         parent, log = os.getpid(), tmp_path / "pids"
         error = KeyboardInterrupt if on_caller else RuntimeError
@@ -659,14 +654,16 @@ class TestMonteCarloEngine:
             assert len(pids()) < 20
         else:
             assert "in a worker process" in str(caught.value.__cause__)
-        assert _no_children()
+        assert no_children()
 
-    def test_scratch_is_one_block_of_buffers_per_worker(self, monkeypatch):
+    def test_scratch_is_one_block_of_buffers_per_worker(self, monkeypatch,
+                                                        use_cpus,
+                                                        no_children):
         # at this n a block is one row.  The buffers are allocated before
         # the fork, so on 4 workers this process holds one walk and one
         # bridge row, as each child does in its own copy, and the n
         # variance times
-        _use_cpus(monkeypatch, 4)
+        use_cpus(4)
         n = 100_000
         data = _random_dataset(3, n=n)
         tracemalloc.start()
@@ -677,7 +674,7 @@ class TestMonteCarloEngine:
             tracemalloc.stop()
         # half a row of slack: a second pair of buffers would be 2 rows
         assert peak < (2 + 1.5) * 8 * n
-        assert _no_children()
+        assert no_children()
 
 
 # (what runs, at which n, and its workers under 64 CPUs and the real
@@ -698,7 +695,7 @@ BUDGET_CASES = [
                          ids=[f"{what}-{n}-{workers}"
                               for what, n, workers in BUDGET_CASES])
 def test_one_memory_budget_sets_the_workers(monkeypatch, tmp_path, forks,
-                                            what, n, workers):
+                                            what, n, workers, no_children):
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: 64)
     if what == "engine":
         data = _random_dataset(3, n=n)
@@ -716,7 +713,7 @@ def test_one_memory_budget_sets_the_workers(monkeypatch, tmp_path, forks,
         path.write_text("p,y\n" + "0.25,1\n" * 2600)
         dataio.read_dataset_csv(path)
     assert len(forks) == workers - 1
-    assert _no_children()
+    assert no_children()
 
 
 def _private_bytes():
@@ -730,7 +727,7 @@ def _private_bytes():
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
                     reason="needs /proc/self/smaps_rollup")
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
-def test_engine_children_stay_inside_the_budget(monkeypatch, n):
+def test_engine_children_stay_inside_the_budget(monkeypatch, n, no_children):
     # each of the 3 children on 4 CPUs records its private memory after
     # every block it runs, into the slot of its fork
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
@@ -759,4 +756,4 @@ def test_engine_children_stay_inside_the_budget(monkeypatch, n):
     assert slot[0] == 3
     assert (private[1:] > 0).all()
     assert (private[1:] < _pool._WORKER_BYTES + scratch).all(), private
-    assert _no_children()
+    assert no_children()

@@ -12,6 +12,7 @@ from calibwalk import (
     SimulationScenario,
     analyze,
     build_dataset,
+    critical_value,
     render_binned_calibration_plot,
     render_cumulative_plot,
     render_study_figures,
@@ -25,6 +26,7 @@ from calibwalk.svgplot import (
     _BRIDGE_COLOR,
     _CRITICAL_COLOR,
     _M4_VERTICES_PER_PX,
+    _MARGIN_TOP,
     _MAX_MARKER_COLOR,
     _WIDTH,
     _binned_points,
@@ -107,11 +109,23 @@ class TestCumulativePlot:
         points = _polyline_points(rendered["svg_bm"])
         assert len(points) == rendered["data"].n + 1
 
-    def test_polyline_matches_transform(self, rendered):
-        amap = cumulative_plot_map(rendered["proc"], "bm")
-        points = _polyline_points(rendered["svg_bm"])
-        assert points[0] == pytest.approx(amap.to_px(0.0, 0.0), abs=1e-6)
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.2])
+    @pytest.mark.parametrize("mode", ["bm", "bb"])
+    def test_polyline_matches_transform(self, rendered, mode, alpha):
         proc = rendered["proc"]
+        if mode == "bm":
+            extent = critical_value("sup_abs_bm", 1.0 - alpha)
+        else:
+            extent = abs(float(proc.walk[-1])) + critical_value(
+                "kolmogorov", 1.0 - alpha)
+        # at these levels the critical line, not the walk, sets the extent,
+        # which reaches the panel's top edge with a 10% margin
+        assert extent > max(float(np.max(np.abs(proc.walk))), 1.0)
+        amap = cumulative_plot_map(proc, mode, alpha)
+        assert amap.to_px(0.0, 1.1 * extent)[1] == pytest.approx(_MARGIN_TOP)
+        svg = render_cumulative_plot(proc, mode, rendered[mode], alpha)
+        points = _polyline_points(svg)
+        assert points[0] == pytest.approx(amap.to_px(0.0, 0.0), abs=1e-6)
         for (px, py), t, s in zip(points[1:], proc.times, proc.walk):
             ex, ey = amap.to_px(float(t), float(s))
             assert px == pytest.approx(ex, abs=1e-6)
