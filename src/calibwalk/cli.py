@@ -307,8 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", parents=[output],
                             help="run the calibration tests on a CSV")
     p_test.add_argument("data", help="CSV with prediction and outcome columns")
-    p_test.add_argument("--prediction-column", default="p")
-    p_test.add_argument("--outcome-column", default="y")
+    p_test.add_argument("--prediction-column", default="p",
+                        help="column of predicted risks (default: p)")
+    p_test.add_argument("--outcome-column", default="y",
+                        help="column of binary outcomes (default: y)")
     p_test.add_argument("--clamp", type=float, default=None, metavar="EPS",
                         help="clip predictions into [EPS, 1-EPS] before "
                              "validation")
@@ -337,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample size grid")
     study.add_argument("--reps", type=int, required=True,
                        help="replications per cell")
-    study.add_argument("--seed", type=_non_negative, default=0)
+    study.add_argument("--seed", type=_non_negative, default=0,
+                       help="root seed of the replicate streams")
     p_sim = sub.add_parser("simulate", help="run a simulation study")
     p_sim.set_defaults(handler=cmd_simulate)
     kinds = p_sim.add_subparsers(dest="kind", required=True)
@@ -349,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_power = kinds.add_parser("power", parents=[study], allow_abbrev=False,
                                help="power of LR, HL and the walk tests")
     p_power.add_argument("--family", choices=sorted(_FAMILIES),
-                         default="logit-linear")
+                         default="logit-linear",
+                         help="prediction log-odds a + b*X (logit-linear, "
+                              "the default) or a + b*sign(X)|X|^(1/b) "
+                              "(logit-power), for true log-odds X")
     p_power.add_argument("--a", type=float, nargs="+", default=[0.0],
                          help="miscalibration intercept grid")
     p_power.add_argument("--b", type=float, nargs="+", default=[1.0],
@@ -363,10 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
         "casestudy", parents=[output],
         help="synthetic large-vs-small development sample demonstration",
     )
-    p_case.add_argument("--seed", type=_non_negative, required=True)
-    p_case.add_argument("--dev-n", type=int, default=50_000)
-    p_case.add_argument("--small-n", type=int, default=500)
-    p_case.add_argument("--holdout-n", type=int, default=10_000)
+    p_case.add_argument("--seed", type=_non_negative, required=True,
+                        help="seed of the synthetic population")
+    p_case.add_argument("--dev-n", type=int, default=50_000,
+                        help="rows of the development sample the large "
+                             "model is fitted on")
+    p_case.add_argument("--small-n", type=int, default=500,
+                        help="first rows of the development sample, which "
+                             "the small model is fitted on")
+    p_case.add_argument("--holdout-n", type=int, default=10_000,
+                        help="rows of the held-out sample both models are "
+                             "tested on")
     p_case.set_defaults(handler=cmd_casestudy)
     return parser
 

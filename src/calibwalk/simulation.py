@@ -354,10 +354,18 @@ def run_power_study(family: str, a_grid, b_grid, n_grid,
 
 
 def pvalue_ecdf(pvalues):
-    """Right-continuous ECDF sampled on 512 evenly spaced points of [0, 1]."""
-    sample = np.sort(np.asarray(pvalues, dtype=np.float64))
+    """Right-continuous ECDF sampled on 512 evenly spaced points of [0, 1].
+
+    An empty sample, a NaN or a value outside [0, 1] raises a ValueError.
+    """
+    sample = np.asarray(pvalues, dtype=np.float64)
     if sample.size == 0:
         raise ValueError("empty p-value sample")
+    outside = ~((sample >= 0.0) & (sample <= 1.0))  # NaN included
+    if outside.any():
+        raise ValueError(
+            f"p-value outside [0, 1]: {float(sample[outside][0])!r}")
+    sample = np.sort(sample)
     grid = np.linspace(0.0, 1.0, 512)
     values = np.searchsorted(sample, grid, side="right") / sample.size
     return grid, values

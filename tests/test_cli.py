@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from calibwalk import (
     write_report_json,
 )
 from calibwalk import _pool, simulation
-from calibwalk.cli import main
+from calibwalk.cli import build_parser, main
 
 TWO_POINT = "p,y\n0.6,1\n0.2,0\n"
 
@@ -81,6 +82,17 @@ class TestArgumentHandling:
                 assert shared in text
             for flag in absent:
                 assert flag not in text
+
+    def test_every_option_has_help(self):
+        parsers, bare = [build_parser()], []
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif action.option_strings and not action.help:
+                    bare.append((parser.prog, action.option_strings[-1]))
+        assert bare == []
 
     def test_unknown_flag_exits_two(self, tmp_path):
         csv = _write_csv(tmp_path)

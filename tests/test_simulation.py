@@ -805,3 +805,15 @@ class TestPvalueEcdf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pvalue_ecdf([])
+
+    # a NaN or a value outside [0, 1] would end the ECDF below 1.0 or start
+    # it above 0.0
+    @pytest.mark.parametrize("pvalues, first_bad", [
+        ([math.nan, 0.5], "nan"),
+        ([1.5, 0.2], "1.5"),
+        ([-0.1], "-0.1"),
+    ])
+    def test_values_outside_unit_interval_rejected(self, pvalues, first_bad):
+        with pytest.raises(ValueError,
+                           match=rf"outside \[0, 1\]: {first_bad}$"):
+            pvalue_ecdf(pvalues)
