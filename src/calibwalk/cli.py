@@ -112,7 +112,9 @@ def _cumulative_plots(proc, report, alpha, prefix=""):
             for mode, result in (("bm", report.bm), ("bb", report.bb))}
 
 
-def _print_report(report):
+def _print_report(report, groups):
+    """Print ``report``; ``groups`` is the Hosmer-Lemeshow group count
+    asked for, or None when HL was not asked for."""
     ds = report.dataset
     print(
         f"n = {ds.n}, events = {ds.events} "
@@ -129,6 +131,9 @@ def _print_report(report):
             f"warning: total variance below {SMALL_SAMPLE_VARIANCE:g}; "
             "asymptotic p-values are unreliable (consider --mc)"
         )
+    if groups is not None and ds.n < groups:
+        print(f"warning: n = {ds.n} is below {groups} groups; "
+              "Hosmer-Lemeshow test skipped")
     bm = report.bm
     print(
         f"BM test: max |walk| = {bm.s_star:.4f} (raw {bm.c_star:.4g}) at "
@@ -187,7 +192,7 @@ def cmd_test(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     report_path = outdir / "report.json"
     write_report_json(report, report_path)
-    _print_report(report)
+    _print_report(report, None if args.no_hl else args.groups)
     artifacts = [str(report_path)] + _write_files(outdir, figures)
     print("wrote " + ", ".join(artifacts))
     return 0
@@ -282,7 +287,7 @@ def cmd_casestudy(args) -> int:
         fit = entry["fit"]
         print(f"--- {label} model (intercept {fit.intercept:.4f}, "
               f"slope {fit.slope:.4f}) on holdout ---")
-        _print_report(entry["report"])
+        _print_report(entry["report"], 10)
     print(f"wrote case-study artifacts in {args.out}")
     return 0
 

@@ -26,7 +26,6 @@ from ._version import __version__
 from .data import (
     CalibrationDataset,
     CumulativeProcess,
-    _integer,
     build_dataset,
     cumulative_process,
     walk_statistics,
@@ -38,6 +37,7 @@ from .stattests import (
     MonteCarloResult,
     WeakCalibResult,
     _df_lost,
+    _hl_groups,
     bb_test_from_process,
     bm_test_from_process,
     hosmer_lemeshow_test,
@@ -128,7 +128,7 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     UTC time.
     """
     # checked before HL may be skipped, so a bad value always raises
-    groups = _integer("groups", groups)
+    groups = _hl_groups(groups)
     _df_lost(df_rule)
     proc = cumulative_process(data)
     stats = walk_statistics(proc)

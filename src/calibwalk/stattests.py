@@ -178,6 +178,14 @@ def _df_lost(df_rule) -> int:
     return _DF_RULES[df_rule]
 
 
+def _hl_groups(groups) -> int:
+    """``groups`` as an int; fewer than 2 Hosmer-Lemeshow groups raise."""
+    groups = _integer("groups", groups)
+    if groups < 2:
+        raise ValueError(f"need at least 2 groups, got {groups}")
+    return groups
+
+
 def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
                          df_rule: str = "g_minus_2") -> HLTestResult:
     """Hosmer-Lemeshow chi-square test on rank-quantile groups.
@@ -186,9 +194,7 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
     default) or ``"g"`` (appropriate when the predictions were not fitted
     to the evaluated data).
     """
-    groups = _integer("groups", groups)
-    if groups < 2:
-        raise ValueError(f"need at least 2 groups, got {groups}")
+    groups = _hl_groups(groups)
     if data.n < groups:
         raise ValueError(f"n={data.n} is smaller than groups={groups}")
     df = groups - _df_lost(df_rule)

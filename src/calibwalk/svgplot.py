@@ -211,15 +211,16 @@ def _draw_secondary_axis(doc, amap, proc, top):
              color="#555555")
 
 
-def _cumulative_ranges(proc, mode, crit):
+# per walk test: the distribution of its critical value, its result type,
+# and the result's fields holding the statistic and the marked vertex
+_WALK_TESTS = {"bm": ("sup_abs_bm", BMTestResult, "s_star", "location"),
+               "bb": ("kolmogorov", BBTestResult, "s_n", "location_bridge")}
+
+
+def _cumulative_ranges(proc, end, crit):
     """A cumulative plot's x and y data ranges."""
     # 1.0 keeps the unit triangle's apexes in view
-    extent = [float(np.max(np.abs(proc.walk))), 1.0]
-    if mode == "bm":
-        extent.append(crit)
-    else:
-        extent.append(abs(float(proc.walk[-1])) + crit)
-    y_max = 1.1 * max(extent)
+    y_max = 1.1 * max(float(np.max(np.abs(proc.walk))), 1.0, abs(end) + crit)
     return (0.0, 1.0), (-y_max, y_max)
 
 
@@ -227,17 +228,23 @@ def cumulative_plot_map(proc: CumulativeProcess, mode: str,
                         alpha: float = 0.05) -> AffineMap:
     """The data-to-pixel transform a cumulative plot will use."""
     return _panel_map(*_cumulative_ranges(
-        proc, mode, _cumulative_critical(mode, alpha)))
+        proc, *_cumulative_bound(proc, mode, alpha)))
 
 
-def _cumulative_critical(mode, alpha):
+def _cumulative_bound(proc, mode, alpha):
+    """``(end, c)``: the ``mode`` test bounds the walk at ``c`` from the
+    chord (0, 0)-(1, end) at level ``alpha``.  The chord is the time axis
+    for BM and ends at the terminal value for BB, since the walk minus it
+    is the Brownian bridge."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be inside (0, 1), got {alpha!r}")
-    if mode == "bm":
-        return critical_value("sup_abs_bm", 1.0 - alpha)
-    if mode == "bb":
-        return critical_value("kolmogorov", 1.0 - alpha)
-    raise ValueError(f"mode must be 'bm' or 'bb', got {mode!r}")
+    if mode not in _WALK_TESTS:
+        raise ValueError(f"mode must be 'bm' or 'bb', got {mode!r}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small to draw: 1 - alpha "
+                         "rounds to 1, where the critical value is infinite")
+    end = 0.0 if mode == "bm" else float(proc.walk[-1])
+    return end, critical_value(_WALK_TESTS[mode][0], 1.0 - alpha)
 
 
 def _first_per_segment(mask, segment):
@@ -268,30 +275,26 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
                            alpha: float = 0.05) -> str:
     """Cumulative calibration plot with one test's annotations.
 
-    ``mode='bm'`` expects a BMTestResult and draws the maximum-|walk|
-    marker plus horizontal critical lines; ``mode='bb'`` expects a
-    BBTestResult and draws the chord to the terminal value, both component
-    markers, and a critical line parallel to the chord on the side where
-    the bridged maximum occurred.  Critical lines are at significance
-    level ``alpha``.  Every plot has the unit triangle and the secondary
+    ``mode='bm'`` expects a BMTestResult, ``mode='bb'`` a BBTestResult.
+    Both draw the walk about a chord from (0, 0) to (1, end): the time axis
+    for BM, the chord to the terminal value for BB, which BB also draws
+    with a terminal-value marker.  Dashed critical lines at level ``alpha``
+    run parallel to the chord, on both sides for BM and on the side of the
+    bridged maximum for BB, and a marker joins the chord to the walk's
+    marked vertex.  Every plot has the unit triangle and the secondary
     axis of prediction levels.
     """
-    crit = _cumulative_critical(mode, alpha)
-    if mode == "bm":
-        matches = isinstance(result, BMTestResult) and math.isclose(
-            result.s_star, float(np.max(np.abs(proc.walk))),
-            rel_tol=1e-9, abs_tol=1e-12) and (
-            1 <= result.location.index <= proc.n)
-    else:
-        matches = isinstance(result, BBTestResult) and math.isclose(
-            result.s_n, float(proc.walk[-1]),
-            rel_tol=1e-9, abs_tol=1e-12) and (
-            1 <= result.location_bridge.index <= proc.n)
-    if not matches:
+    end, crit = _cumulative_bound(proc, mode, alpha)
+    _, kind, statistic, location = _WALK_TESTS[mode]
+    reference = float(np.max(np.abs(proc.walk))) if mode == "bm" else end
+    if not (isinstance(result, kind) and math.isclose(
+            getattr(result, statistic), reference,
+            rel_tol=1e-9, abs_tol=1e-12)
+            and 1 <= getattr(result, location).index <= proc.n):
         raise ValueError("result was not computed from this process")
 
     doc, amap, (left, top, right, bottom) = _framed(
-        *_cumulative_ranges(proc, mode, crit), "time", "cumulative error",
+        *_cumulative_ranges(proc, end, crit), "time", "cumulative error",
         x_tick_values=(0.0, 0.25, 0.5, 0.75, 1.0),
     )
 
@@ -305,32 +308,21 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
         stroke="#888888",
     )
 
-    if mode == "bm":
-        for sign in (1.0, -1.0):
-            x0, y0 = amap.to_px(0.0, sign * crit)
-            x1, _ = amap.to_px(1.0, sign * crit)
-            doc.line(x0, y0, x1, y0, _CRITICAL_COLOR, dash="6 4")
-        i = result.location.index - 1
-        mx, my0 = amap.to_px(float(proc.times[i]), 0.0)
-        _, my1 = amap.to_px(float(proc.times[i]), float(proc.walk[i]))
-        doc.line(mx, my0, mx, my1, _MAX_MARKER_COLOR, width=2.0)
-    else:
-        s_n = result.s_n
-        i = result.location_bridge.index - 1
-        chord_at_max = float(proc.times[i]) * s_n
-        side = 1.0 if float(proc.walk[i]) >= chord_at_max else -1.0
-        x0, y0 = amap.to_px(0.0, side * crit)
-        x1, y1 = amap.to_px(1.0, s_n + side * crit)
-        doc.line(x0, y0, x1, y1, _CRITICAL_COLOR, dash="6 4")
-        cx0, cy0 = amap.to_px(0.0, 0.0)
-        cx1, cy1 = amap.to_px(1.0, s_n)
-        doc.line(cx0, cy0, cx1, cy1, _BRIDGE_COLOR, width=1.5)
-        tx, ty0 = amap.to_px(1.0, 0.0)
-        _, ty1 = amap.to_px(1.0, s_n)
-        doc.line(tx, ty0, tx, ty1, _MEAN_MARKER_COLOR, width=2.5)
-        bx, by0 = amap.to_px(float(proc.times[i]), chord_at_max)
-        _, by1 = amap.to_px(float(proc.times[i]), float(proc.walk[i]))
-        doc.line(bx, by0, bx, by1, _MAX_MARKER_COLOR, width=2.0)
+    i = getattr(result, location).index - 1
+    t_i, s_i = float(proc.times[i]), float(proc.walk[i])
+    sides = ((1.0, -1.0) if mode == "bm"
+             else (1.0 if s_i >= t_i * end else -1.0,))
+    for side in sides:
+        doc.line(*amap.to_px(0.0, side * crit),
+                 *amap.to_px(1.0, end + side * crit), _CRITICAL_COLOR,
+                 dash="6 4")
+    if mode == "bb":
+        doc.line(*amap.to_px(0.0, 0.0), *amap.to_px(1.0, end), _BRIDGE_COLOR,
+                 width=1.5)
+        doc.line(*amap.to_px(1.0, 0.0), *amap.to_px(1.0, end),
+                 _MEAN_MARKER_COLOR, width=2.5)
+    doc.line(*amap.to_px(t_i, t_i * end), *amap.to_px(t_i, s_i),
+             _MAX_MARKER_COLOR, width=2.0)
 
     if proc.n + 1 > _M4_VERTICES_PER_PX * _WIDTH:
         kept = _m4_indices(amap, proc.times, proc.walk, marker=i)

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per criterion, reported with a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v``.  The paper-scale study
-replications live behind the ``slow`` marker (``pytest -m slow``).
+Run with ``pytest tests/test_acceptance.py -v``.
 """
 
 import itertools
@@ -292,9 +291,8 @@ def test_c11_structural_plot_suite():
 
 
 # ---------------------------------------------------------------------------
-# paper-scale replications (minutes of runtime; run with -m slow)
+# paper-scale replications
 
-@pytest.mark.slow
 def test_full_null_panels_paper_scale():
     """Full-size panels: 10,000 replications per cell.
 
@@ -312,7 +310,6 @@ def test_full_null_panels_paper_scale():
                 assert _ecdf_sup_deviation(summary.pvalues[name]) <= 0.03
 
 
-@pytest.mark.slow
 def test_full_small_n_conservatism_paper_scale():
     summaries = cw.run_null_study([-2.0, -1.0, 0.0], [50],
                                   replications=10_000, seed=1)

@@ -142,6 +142,32 @@ class TestArgumentHandling:
         assert "argument --alpha: must be a number inside (0, 1)" in \
             capsys.readouterr().err
 
+    # 1 - 1e-17 rounds to 1: no critical line can be drawn at that level
+    @pytest.mark.parametrize("argv", [
+        ["test", "data.csv"],
+        ["casestudy", "--seed", "1", "--dev-n", "200", "--small-n", "100",
+         "--holdout-n", "100"],
+    ], ids=["test", "casestudy"])
+    def test_alpha_too_small_to_draw_exits_before_output(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path)
+        out = tmp_path / "o"
+        assert main(argv + ["--alpha", "1e-17", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert ("error: alpha 1e-17 is too small to draw: 1 - alpha rounds "
+                "to 1" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "data.csv", "--no-plots"],
+        ["simulate", "null", "--n", "20", "--reps", "2"],
+    ], ids=["test-no-plots", "simulate"])
+    def test_alpha_too_small_to_draw_runs_without_plots(
+            self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        _write_csv(tmp_path)
+        assert main(argv + ["--alpha", "1e-17", "--out", "o"]) == 0
+
     # the CSV does not exist: reading it would return 2, not exit in the
     # parser
     @pytest.mark.parametrize("argv, flag", [
@@ -241,6 +267,38 @@ class TestCmdTest:
                          "--no-plots", "--out", str(out)]) == 0
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("groups", ["0", "1"])
+    def test_too_few_groups_exit_two_without_hl(self, tmp_path, capsys,
+                                                groups):
+        csv = _write_csv(tmp_path)
+        out = tmp_path / "o"
+        assert main(["test", str(csv), "--no-hl", "--groups", groups,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"error: need at least 2 groups, got {groups}\n"
+                == capsys.readouterr().err)
+
+    def test_skipped_hl_is_named_in_a_warning(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.3, 0.7, 200)
+        rows = "".join(f"{pi!r},{int(u < pi)}\n"
+                       for pi, u in zip(p.tolist(), rng.random(200)))
+        csv = _write_csv(tmp_path, "p,y\n" + rows)
+        skipped, no_hl = tmp_path / "skipped", tmp_path / "no_hl"
+        assert main(["test", str(csv), "--groups", "5000", "--no-plots",
+                     "--out", str(skipped)]) == 0
+        printed = capsys.readouterr().out
+        assert ("warning: n = 200 is below 5000 groups; Hosmer-Lemeshow "
+                "test skipped\n") in printed
+        assert "HL test" not in printed
+        # --no-hl asks for no HL, so there is nothing to warn of, and the
+        # report is the same
+        assert main(["test", str(csv), "--no-hl", "--groups", "5000",
+                     "--no-plots", "--out", str(no_hl)]) == 0
+        assert "warning" not in capsys.readouterr().out
+        assert (skipped / "report.json").read_bytes() == \
+            (no_hl / "report.json").read_bytes()
 
     def test_no_plots_suppresses_svg(self, tmp_path):
         csv = _write_csv(tmp_path)

@@ -594,3 +594,11 @@ class TestAnalyze:
         assert report.monte_carlo is None
         with pytest.raises(ValueError, match="replications"):
             analyze(data, mc=-1)
+
+    @pytest.mark.parametrize("hl", [True, False])
+    @pytest.mark.parametrize("groups", [1, 0, -3])
+    def test_too_few_groups_raise_even_without_hl(self, groups, hl):
+        data = build_dataset([0.2, 0.4, 0.6, 0.8] * 10, [0, 1, 0, 1] * 10)
+        with pytest.raises(ValueError,
+                           match=f"need at least 2 groups, got {groups}$"):
+            analyze(data, groups=groups, hl=hl)

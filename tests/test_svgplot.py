@@ -215,6 +215,63 @@ class TestCumulativePlot:
         with pytest.raises(ValueError, match="mode"):
             render_cumulative_plot(rendered["proc"], "loess", rendered["bm"])
 
+    @staticmethod
+    def _dashed_in_data_units(svg, amap):
+        """Each dashed critical line as its ((t1, y1), (t2, y2)) ends."""
+        return [(_to_data(amap, float(d["x1"]), float(d["y1"])),
+                 _to_data(amap, float(d["x2"]), float(d["y2"])))
+                for d in _lines(svg, _CRITICAL_COLOR)
+                if d.get("stroke-dasharray")]
+
+    def test_bm_critical_lines_horizontal_at_plus_minus_c(self, rendered):
+        crit = critical_value("sup_abs_bm", 0.95)
+        lines = self._dashed_in_data_units(
+            rendered["svg_bm"], cumulative_plot_map(rendered["proc"], "bm"))
+        assert len(lines) == 2
+        for (t1, y1), (t2, y2) in lines:
+            assert (t1, t2) == pytest.approx((0.0, 1.0), abs=1e-6)
+            assert y1 == pytest.approx(y2, abs=1e-6)
+        assert sorted(y1 for (_, y1), _ in lines) == pytest.approx(
+            [-crit, crit], abs=1e-6)
+
+    @pytest.mark.parametrize("shift, side", [(0.2, 1.0), (-0.2, -1.0)],
+                             ids=["above", "below"])
+    def test_bb_critical_line_c_from_chord_on_bridged_maximum_side(
+            self, shift, side):
+        # events run ``shift`` off the predictions in the lower half only,
+        # so the walk bends away from its chord to that side
+        rng = np.random.default_rng(7)
+        p = np.sort(rng.uniform(0.25, 0.75, 400))
+        y = (rng.random(400) < p + np.where(np.arange(400) < 200, shift, 0.0)
+             ).astype(float)
+        proc, _, bb = _walk_tests(build_dataset(p, y))
+        i = bb.location_bridge.index - 1
+        assert np.sign(proc.walk[i] - proc.times[i] * proc.walk[-1]) == side
+        crit = critical_value("kolmogorov", 0.95)
+        lines = self._dashed_in_data_units(
+            render_cumulative_plot(proc, "bb", bb),
+            cumulative_plot_map(proc, "bb"))
+        assert len(lines) == 1
+        (t1, y1), (t2, y2) = lines[0]
+        assert (t1, t2) == pytest.approx((0.0, 1.0), abs=1e-6)
+        assert (y1, y2) == pytest.approx(
+            (side * crit, bb.s_n + side * crit), abs=1e-6)
+
+    @pytest.mark.parametrize("mode", ["bm", "bb"])
+    def test_alpha_too_small_to_draw_rejected(self, rendered, mode):
+        # 1 - 1e-17 rounds to 1, whose critical value is infinite; 5.6e-17
+        # is about the smallest alpha with 1 - alpha below 1
+        assert 1.0 - 1e-17 == 1.0 > 1.0 - 5.6e-17
+        for call in (lambda alpha: render_cumulative_plot(
+                         rendered["proc"], mode, rendered[mode], alpha),
+                     lambda alpha: cumulative_plot_map(
+                         rendered["proc"], mode, alpha)):
+            with pytest.raises(ValueError,
+                               match=r"alpha 1e-17 is too small .*1 - alpha "
+                                     "rounds to 1"):
+                call(1e-17)
+            call(5.6e-17)
+
 
 class TestM4Decimation:
     """Above 4 vertices per pixel of width the walk is drawn M4-decimated."""
