@@ -36,7 +36,7 @@ from .stattests import (
     HLTestResult,
     MonteCarloResult,
     WeakCalibResult,
-    _df_lost,
+    _hl_df,
     _hl_groups,
     bb_test_from_process,
     bm_test_from_process,
@@ -129,7 +129,7 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     """
     # checked before HL may be skipped, so a bad value always raises
     groups = _hl_groups(groups)
-    _df_lost(df_rule)
+    _hl_df(groups, df_rule)
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
     report = AnalysisReport(

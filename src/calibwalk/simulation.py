@@ -49,9 +49,10 @@ from .distributions import chi_square_sf, sup_abs_bm_sf
 from .stattests import (
     _bb_p_values,
     _expit,
+    _fit_rows,
     _hl_statistic,
     _rank_group_sums,
-    weak_calibration_lr_test,
+    _weak_calibration,
 )
 
 FAMILIES = ("null", "logit_linear", "logit_power")
@@ -61,10 +62,12 @@ NULL_TESTS = ("bm", "bb")
 # Hosmer-Lemeshow rank groups in power cells
 HL_GROUPS = 10
 # Values per block of study replicates, the unit a worker claims:
-# max(1, _STUDY_BLOCK_VALUES // n) rows, 4 at n = 1000, whatever the number
-# of workers.  Blocks of 64 rows there raised the peak RSS of a 3 x 3 power
-# grid by a third.
-_STUDY_BLOCK_VALUES = 1 << 12
+# max(1, _STUDY_BLOCK_VALUES // n) rows, 8 at n = 1000, whatever the number
+# of workers.  A block's LR fits are one IRLS over its rows: at n = 1000,
+# on a 2-vCPU host, they cost 138 us a row in blocks of 4 rows, 116 in
+# blocks of 8 and 106 in blocks of 16, whose scratch nears 1 MB.  Blocks of
+# 64 rows raised the peak RSS of a 3 x 3 power grid by a third.
+_STUDY_BLOCK_VALUES = 1 << 13
 # Bytes a study worker holds per value of its block, its scratch for
 # ``run_forked`` (17.8 MB in all for a child at n = 1e5, on a 2-vCPU host)
 _WORKER_BYTES_PER_VALUE = 120
@@ -150,8 +153,14 @@ def family_risk_and_predictions(scenario: SimulationScenario, x):
     if scenario.family == "logit_linear":
         predictions = _expit(scenario.a + scenario.b * x)
     else:
-        bent = scenario.b * np.sign(x) * np.abs(x) ** (1.0 / scenario.b)
-        predictions = _expit(scenario.a + bent)
+        # b sign(x) |x|^(1/b), in place; sign(x) |x|^(1/b) is copysign's,
+        # bar the sign of a zero, which expit maps to 0.5 either way
+        bent = np.abs(x)
+        bent **= 1.0 / scenario.b
+        np.copysign(bent, x, out=bent)
+        bent *= scenario.b
+        bent += scenario.a
+        predictions = _expit(bent)
     return true_risk, predictions
 
 
@@ -209,16 +218,17 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     ``df = groups`` because the simulated predictions are externally
     fixed, never fitted to the replicate's outcomes.  An LR fit that did
     not converge has no p-value: its entry is NaN, which ``_summary``
-    counts.  Generation, validation and sort, the walk, its extremes and
-    the HL group sums take one pass over the block; each p-value and LR
-    fit is one call per row.
+    counts.  Generation, validation and sort, the walk, its extremes,
+    the HL group sums and the LR fits take one pass over the block; each
+    p-value is one call per row.
     """
-    predictions, outcomes, tie_flags = _sort_rows(*_generate_block(
+    predictions, outcomes, _ = _sort_rows(*_generate_block(
         scenario, _cell_key(scenario), start, stop - start))
     # the error sums are dropped here; the bridge takes scratch of its own
     times, walk = _walk_rows(predictions, outcomes)[1:3]
     _, s_star, s_n, _, b_star = _walk_extremes(times, walk,
                                                np.empty_like(walk))
+    del times, walk  # freed before the LR fit takes its scratch
     columns = dict(zip(_tests(scenario), pvalues[:, start:stop]))
     columns["bm"][:] = [sup_abs_bm_sf(s) for s in s_star.tolist()]
     columns["bb"][:] = [_bb_p_values(s, b)[2]
@@ -230,10 +240,9 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     columns["hl"][:] = [
         chi_square_sf(_hl_statistic(zip(sizes, o, e)), HL_GROUPS)
         for o, e in zip(observed.tolist(), expected.tolist())]
-    for i in range(stop - start):
-        weak = weak_calibration_lr_test(CalibrationDataset(
-            predictions[i], outcomes[i], bool(tie_flags[i])))
-        columns["lr"][i] = weak.p_value if weak.converged else math.nan
+    columns["lr"][:] = [
+        weak.p_value if weak.converged else math.nan
+        for weak in map(_weak_calibration, _fit_rows(predictions, outcomes))]
 
 
 def _summary(scenario: SimulationScenario, pvalues) -> SimulationSummary:
@@ -281,7 +290,7 @@ def _run_study(scenarios, progress=None) -> list[SimulationSummary]:
     before the first replicate; then run every cell's blocks.
 
     The blocks run on ``run_forked``'s workers, with the largest block's
-    ``_WORKER_BYTES_PER_VALUE`` per value as scratch: 19 at n = 1000, 7 at
+    ``_WORKER_BYTES_PER_VALUE`` per value as scratch: 18 at n = 1000, 7 at
     n = 1e5, one above n = 506811.  Each worker claims the next block, or
     above 1024 blocks the next run of blocks, as it finishes one and writes
     it in place, into its cell's ``shared`` table of p-values, the only

@@ -172,10 +172,18 @@ def _hl_statistic(groups) -> float:
 _DF_RULES = {"g_minus_2": 2, "g": 0}
 
 
-def _df_lost(df_rule) -> int:
+def _hl_df(groups: int, df_rule) -> int:
+    """The degrees of freedom of ``groups`` Hosmer-Lemeshow groups under
+    ``df_rule``; an unknown rule, or one that leaves none, raises."""
     if not isinstance(df_rule, str) or df_rule not in _DF_RULES:
         raise ValueError(f"unknown df_rule {df_rule!r}")
-    return _DF_RULES[df_rule]
+    df = groups - _DF_RULES[df_rule]
+    if df < 1:
+        raise ValueError(
+            f"df_rule {df_rule!r} with {groups} groups leaves no degrees of "
+            "freedom; use df_rule='g'"
+        )
+    return df
 
 
 def _hl_groups(groups) -> int:
@@ -197,12 +205,7 @@ def hosmer_lemeshow_test(data: CalibrationDataset, groups: int = 10,
     groups = _hl_groups(groups)
     if data.n < groups:
         raise ValueError(f"n={data.n} is smaller than groups={groups}")
-    df = groups - _df_lost(df_rule)
-    if df < 1:
-        raise ValueError(
-            f"df_rule {df_rule!r} with {groups} groups leaves no degrees of "
-            "freedom; use df_rule='g'"
-        )
+    df = _hl_df(groups, df_rule)
 
     table = _rank_groups(data, groups)
     statistic = _hl_statistic(
@@ -226,12 +229,22 @@ _DEVIANCE_TOLERANCE = 1e-12
 
 
 def _expit(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """The logistic function of an array, as exp(min(x, 0)) / (1 +
+    exp(-|x|)): 1/(1+e) where x >= 0 and e/(1+e) elsewhere, with
+    e = exp(-|x|), computed in two buffers."""
+    mean = np.minimum(x, 0.0)
+    np.exp(mean, out=mean)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    mean /= e
+    return mean
 
 
-def _deviance_and_mean(eta, flip, mu, e, mask):
-    """Bernoulli deviance at log-odds ``eta``; writes ``expit(eta)`` to ``mu``.
+def _deviance_and_mean(work, flip, mask):
+    """Bernoulli deviance of each row at log-odds ``eta``; writes
+    ``expit(eta)`` to ``mu``, where ``eta, e, mu = work`` are (rows, n).
 
     One exp pass serves both.  With e = exp(-|eta|), the deviance is
     2 sum(log1p(e) + max(eta, 0) - y eta) and the mean is 1/(1+e) where
@@ -241,6 +254,7 @@ def _deviance_and_mean(eta, flip, mu, e, mask):
     and a saturated fit keeps its digits.  ``eta`` and ``e`` are
     overwritten; ``mask`` is scratch.
     """
+    eta, e, mu = work
     np.abs(eta, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -253,7 +267,119 @@ def _deviance_and_mean(eta, flip, mu, e, mask):
     np.multiply(eta, flip, out=eta)
     np.maximum(eta, 0.0, out=eta)
     np.add(eta, e, out=eta)
-    return 2.0 * float(eta.sum())
+    return 2.0 * np.add.reduce(eta, axis=-1)
+
+
+def _fit_rows(predictions, outcomes) -> list:
+    """One ``RecalibrationFit`` per row of (rows, n) C-contiguous blocks of
+    predictions and binary outcomes.  ``fit_logistic_recalibration`` is
+    the one-row case and describes the fit.
+
+    Each row makes the float operations of a fit of that row alone, in
+    the same order, so its fit has the same bits in any block.  Its sums
+    are row-wise reduce calls, which add in the order of the
+    one-dimensional sum, and its Newton step, step-halving and stopping
+    tests are elementwise over the rows still fitting.  While other rows
+    halve their steps, a row that has accepted a trial recomputes that
+    same trial.  A row leaves the blocks when it stops, with its fit
+    frozen; a row whose outcomes are all equal never starts.
+    """
+    y = outcomes
+    rows, n = y.shape
+    x = np.log(predictions / (1.0 - predictions))
+    flip = 1.0 - 2.0 * y
+    # eta, e and mu of each row, so that one reduce call sums several
+    work = np.empty((3, rows, n))
+    mask = np.empty((rows, n), dtype=bool)
+    np.copyto(work[0], x)
+    null_deviance = _deviance_and_mean(work, flip, mask)
+    # intercept, slope, deviance, converged and iterations of every row
+    fits = np.zeros((5, rows))
+    fits[1] = 1.0
+    fits[2] = null_deviance
+    # the rows still fitting: their place in the block, (a, b), deviance
+    live = np.arange(rows)
+    coef = fits[:2].copy()
+    deviance = null_deviance
+
+    def stop(done, converged, iteration, *extra):
+        """Record the fits of the rows where ``done`` and drop those rows,
+        from the blocks and from each (..., rows) array of ``extra``."""
+        nonlocal x, y, flip, work, mask, live, coef, deviance
+        if not np.count_nonzero(done):
+            return extra
+        at = live[done]
+        fits[:2, at] = coef[:, done]
+        fits[2, at] = deviance[done]
+        fits[3, at] = converged
+        fits[4, at] = iteration
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            return extra
+        x, y, flip, work = x[keep], y[keep], flip[keep], work[:, keep]
+        coef, deviance = coef[:, keep], deviance[keep]
+        mask = mask[:live.size]
+        return [array[..., keep] for array in extra]
+
+    # no finite maximizer: the likelihood climbs toward a boundary
+    events = np.add.reduce(y, axis=-1)
+    stop((events == 0.0) | (events == n), False, 0)
+    for iteration in range(1, _MAX_IRLS_ITERATIONS + 1):
+        if not live.size:
+            break
+        # mu holds the mean at (a, b); eta and e are free until the trials
+        eta, e, mu = work
+        np.subtract(y, mu, out=e)
+        np.multiply(e, x, out=eta)
+        score = np.add.reduce(work[:2], axis=-1)  # (score_b, score_a)
+        small = np.abs(score) < _SCORE_TOLERANCE
+        (score,) = stop(small[0] & small[1], True, iteration, score)
+        if not live.size:
+            break
+        eta, e, mu = work
+        np.subtract(1.0, mu, out=e)
+        np.multiply(e, mu, out=e)
+        np.multiply(e, x, out=mu)
+        np.multiply(mu, x, out=eta)
+        hessian = np.add.reduce(work, axis=-1)  # (h_bb, h_aa, h_ab)
+        h_bb, h_aa, h_ab = hessian
+        det = h_aa * h_bb - h_ab * h_ab
+        # (step_a, step_b) = (h_bb score_a - h_ab score_b,
+        #                     h_aa score_b - h_ab score_a) / det
+        step = hessian[:2] * score[::-1] - h_ab * score
+        step, det = stop(det <= 0.0, False, iteration, step, det)
+        if not live.size:
+            break
+        step /= det
+        eta = work[0]
+        bound = deviance + 1e-10
+        scale = 1.0
+        for _ in range(30):
+            trial = coef + scale * step
+            np.multiply(x, trial[1, :, None], out=eta)
+            np.add(eta, trial[0, :, None], out=eta)
+            trial_dev = _deviance_and_mean(work, flip, mask)
+            held = trial_dev <= bound
+            if held.all():
+                break
+            scale = np.where(held, scale, 0.5 * scale)
+        # a deviance is never negative, so it is its own absolute value
+        rel_change = (np.abs(deviance - trial_dev)
+                      / np.maximum(deviance, 1.0))
+        coef, deviance = trial, trial_dev
+        diverged = np.logical_or(*(np.abs(coef) > _DIVERGENCE_BOUND))
+        (settled,) = stop(diverged, False, iteration,
+                          rel_change < _DEVIANCE_TOLERANCE)
+        stop(settled, True, iteration)
+    stop(np.ones(live.size, dtype=bool), False, _MAX_IRLS_ITERATIONS)
+
+    return [RecalibrationFit(a, b, dev, null, bool(converged)
+                             # every observation fitted exactly:
+                             # separated, boundary solution
+                             and not dev < 1e-6, int(iterations))
+            for a, b, dev, converged, iterations, null
+            in zip(*fits.tolist(), null_deviance.tolist())]
 
 
 def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
@@ -270,66 +396,10 @@ def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
     keep their digits where |eta| is large.  ``null_deviance`` is the
     deviance of the predictions as they stand (a = 0, b = 1), where the
     fit starts.  Each trial step makes one exp pass, and all work runs in
-    n-length buffers allocated once per fit.
+    n-length buffers allocated once per fit.  ``_fit_rows`` fits a block
+    of datasets at once, with the same bits.
     """
-    y = data.outcomes
-    n = data.n
-    x = np.log(data.predictions / (1.0 - data.predictions))
-    flip = 1.0 - 2.0 * y
-    # three rows, so that one reduce call sums several of them
-    work = np.empty((3, n))
-    eta, e, mu = work
-    mask = np.empty(n, dtype=bool)
-    a, b = 0.0, 1.0
-    np.copyto(eta, x)
-    deviance = null_deviance = _deviance_and_mean(eta, flip, mu, e, mask)
-    events = float(y.sum())
-    if events == 0.0 or events == float(n):
-        # no finite maximizer: the likelihood climbs toward a boundary
-        return RecalibrationFit(a, b, deviance, null_deviance, False, 0)
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, _MAX_IRLS_ITERATIONS + 1):
-        # mu holds the mean at (a, b); eta and e are free until the trials
-        np.subtract(y, mu, out=e)
-        np.multiply(e, x, out=eta)
-        score_b, score_a = np.add.reduce(work[:2], axis=1).tolist()
-        if max(abs(score_a), abs(score_b)) < _SCORE_TOLERANCE:
-            converged = True
-            break
-        np.subtract(1.0, mu, out=e)
-        np.multiply(e, mu, out=e)
-        np.multiply(e, x, out=mu)
-        np.multiply(mu, x, out=eta)
-        h_bb, h_aa, h_ab = np.add.reduce(work, axis=1).tolist()
-        det = h_aa * h_bb - h_ab * h_ab
-        if det <= 0.0:
-            break
-        step_a = (h_bb * score_a - h_ab * score_b) / det
-        step_b = (h_aa * score_b - h_ab * score_a) / det
-        scale = 1.0
-        for _ in range(30):
-            trial_a, trial_b = a + scale * step_a, b + scale * step_b
-            np.multiply(x, trial_b, out=eta)
-            np.add(eta, trial_a, out=eta)
-            trial_dev = _deviance_and_mean(eta, flip, mu, e, mask)
-            if trial_dev <= deviance + 1e-10:
-                break
-            scale *= 0.5
-        rel_change = abs(deviance - trial_dev) / max(abs(deviance), 1.0)
-        a, b, deviance = trial_a, trial_b, trial_dev
-        if abs(a) > _DIVERGENCE_BOUND or abs(b) > _DIVERGENCE_BOUND:
-            break
-        if rel_change < _DEVIANCE_TOLERANCE:
-            converged = True
-            break
-
-    if deviance < 1e-6:
-        # every observation fitted exactly: separated, boundary solution
-        converged = False
-    return RecalibrationFit(a, b, deviance, null_deviance, converged,
-                            iterations)
+    return _fit_rows(data.predictions[None], data.outcomes[None])[0]
 
 
 def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
@@ -338,7 +408,11 @@ def weak_calibration_lr_test(data: CalibrationDataset) -> WeakCalibResult:
     The null model scores the predictions as-is; the alternative is the
     fitted recalibration model.  A non-converged fit yields no p-value.
     """
-    fit = fit_logistic_recalibration(data)
+    return _weak_calibration(fit_logistic_recalibration(data))
+
+
+def _weak_calibration(fit: RecalibrationFit) -> WeakCalibResult:
+    """``weak_calibration_lr_test`` of the data ``fit`` was fitted to."""
     lr = fit.null_deviance - fit.deviance
     p_value = dist.chi_square_sf(max(lr, 0.0), 2) if fit.converged else None
     return WeakCalibResult(

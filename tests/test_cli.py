@@ -279,6 +279,18 @@ class TestCmdTest:
         assert (f"error: need at least 2 groups, got {groups}\n"
                 == capsys.readouterr().err)
 
+    @pytest.mark.parametrize("hl", [[], ["--no-hl"]], ids=["hl", "no-hl"])
+    def test_groups_leaving_no_df_exit_two(self, tmp_path, capsys, hl):
+        csv = _write_csv(tmp_path, "p,y\n0.2,0\n0.4,1\n0.6,0\n0.8,1\n")
+        out = tmp_path / "o"
+        assert main(["test", str(csv), *hl, "--groups", "2",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert ("error: df_rule 'g_minus_2' with 2 groups leaves no degrees "
+                "of freedom; use df_rule='g'\n" == capsys.readouterr().err)
+        assert main(["test", str(csv), *hl, "--groups", "2", "--df-rule",
+                     "g", "--no-plots", "--out", str(out)]) == 0
+
     def test_skipped_hl_is_named_in_a_warning(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         p = rng.uniform(0.3, 0.7, 200)

@@ -602,3 +602,12 @@ class TestAnalyze:
         with pytest.raises(ValueError,
                            match=f"need at least 2 groups, got {groups}$"):
             analyze(data, groups=groups, hl=hl)
+
+    @pytest.mark.parametrize("hl", [True, False])
+    def test_groups_leaving_no_df_raise_even_without_hl(self, hl):
+        data = build_dataset([0.2, 0.4, 0.6, 0.8], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match=(
+                "^df_rule 'g_minus_2' with 2 groups leaves no degrees of "
+                "freedom; use df_rule='g'$")):
+            analyze(data, groups=2, hl=hl)
+        assert analyze(data, groups=2, df_rule="g", hl=hl)[1].bm is not None

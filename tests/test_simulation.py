@@ -384,8 +384,8 @@ class TestBlocksMatchAnalyze:
             assert failures > 0
 
     def test_power_cell_scratch_memory(self):
-        # blocks of 4 rows at n = 1000 peak near 0.53 MB, blocks of 8 rows
-        # near 1.05 MB and blocks of 64 rows near 7.7 MB
+        # blocks of 4 rows at n = 1000 peak near 0.30 MB, blocks of 8 rows
+        # near 0.58 MB and one block of all 12 rows near 0.81 MB
         scenario = SimulationScenario(family="logit_power", n=1000,
                                       replications=12, seed=1, a=0.25, b=2.0)
         # a first cell imports what the cells use
@@ -401,10 +401,10 @@ class TestBlocksMatchAnalyze:
 
 
 
-# (name, study): 16 blocks over eight power cells, the n = 1000 cells in
-# two blocks of 4 rows and a short one of 1; 12 blocks over four null
-# cells, n = 4099 in one-row blocks; and 3 blocks of one cell, fewer than
-# 8 workers
+# (name, study): 12 blocks over eight power cells, the n = 1000 cells in
+# a block of 8 rows and a short one of 1; 12 blocks over four null cells,
+# n = 4099 in one-row blocks; and 2 blocks of one cell, fewer than 8
+# workers
 POOL_STUDIES = [
     ("power", lambda: run_power_study("logit_linear", [0.0, 0.5], [1.0, 3.0],
                                       [10, 1000], replications=9, seed=4)),
@@ -499,7 +499,7 @@ class TestWorkerProcesses:
 
         use_cpus(3)
         pids = _block_pids(monkeypatch, tmp_path, before)
-        run_null_study([0.0], [1000], replications=160, seed=3)  # 40 blocks
+        run_null_study([0.0], [1000], replications=320, seed=3)  # 40 blocks
         assert len(pids()) == 40
         assert os.getpid() in pids() and len(set(pids())) == 3
         assert no_children()
@@ -739,7 +739,7 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(os, "fork", no_fork)
-        # 4 rows at n = 1000 fill one block of the real size
+        # 4 rows at n = 1000 are one block of the real size
         summary = run_power_study("logit_power", [0.0], [1.0], [1000],
                                   replications=4, seed=1)[0]
         assert len(summary.pvalues["lr"]) == 4
@@ -760,7 +760,7 @@ class TestWorkerProcesses:
         assert no_children()
 
     @pytest.mark.parametrize("n, workers",
-                             [(1000, 19), (100_000, 7), (506_811, 2),
+                             [(1000, 18), (100_000, 7), (506_811, 2),
                               (506_812, 1)])
     def test_memory_budget_caps_the_workers(self, monkeypatch, n, workers,
                                             no_children):

@@ -53,6 +53,21 @@ def _mle_at_identity_dataset():
     return build_dataset(p, y)
 
 
+def _recalibration_dataset(seed, a, b, n=40):
+    """Predictions expit(x) with x ~ N(0, 1.5^2), and outcomes drawn at
+    log-odds a + b x."""
+    rng = np.random.default_rng(seed)
+    x = 1.5 * rng.standard_normal(n)
+    y = rng.random(n) < stattests._expit(a + b * x)
+    return build_dataset(stattests._expit(x), y.astype(float))
+
+
+def _fit_bits(fit):
+    """A fit's six fields, each float as its exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else (type(v), v)
+                 for v in dataclasses.astuple(fit))
+
+
 class TestBMTest:
     def test_pvalue_matches_reference_survival(self):
         for seed in range(5):
@@ -314,6 +329,33 @@ class TestLogisticRecalibration:
         data = build_dataset([0.5] * 6, [1, 0, 1, 0, 1, 1])
         fit = fit_logistic_recalibration(data)
         assert not fit.converged
+
+    def test_a_row_fits_alike_in_any_block(self):
+        # (name, dataset, converged, iterations); the "halved" row's first
+        # Newton step raises the deviance, so that step is halved
+        base = _recalibration_dataset(9, 0.0, 1.0)
+        rows = [
+            ("3 iterations", base, True, 3),
+            ("4 iterations", _recalibration_dataset(0, 0.0, 1.0), True, 4),
+            ("5 iterations", _recalibration_dataset(1, 0.0, 1.0), True, 5),
+            ("halved", _recalibration_dataset(108, -1.0, 0.3), True, 5),
+            ("all 0", build_dataset(base.predictions, [0] * 40), False, 0),
+            ("all 1", build_dataset(base.predictions, [1] * 40), False, 0),
+            ("constant", build_dataset([0.5] * 40, [0, 1, 1, 1] * 10), False,
+             1),
+            ("past 50", _recalibration_dataset(68, 0.5, 2.0), False, 9),
+        ]
+        fits = [fit_logistic_recalibration(data) for _, data, _, _ in rows]
+        for (name, _, converged, iterations), fit in zip(rows, fits):
+            assert (fit.converged, fit.iterations) == (converged,
+                                                       iterations), name
+        assert max(abs(fits[-1].intercept), abs(fits[-1].slope)) > 50
+        predictions = np.array([data.predictions for _, data, _, _ in rows])
+        outcomes = np.array([data.outcomes for _, data, _, _ in rows])
+        for order in ([0, 1, 2, 3, 4, 5, 6, 7], [5, 2, 7, 0, 6, 3, 1, 4]):
+            block = stattests._fit_rows(predictions[order], outcomes[order])
+            assert [_fit_bits(fit) for fit in block] == \
+                [_fit_bits(fits[i]) for i in order]
 
     def test_deviance_decreases_from_offset_model(self):
         data = _random_dataset(9, n=400)
@@ -683,7 +725,7 @@ BUDGET_CASES = [
     ("engine", 100_000, 17),
     ("engine", BLOCK_VALUES + 1, 15),
     ("engine", 1_000_000, 6),
-    ("study", 1000, 19),
+    ("study", 1000, 18),
     ("study", 100_000, 7),
     ("study", 506_811, 2),
     ("study", 506_812, 1),
@@ -704,8 +746,9 @@ def test_one_memory_budget_sets_the_workers(monkeypatch, tmp_path, forks,
         # 40 blocks of the real size, each left as zeros
         monkeypatch.setattr(simulation, "_run_block",
                             lambda scenario, start, stop, pvalues: 0)
-        simulation.run_null_study([0.0], [n], seed=0,
-                                  replications=40 * max(1, 4096 // n))
+        simulation.run_null_study(
+            [0.0], [n], seed=0,
+            replications=40 * max(1, simulation._STUDY_BLOCK_VALUES // n))
     else:
         # 4 ranges of at least _RANGE_BYTES, patched to 4 KiB
         monkeypatch.setattr(dataio, "_RANGE_BYTES", 1 << 12)

@@ -45,10 +45,12 @@ RUNS = {
     # --clamp 0.1 clips both tails into two more tie blocks
     "tied_clamp": "test tied.csv --clamp 0.1",
     "null": "simulate null --beta0 -1 --n 100 --reps 50 --seed 4",
-    # n = 1, an odd n, and n above the 4096-value study block: one-row blocks
+    # n = 1, an odd n, and n above half the 8192-value study block:
+    # one-row blocks
     "null_edges":
         "simulate null --beta0 -30 -1 --n 1 7 4099 --reps 30 --seed 2",
-    # 5 blocks of 81 rows at n = 50, 25 of 16 at n = 250: workers split cells
+    # 3 blocks of up to 163 rows at n = 50, 13 of up to 32 at n = 250:
+    # workers split cells
     "null_blocks":
         "simulate null --beta0 -2 -1 --n 50 250 --reps 400 --seed 4",
     # 1100 one-row blocks, over the pool's 1024 claims: a claim holds 1 or 2
@@ -56,7 +58,7 @@ RUNS = {
     # the studies run each cell in blocks of replicates
     "power": "simulate power --family logit-power --a 0 0.2 --b 1 1.5 "
              "--n 100 --reps 40 --seed 4",
-    # 15 blocks of 4 rows per cell: workers split every power cell
+    # 8 blocks of up to 8 rows per cell: workers split every power cell
     "power_blocks": "simulate power --family logit-power --a 0 0.25 "
                     "--b 1 2 --n 1000 --reps 60 --seed 4",
     # b = 0.2 saturates expit: generated predictions are clipped
