@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibwalk import (
     analyze,
@@ -60,6 +62,23 @@ def _recalibration_dataset(seed, a, b, n=40):
     x = 1.5 * rng.standard_normal(n)
     y = rng.random(n) < stattests._expit(a + b * x)
     return build_dataset(stattests._expit(x), y.astype(float))
+
+
+def _irls_rows():
+    """(name, dataset, converged, iterations) of fits that stop in every
+    way; the "halved" row's first Newton step raises the deviance, so that
+    step is halved."""
+    base = _recalibration_dataset(9, 0.0, 1.0)
+    return [
+        ("3 iterations", base, True, 3),
+        ("4 iterations", _recalibration_dataset(0, 0.0, 1.0), True, 4),
+        ("5 iterations", _recalibration_dataset(1, 0.0, 1.0), True, 5),
+        ("halved", _recalibration_dataset(108, -1.0, 0.3), True, 5),
+        ("all 0", build_dataset(base.predictions, [0] * 40), False, 0),
+        ("all 1", build_dataset(base.predictions, [1] * 40), False, 0),
+        ("constant", build_dataset([0.5] * 40, [0, 1, 1, 1] * 10), False, 1),
+        ("past 50", _recalibration_dataset(68, 0.5, 2.0), False, 9),
+    ]
 
 
 def _fit_bits(fit):
@@ -312,6 +331,62 @@ class TestChiSquareSF:
                 chi_square_sf(3.0, df)
 
 
+def _leaf_sum(values, leaf):
+    """The row sums of ``values`` as the IRLS computes its sums: each leaf
+    by ``np.add.reduce``, joined by ``_join_leaves``."""
+    leaves, levels, _ = stattests._leaf_plan(values.shape[-1], leaf)
+    sums = np.empty((2 * len(leaves) - 1,) + values.shape[:-1])
+    for slot, lo, hi in leaves:
+        np.add.reduce(values[..., lo:hi], axis=-1, out=sums[slot])
+    return stattests._join_leaves(levels, sums)
+
+
+@st.composite
+def _rows_to_sum(draw):
+    """A leaf size, and a (1 or 3, n) block of floats of exponents over
+    +-300 with some signed zeros, n from 1 to more than 3 leaves.  Leaves
+    of 64 values are runs of up to numpy's 128-value block."""
+    leaf = draw(st.sampled_from([stattests._LEAF_VALUES, 200, 64]))
+    n = draw(st.one_of(
+        st.integers(1, 7),
+        st.sampled_from([leaf - 1, leaf, leaf + 1, 2 * leaf + 9]),
+        st.integers(1, 3 * leaf + 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.sampled_from([1, 3])), n)
+    values = rng.standard_normal(shape) * np.exp2(
+        rng.integers(-300, 301, shape))
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[zeros] = np.copysign(0.0, rng.standard_normal(shape))[zeros]
+    return leaf, values
+
+
+class TestLeafSums:
+    """The IRLS adds its terms leaf by leaf and relies on the joined leaf
+    sums having the bits of numpy's own pairwise sum of the row; these
+    tests fail if a numpy release changes how it splits a sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rows_to_sum())
+    def test_joined_leaves_equal_the_row_reduce(self, case):
+        leaf, values = case
+        want = np.add.reduce(values, axis=-1)
+        got = _leaf_sum(values, leaf)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_leaves_follow_numpys_split(self):
+        # numpy's first part is n // 2 rounded down to a multiple of 8
+        leaves, levels, width = stattests._leaf_plan(2 * 200 + 9, 200)
+        assert [(lo, hi) for _, lo, hi in leaves] == [
+            (0, 200), (200, 304), (304, 409)]
+        assert width == 200
+        assert [level.tolist() for level in levels] == [
+            [[3], [1], [2]], [[4], [0], [3]]]
+        # a run numpy sums in one loop is not cut below its 128 values
+        assert [(lo, hi) for _, lo, hi in
+                stattests._leaf_plan(200, 64)[0]] == [(0, 96), (96, 200)]
+        assert stattests._leaf_plan(7, 200)[0] == ((0, 0, 7),)
+
+
 class TestLogisticRecalibration:
     def test_identity_is_fixed_point(self):
         fit = fit_logistic_recalibration(_mle_at_identity_dataset())
@@ -331,20 +406,7 @@ class TestLogisticRecalibration:
         assert not fit.converged
 
     def test_a_row_fits_alike_in_any_block(self):
-        # (name, dataset, converged, iterations); the "halved" row's first
-        # Newton step raises the deviance, so that step is halved
-        base = _recalibration_dataset(9, 0.0, 1.0)
-        rows = [
-            ("3 iterations", base, True, 3),
-            ("4 iterations", _recalibration_dataset(0, 0.0, 1.0), True, 4),
-            ("5 iterations", _recalibration_dataset(1, 0.0, 1.0), True, 5),
-            ("halved", _recalibration_dataset(108, -1.0, 0.3), True, 5),
-            ("all 0", build_dataset(base.predictions, [0] * 40), False, 0),
-            ("all 1", build_dataset(base.predictions, [1] * 40), False, 0),
-            ("constant", build_dataset([0.5] * 40, [0, 1, 1, 1] * 10), False,
-             1),
-            ("past 50", _recalibration_dataset(68, 0.5, 2.0), False, 9),
-        ]
+        rows = _irls_rows()
         fits = [fit_logistic_recalibration(data) for _, data, _, _ in rows]
         for (name, _, converged, iterations), fit in zip(rows, fits):
             assert (fit.converged, fit.iterations) == (converged,
@@ -356,6 +418,42 @@ class TestLogisticRecalibration:
             block = stattests._fit_rows(predictions[order], outcomes[order])
             assert [_fit_bits(fit) for fit in block] == \
                 [_fit_bits(fits[i]) for i in order]
+
+    def test_a_multi_leaf_row_fits_alike_in_any_block(self):
+        # three leaves of unequal depth; the rows stop after 3, 5 and 7
+        # iterations, so the block's leaf views are cut again mid-fit
+        n = 2 * stattests._LEAF_VALUES + 9
+        assert len(stattests._leaf_plan(n, stattests._LEAF_VALUES)[0]) == 3
+        rows = [_recalibration_dataset(seed, a, b, n) for seed, a, b
+                in ((1, 0.0, 1.0), (2, 0.3, 0.6), (5, -3.0, 1.0))]
+        fits = [fit_logistic_recalibration(data) for data in rows]
+        assert [fit.iterations for fit in fits] == [3, 5, 7]
+        predictions = np.array([data.predictions for data in rows])
+        outcomes = np.array([data.outcomes for data in rows])
+        for order in ([0, 1, 2], [2, 1, 0]):
+            block = stattests._fit_rows(predictions[order], outcomes[order])
+            assert [_fit_bits(fit) for fit in block] == \
+                [_fit_bits(fits[i]) for i in order]
+
+    def test_fit_bits_do_not_depend_on_the_leaf_size(self, monkeypatch):
+        # a leaf of at least n is one reduce over the whole row; 64 is below
+        # numpy's 128-value block, which is never cut
+        named = {name: data for name, data, _, _ in _irls_rows()}
+        datasets = [named["halved"], named["past 50"], named["constant"],
+                    _recalibration_dataset(11, 0.2, 0.8, 50_000),
+                    _recalibration_dataset(12, -0.5, 1.3, 50_000)]
+        large = datasets[-2:]
+        block = (np.array([data.predictions for data in large]),
+                 np.array([data.outcomes for data in large]))
+        seen = []
+        for leaf in (64, 1000, 50_000):
+            monkeypatch.setattr(stattests, "_LEAF_VALUES", leaf)
+            seen.append([_fit_bits(fit_logistic_recalibration(data))
+                         for data in datasets]
+                        + [_fit_bits(fit)
+                           for fit in stattests._fit_rows(*block)])
+        assert len(stattests._leaf_plan(50_000, 64)[0]) > 256
+        assert seen[0] == seen[1] == seen[2]
 
     def test_deviance_decreases_from_offset_model(self):
         data = _random_dataset(9, n=400)
@@ -449,7 +547,8 @@ class TestWeakCalibrationLR:
         assert result.p_value is None
 
     def test_scratch_memory_per_row(self):
-        # the fit works in five float buffers and one bool mask of n
+        # three float buffers of n (log-odds, flip and means), plus three
+        # float terms and a bool mask of one leaf: 28 bytes a row here
         data = _random_dataset(5, n=100_000)
         tracemalloc.start()
         try:
@@ -457,7 +556,7 @@ class TestWeakCalibrationLR:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * data.n
+        assert peak < 32 * data.n
 
     def test_pvalue_is_two_df_survival(self):
         result = weak_calibration_lr_test(_random_dataset(4, n=300))
