@@ -147,14 +147,14 @@ def _sort_rows(predictions: np.ndarray, outcomes: np.ndarray):
         i, j = np.argwhere(bad)[0]
         raise ValueError(
             f"prediction outside (0, 1) at position {j}: "
-            f"{predictions[i, j]!r} "
-            "(pass clamp_epsilon to clip saturated predictions)"
+            f"{float(predictions[i, j])!r} "
+            "(pass clamp_epsilon or --clamp to clip saturated predictions)"
         )
     not_binary = ~((outcomes == 0.0) | (outcomes == 1.0))
     if not_binary.any():
         i, j = np.argwhere(not_binary)[0]
         raise ValueError(
-            f"outcome not binary at position {j}: {outcomes[i, j]!r}")
+            f"outcome not binary at position {j}: {float(outcomes[i, j])!r}")
 
     # Predictions in (0, 1) are positive doubles, whose int64 bit patterns
     # sort in the same order and have bits 62 and 63 clear, so a prediction

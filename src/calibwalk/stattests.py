@@ -13,8 +13,6 @@ resampled null.  The walk tests read the statistics of one walk
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -247,64 +245,32 @@ def _expit(x):
 # numpy adds a contiguous run of n float64 values pairwise: a run of up to
 # 128 values (numpy's PW_BLOCKSIZE) in eight interleaved partial sums, a
 # longer one as the sum of its first n//2 values, rounded down to a multiple
-# of 8, plus the sum of the rest.  The fit cuts each row by that rule into
-# leaves of at most _LEAF_VALUES values, small enough that a leaf's terms
-# are summed while they are still in L2.  On a 2-core Xeon (2 MiB of L2 a
-# core), a fit at n = 1e6 ran fastest with leaves of 2^14 or 2^15 values,
-# 75 ms, and about 25% slower with 2^12 or 2^17.
+# of 8, plus the sum of the rest.  The fit follows that split down to leaves
+# of at most _LEAF_VALUES values, small enough that a leaf's terms are
+# summed while they are still in L2.  On a 2-core Xeon (2 MiB of L2 a core),
+# a fit at n = 1e6 ran fastest with leaves of 2^14 or 2^15 values, 75 ms,
+# and about 25% slower with 2^12 or 2^17.
 _PAIRWISE_BLOCK = 128
 _LEAF_VALUES = 1 << 14
 
 
-# cached: building a plan costs a one-row fit at n = 1000 about 1%
-@functools.lru_cache(maxsize=64)
-def _leaf_plan(n, leaf):
-    """The leaves of at most ``leaf`` values of a length-n row, the joins
-    that add their sums in numpy's pairwise order, and the widest leaf's
-    width, as ``(leaves, levels, width)``.
-
-    ``leaves`` holds (slot, lo, hi) for the leaf of columns lo:hi.
-    ``levels`` holds one (slots, left, right) index array per height of
-    the tree: each join's sum goes to its slot and is the sum of the slots
-    ``left`` and ``right``.  The root is the last of the 2 leaves - 1
-    slots.  A run that numpy sums without a split is never cut.
-    """
-    leaves, levels = [], []
-    slots = itertools.count()
-
-    def split(lo, hi):
-        # the slot and height of the subtree over columns lo:hi
-        size = hi - lo
-        if size <= max(leaf, _PAIRWISE_BLOCK):
-            leaves.append((next(slots), lo, hi))
-            return leaves[-1][0], 0
-        half = size // 2 - size // 2 % 8
-        (left, left_height), (right, right_height) = (
-            split(lo, lo + half), split(lo + half, hi))
-        height = max(left_height, right_height) + 1
-        if height > len(levels):
-            levels.append([])
-        levels[height - 1].append((next(slots), left, right))
-        return levels[height - 1][-1][0], height
-
-    split(0, n)
-    return (tuple(leaves), tuple(np.array(level).T for level in levels),
-            max(hi - lo for _, lo, hi in leaves))
-
-
-def _join_leaves(levels, sums):
-    """The sums over whole rows, from the leaf sums in the slots of the
-    first axis of ``sums``, joined in place by ``levels`` (``_leaf_plan``).
+def _pairwise(leaf_sums, lo, hi):
+    """The sums over columns lo:hi, split as numpy's pairwise sum splits
+    them: a part of at most ``max(_LEAF_VALUES, _PAIRWISE_BLOCK)`` values
+    is a leaf, summed by ``leaf_sums(lo, hi)``, and a longer part is the
+    sum of its two halves.
 
     A leaf summed by ``np.add.reduce(..., axis=-1)`` holds 0.0 plus its
     pairwise sum, which can only turn -0.0 into 0.0.  A zero's sign never
     changes a sum it is added to unless that sum is zero too, and numpy's
-    reduce over the whole row also adds its result to 0.0, so the joined
-    sums have the bits of ``np.add.reduce`` over the whole row.
+    reduce over the whole row also adds its result to 0.0, so the sums
+    have the bits of ``np.add.reduce`` over the whole row.
     """
-    for slot, left, right in levels:
-        sums[slot] = sums[left] + sums[right]
-    return sums[-1]
+    size = hi - lo
+    if size <= max(_LEAF_VALUES, _PAIRWISE_BLOCK):
+        return leaf_sums(lo, hi)
+    half = lo + size // 2 - size // 2 % 8
+    return _pairwise(leaf_sums, lo, half) + _pairwise(leaf_sums, half, hi)
 
 
 def _fit_rows(predictions, outcomes) -> list:
@@ -314,17 +280,16 @@ def _fit_rows(predictions, outcomes) -> list:
 
     Each row makes the float operations of a fit of that row alone, in
     the same order, so its fit has the same bits in any block.  Its sums
-    are reduce calls over the leaves of the row (``_leaf_plan``), joined
-    in the order of the one-dimensional sum, and its Newton step,
-    step-halving and stopping tests are elementwise over the rows still
-    fitting.  While other rows halve their steps, a row that has accepted
-    a trial recomputes that same trial.  A row leaves the blocks when it
-    stops, with its fit frozen; a row whose outcomes are all equal never
-    starts.
+    follow numpy's pairwise split of the row (``_pairwise``), and its
+    Newton step, step-halving and stopping tests are elementwise over the
+    rows still fitting.  While other rows halve their steps, a row that
+    has accepted a trial recomputes that same trial.  A row leaves the
+    blocks when it stops, with its fit frozen; a row whose outcomes are
+    all equal never starts.
 
     Only the log-odds x, ``flip = 1 - 2y`` and the means are row-long:
     each pass computes a leaf's terms in leaf-sized scratch and sums them
-    while they are still in cache.
+    where the recursion reaches the leaf, while they are still in cache.
     """
     y = outcomes
     rows, n = y.shape
@@ -334,34 +299,18 @@ def _fit_rows(predictions, outcomes) -> list:
     flip = np.multiply(y, 2.0)
     np.subtract(1.0, flip, out=flip)
     mu = np.empty_like(x)
-    leaves, levels, width = _leaf_plan(n, _LEAF_VALUES)
+    width = min(n, max(_LEAF_VALUES, _PAIRWISE_BLOCK))
     scratch = np.empty(3 * rows * width)
     scratch_mask = np.empty(rows * width, dtype=bool)
 
-    def leaf_views():
-        """Set each pass's views for the rows still fitting: per leaf, its
-        columns of the row-long arrays, its scratch, and its slot of the
-        leaf sums (``_join_leaves``) of each row's (deviance, score_b,
-        score_a) and (h_bb, h_aa, h_ab)."""
-        nonlocal by_pass
-        sums = np.empty((2 * len(leaves) - 1, 6, live.size))
-        by_pass = ([], sums[:, :3]), ([], sums[:, 3:])
-        for slot, lo, hi in leaves:
-            shape = (live.size, hi - lo)
-            size = shape[0] * shape[1]
-            terms = scratch[:3 * size].reshape((3,) + shape)
-            eta, e, third = terms
-            xs, mean, out = x[:, lo:hi], mu[:, lo:hi], sums[slot]
-            by_pass[0][0].append((xs, y[:, lo:hi], flip[:, lo:hi], mean,
-                                  terms, eta, e, third,
-                                  scratch_mask[:size].reshape(shape),
-                                  out[:3]))
-            by_pass[1][0].append((xs, mean, terms, eta, e, third, out[3:]))
+    def leaf_terms(lo, hi):
+        """Three (live rows, hi - lo) float terms of scratch."""
+        size = 3 * live.size * (hi - lo)
+        return scratch[:size].reshape(3, live.size, hi - lo)
 
     def fit_at(coef):
         """Each row's Bernoulli deviance and (score_b, score_a) at log-odds
-        a + b x, (a, b) = ``coef``, or at x if ``coef`` is None; writes
-        expit of the log-odds to ``mu``.
+        a + b x, (a, b) = ``coef``; writes expit of the log-odds to ``mu``.
 
         One exp pass serves both.  With e = exp(-|eta|), the deviance is
         2 sum(log1p(e) + max(eta, 0) - y eta) and the mean is 1/(1+e)
@@ -370,13 +319,15 @@ def _fit_rows(predictions, outcomes) -> list:
         every term is a sum of two non-negative parts and a saturated fit
         keeps its digits.  The score is sum((y - mu) x) and sum(y - mu).
         """
-        views, sums = by_pass[0]
-        for xs, ys, flips, mean, terms, eta, e, third, mask, out in views:
-            if coef is None:
-                np.copyto(eta, xs)
-            else:
-                np.multiply(xs, coef[1, :, None], out=eta)
-                np.add(eta, coef[0, :, None], out=eta)
+        a, b = coef[:, :, None]
+
+        def leaf_sums(lo, hi):
+            xs, mean = x[:, lo:hi], mu[:, lo:hi]
+            terms = leaf_terms(lo, hi)
+            eta, e, third = terms
+            mask = scratch_mask[:eta.size].reshape(eta.shape)
+            np.multiply(xs, b, out=eta)
+            np.add(eta, a, out=eta)
             np.abs(eta, out=e)
             np.negative(e, out=e)
             np.exp(e, out=e)
@@ -386,38 +337,39 @@ def _fit_rows(predictions, outcomes) -> list:
             np.add(e, 1.0, out=mean)
             np.divide(third, mean, out=mean)
             np.log1p(e, out=e)
-            np.multiply(eta, flips, out=eta)
+            np.multiply(eta, flip[:, lo:hi], out=eta)
             np.maximum(eta, 0.0, out=eta)
             np.add(eta, e, out=eta)
-            np.subtract(ys, mean, out=third)
+            np.subtract(y[:, lo:hi], mean, out=third)
             np.multiply(third, xs, out=e)
-            np.add.reduce(terms, axis=-1, out=out)
-        total = _join_leaves(levels, sums)
-        # a copy: the next pass overwrites ``sums``
-        return 2.0 * total[0], total[1:].copy()
+            return np.add.reduce(terms, axis=-1)
+
+        total = _pairwise(leaf_sums, 0, n)
+        return 2.0 * total[0], total[1:]
 
     def hessian():
         """Each row's (h_bb, h_aa, h_ab) at the means ``mu``."""
-        views, sums = by_pass[1]
-        for xs, mean, terms, eta, e, h_ab, out in views:
-            np.subtract(1.0, mean, out=e)
-            np.multiply(e, mean, out=e)
-            np.multiply(e, xs, out=h_ab)
-            np.multiply(h_ab, xs, out=eta)
-            np.add.reduce(terms, axis=-1, out=out)
-        return _join_leaves(levels, sums)
+        def leaf_sums(lo, hi):
+            xs, mean = x[:, lo:hi], mu[:, lo:hi]
+            terms = leaf_terms(lo, hi)
+            h_bb, h_aa, h_ab = terms
+            np.subtract(1.0, mean, out=h_aa)
+            np.multiply(h_aa, mean, out=h_aa)
+            np.multiply(h_aa, xs, out=h_ab)
+            np.multiply(h_ab, xs, out=h_bb)
+            return np.add.reduce(terms, axis=-1)
+
+        return _pairwise(leaf_sums, 0, n)
 
     # the rows still fitting: their place in the block, (a, b), deviance
-    # and score
+    # and score; every row starts at (a, b) = (0, 1), the null model
     live = np.arange(rows)
-    by_pass = None
-    leaf_views()
-    null_deviance, score = fit_at(None)
     # intercept, slope, deviance, converged and iterations of every row
     fits = np.zeros((5, rows))
     fits[1] = 1.0
-    fits[2] = null_deviance
     coef = fits[:2].copy()
+    null_deviance, score = fit_at(coef)
+    fits[2] = null_deviance
     deviance = null_deviance
 
     def stop(done, converged, iteration, *extra):
@@ -437,7 +389,6 @@ def _fit_rows(predictions, outcomes) -> list:
             return extra
         x, y, flip, mu = x[keep], y[keep], flip[keep], mu[keep]
         coef, deviance, score = coef[:, keep], deviance[keep], score[:, keep]
-        leaf_views()
         return [array[..., keep] for array in extra]
 
     # no finite maximizer: the likelihood climbs toward a boundary
@@ -503,11 +454,12 @@ def fit_logistic_recalibration(data: CalibrationDataset) -> RecalibrationFit:
     deviance of the predictions as they stand (a = 0, b = 1), where the
     fit starts.  Each trial step makes one exp pass, which also yields the
     score at the trial.  The fit keeps three n-length buffers (log-odds,
-    ``1 - 2y`` and the fitted means); every other term is computed and
-    summed a leaf of at most ``_LEAF_VALUES`` values at a time, and the
-    leaf sums are added in numpy's pairwise order, so each sum has the
-    bits of one ``np.sum`` over the row.  ``_fit_rows`` fits a block of
-    datasets at once, with the same bits.
+    ``1 - 2y`` and the fitted means).  Each sum follows numpy's recursive
+    pairwise split of the row down to leaves of at most ``_LEAF_VALUES``
+    values, and each leaf's terms are computed and summed where the
+    recursion reaches it, so each sum has the bits of one ``np.sum`` over
+    the row.  ``_fit_rows`` fits a block of datasets at once, with the
+    same bits.
     """
     return _fit_rows(data.predictions[None], data.outcomes[None])[0]
 

@@ -210,6 +210,13 @@ class TestCmdTest:
         assert main(["test", str(csv), "--out", str(tmp_path / "o")]) == 2
         assert "outside (0, 1)" in capsys.readouterr().err
 
+    def test_out_of_range_prediction_message(self, tmp_path, capsys):
+        csv = _write_csv(tmp_path, "p,y\n0.5,0\n1.6,1\n")
+        assert main(["test", str(csv), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: prediction outside (0, 1) at position 1: 1.6 "
+            "(pass clamp_epsilon or --clamp to clip saturated predictions)\n")
+
     def test_clamp_flag_rescues_saturated_prediction(self, tmp_path):
         csv = _write_csv(tmp_path, "p,y\n1.0,1\n0.5,0\n")
         out = tmp_path / "o"

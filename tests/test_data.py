@@ -65,6 +65,21 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="outside"):
             build_dataset([bad, 0.5], [0, 1])
 
+    @pytest.mark.parametrize("predictions, outcomes, message", [
+        ([0.5, 1.6], [0, 1], "prediction outside (0, 1) at position 1: 1.6 "
+         "(pass clamp_epsilon or --clamp to clip saturated predictions)"),
+        ([math.nan, 0.5], [0, 1], "prediction outside (0, 1) at position "
+         "0: nan (pass clamp_epsilon or --clamp to clip saturated "
+         "predictions)"),
+        ([0.5, 0.4], [0, 2], "outcome not binary at position 1: 2.0"),
+        ([0.5, 0.4], [math.nan, 1], "outcome not binary at position 0: nan"),
+    ], ids=["prediction", "nan prediction", "outcome", "nan outcome"])
+    def test_invalid_value_message(self, predictions, outcomes, message):
+        # plain floats, the same text under numpy 1.x and 2.x
+        with pytest.raises(ValueError) as exc:
+            build_dataset(predictions, outcomes)
+        assert str(exc.value) == message
+
     def test_clamp_epsilon_clips_saturated_predictions(self):
         d = build_dataset([0.0, 1.0, 0.5], [0, 1, 1], clamp_epsilon=1e-6)
         assert d.predictions[0] == 1e-6

@@ -6,6 +6,7 @@ import os
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,14 +332,21 @@ class TestChiSquareSF:
                 chi_square_sf(3.0, df)
 
 
-def _leaf_sum(values, leaf):
-    """The row sums of ``values`` as the IRLS computes its sums: each leaf
-    by ``np.add.reduce``, joined by ``_join_leaves``."""
-    leaves, levels, _ = stattests._leaf_plan(values.shape[-1], leaf)
-    sums = np.empty((2 * len(leaves) - 1,) + values.shape[:-1])
-    for slot, lo, hi in leaves:
-        np.add.reduce(values[..., lo:hi], axis=-1, out=sums[slot])
-    return stattests._join_leaves(levels, sums)
+def _leaves(n, leaf, values=None):
+    """The (lo, hi) leaves that ``_pairwise`` cuts a length-n row into at a
+    leaf size of ``leaf``, and the row sums of ``values`` (zeros if None)
+    as the IRLS computes its sums: each leaf by ``np.add.reduce``, joined
+    by the recursion."""
+    values = np.zeros(n) if values is None else values
+    seen = []
+
+    def leaf_sums(lo, hi):
+        seen.append((lo, hi))
+        return np.add.reduce(values[..., lo:hi], axis=-1)
+
+    with mock.patch.object(stattests, "_LEAF_VALUES", leaf):
+        sums = stattests._pairwise(leaf_sums, 0, n)
+    return seen, sums
 
 
 @st.composite
@@ -370,21 +378,16 @@ class TestLeafSums:
     def test_joined_leaves_equal_the_row_reduce(self, case):
         leaf, values = case
         want = np.add.reduce(values, axis=-1)
-        got = _leaf_sum(values, leaf)
+        _, got = _leaves(values.shape[-1], leaf, values)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_leaves_follow_numpys_split(self):
         # numpy's first part is n // 2 rounded down to a multiple of 8
-        leaves, levels, width = stattests._leaf_plan(2 * 200 + 9, 200)
-        assert [(lo, hi) for _, lo, hi in leaves] == [
-            (0, 200), (200, 304), (304, 409)]
-        assert width == 200
-        assert [level.tolist() for level in levels] == [
-            [[3], [1], [2]], [[4], [0], [3]]]
+        assert _leaves(2 * 200 + 9, 200)[0] == [(0, 200), (200, 304),
+                                                (304, 409)]
         # a run numpy sums in one loop is not cut below its 128 values
-        assert [(lo, hi) for _, lo, hi in
-                stattests._leaf_plan(200, 64)[0]] == [(0, 96), (96, 200)]
-        assert stattests._leaf_plan(7, 200)[0] == ((0, 0, 7),)
+        assert _leaves(200, 64)[0] == [(0, 96), (96, 200)]
+        assert _leaves(7, 200)[0] == [(0, 7)]
 
 
 class TestLogisticRecalibration:
@@ -421,9 +424,9 @@ class TestLogisticRecalibration:
 
     def test_a_multi_leaf_row_fits_alike_in_any_block(self):
         # three leaves of unequal depth; the rows stop after 3, 5 and 7
-        # iterations, so the block's leaf views are cut again mid-fit
+        # iterations, so rows leave the block mid-fit
         n = 2 * stattests._LEAF_VALUES + 9
-        assert len(stattests._leaf_plan(n, stattests._LEAF_VALUES)[0]) == 3
+        assert len(_leaves(n, stattests._LEAF_VALUES)[0]) == 3
         rows = [_recalibration_dataset(seed, a, b, n) for seed, a, b
                 in ((1, 0.0, 1.0), (2, 0.3, 0.6), (5, -3.0, 1.0))]
         fits = [fit_logistic_recalibration(data) for data in rows]
@@ -452,7 +455,7 @@ class TestLogisticRecalibration:
                          for data in datasets]
                         + [_fit_bits(fit)
                            for fit in stattests._fit_rows(*block)])
-        assert len(stattests._leaf_plan(50_000, 64)[0]) > 256
+        assert len(_leaves(50_000, 64)[0]) > 256
         assert seen[0] == seen[1] == seen[2]
 
     def test_deviance_decreases_from_offset_model(self):
