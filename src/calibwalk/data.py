@@ -35,10 +35,18 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
 
 
 def _accumulate(values: np.ndarray) -> np.ndarray:
-    # Running sums along each row in 80-bit extended precision: cumulative
-    # rounding stays ~n * 2^-64, inside a 1e-12 relative budget for n up
-    # to 1e7.
-    return np.cumsum(values, axis=-1, dtype=np.longdouble)
+    """Running sums along each row in 80-bit extended precision: cumulative
+    rounding stays ~n * 2^-64, inside a 1e-12 relative budget for n up to
+    1e7.
+
+    ``values`` is cast into the long double result, which is then summed
+    in place, so the only new array is the result: 16 B/row where
+    ``np.cumsum(values, dtype=np.longdouble)`` also makes a long double
+    copy of its input.  The bits are those of that call.
+    """
+    sums = values.astype(np.longdouble)
+    np.cumsum(sums, axis=-1, out=sums)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -159,14 +167,19 @@ def _sort_rows(predictions: np.ndarray, outcomes: np.ndarray):
     # Predictions in (0, 1) are positive doubles, whose int64 bit patterns
     # sort in the same order and have bits 62 and 63 clear, so a prediction
     # and its outcome pack into one key and one integer sort co-sorts them.
+    # The outcome bits leave the sorted keys through a 1 B/row buffer, and
+    # the keys turn into the sorted predictions in place.
     keys = predictions.view(np.int64) << 1
     keys |= outcomes == 1.0
     keys.sort(axis=1)
-    sorted_predictions = (keys >> 1).view(np.float64)
-    keys &= 1
-    sorted_outcomes = keys.astype(np.float64)
-    del keys
-    tie_flags = np.any(np.diff(sorted_predictions, axis=1) == 0.0, axis=1)
+    bits = np.empty(keys.shape, np.uint8)
+    np.bitwise_and(keys, 1, out=bits, casting="unsafe")
+    keys >>= 1
+    sorted_predictions = keys.view(np.float64)
+    sorted_outcomes = bits.astype(np.float64)
+    del bits
+    tie_flags = np.any(sorted_predictions[:, 1:] == sorted_predictions[:, :-1],
+                       axis=1)
 
     # A tied row's packed order puts its tied outcomes in 0, 1 order; a
     # stable argsort keeps them in input order instead.  Gather from the
@@ -195,33 +208,44 @@ def cumulative_process(data: CalibrationDataset) -> CumulativeProcess:
     Dividing by n and rounding to float64 are monotone, so ``c_star`` is
     the largest of the rounded |partial sums / n|, bit for bit.
     """
-    total_variance, times, walk, errors = _walk_rows(
-        data.predictions[None], data.outcomes[None])
+    total_variance, times, walk, (largest, last) = _walk_rows(
+        data.predictions[None], data.outcomes[None], raw=True)
     return CumulativeProcess(
         total_variance=float(total_variance[0]),
         times=_readonly(times[0]),
         walk=_readonly(walk[0]),
-        c_star=float(max(errors.max(), -errors.min()) / data.n),
-        c_n=float(errors[0, -1] / data.n),
+        c_star=float(largest[0] / data.n),
+        c_n=float(last[0] / data.n),
         source=data,
     )
 
 
-def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray):
-    """Total variances, times and walks of (rows, n) sorted blocks, and
-    their running sums of prediction errors in long double.
+def _walk_rows(predictions: np.ndarray, outcomes: np.ndarray, raw=False):
+    """Total variances, times and walks of (rows, n) sorted blocks.
 
-    ``cumulative_process`` is the one-row case.
+    ``cumulative_process`` is the one-row case and the only caller that
+    sets ``raw``: the fourth item is then, per row, the largest absolute
+    value and the last of the long double running sums of prediction
+    errors, read before those sums are scaled in place into the walk;
+    without ``raw`` it is None.  Each running sum is divided in its long
+    double buffer and only then cast to float64, so a row of n values
+    takes at most 32 B/row beside its inputs: the times and the long
+    double sums and their float64 cast.
     """
-    cum_var = _accumulate(predictions * (1.0 - predictions))
+    variances = 1.0 - predictions
+    variances *= predictions
+    cum_var = _accumulate(variances)
+    del variances
     total_variance = cum_var[:, -1].astype(np.float64)
-    times = np.asarray(cum_var / cum_var[:, -1:], dtype=np.float64)
+    cum_var /= cum_var[:, -1:].copy()
+    times = cum_var.astype(np.float64)
     del cum_var
 
     errors = _accumulate(outcomes - predictions)
-    scale = np.sqrt(total_variance.astype(np.longdouble))[:, None]
-    walk = np.asarray(errors / scale, dtype=np.float64)
-    return total_variance, times, walk, errors
+    extremes = ((np.maximum(errors.max(axis=1), -errors.min(axis=1)),
+                 errors[:, -1].copy()) if raw else None)
+    errors /= np.sqrt(total_variance.astype(np.longdouble))[:, None]
+    return total_variance, times, errors.astype(np.float64), extremes
 
 
 def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
@@ -232,7 +256,7 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
     inside the path for any non-degenerate walk.  Argmax ties resolve to
     the smallest index.
     """
-    extremes = _walk_extremes(proc.times[None], proc.walk[None].copy(),
+    extremes = _walk_extremes(proc.times[None], proc.walk[None],
                               np.empty((1, proc.n)))
     i_bm, s_star, s_n, i_bb, b_star = (column.item() for column in extremes)
 
@@ -244,20 +268,22 @@ def walk_statistics(proc: CumulativeProcess) -> WalkStatistics:
                           location(i_bm), location(i_bb))
 
 
-def _walk_extremes(times, walk, bridge):
+def _walk_extremes(times, walk, scratch):
     """Per row of a (rows, n) block: the argmax and max of |walk|, the
     terminal value, and the argmax and max of |walk - times * terminal|.
 
     ``times`` is (rows, n), or one (n,) row shared by every row.  Argmax
     ties go to the smallest index; an all-zero row has maximum +0.0.
-    ``walk`` and the scratch ``bridge`` of its shape are overwritten with
-    |walk| and |bridged walk|.
+    ``walk`` is only read, and may be read-only.  ``scratch``, of its
+    shape, holds |bridged walk| and then |walk|, which it keeps on return.
     """
     s_n = walk[:, -1].copy()
-    np.multiply(times, s_n[:, None], out=bridge)
-    np.subtract(walk, bridge, out=bridge)
-    np.abs(bridge, out=bridge)
-    np.abs(walk, out=walk)
     rows = np.arange(walk.shape[0])
-    i_bm, i_bb = walk.argmax(axis=1), bridge.argmax(axis=1)
-    return i_bm, walk[rows, i_bm], s_n, i_bb, bridge[rows, i_bb]
+    np.multiply(times, s_n[:, None], out=scratch)
+    np.subtract(walk, scratch, out=scratch)
+    np.abs(scratch, out=scratch)
+    i_bb = scratch.argmax(axis=1)
+    b_star = scratch[rows, i_bb]
+    np.abs(walk, out=scratch)
+    i_bm = scratch.argmax(axis=1)
+    return i_bm, scratch[rows, i_bm], s_n, i_bb, b_star

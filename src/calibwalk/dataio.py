@@ -126,10 +126,15 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
     ``SMALL_SAMPLE_VARIANCE``, where the asymptotic p-values are unreliable.
     The timestamp is ``$CALIBWALK_TIMESTAMP`` when set, else the current
     UTC time.
+
+    The LR test runs first: its fit's scratch, 24 B/row, is freed before
+    the walk is built, so the walk, its statistics and a caller's plots
+    reuse that heap rather than growing it.
     """
     # checked before HL may be skipped, so a bad value always raises
     groups = _hl_groups(groups)
     _hl_df(groups, df_rule)
+    weak = weak_calibration_lr_test(data) if lr else None
     proc = cumulative_process(data)
     stats = walk_statistics(proc)
     report = AnalysisReport(
@@ -138,7 +143,7 @@ def analyze(data: CalibrationDataset, *, groups: int = 10,
         bb=bb_test_from_process(stats),
         hl=(hosmer_lemeshow_test(data, groups, df_rule)
             if hl and data.n >= groups else None),
-        weak_calibration=weak_calibration_lr_test(data) if lr else None,
+        weak_calibration=weak,
         monte_carlo=monte_carlo_test(data, mc, seed, stats) if mc else None,
         timestamp=_timestamp(),
     )

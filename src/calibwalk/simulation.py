@@ -224,7 +224,7 @@ def _run_block(scenario: SimulationScenario, start: int, stop: int,
     """
     predictions, outcomes, _ = _sort_rows(*_generate_block(
         scenario, _cell_key(scenario), start, stop - start))
-    # the error sums are dropped here; the bridge takes scratch of its own
+    # the extremes take scratch of their own
     times, walk = _walk_rows(predictions, outcomes)[1:3]
     _, s_star, s_n, _, b_star = _walk_extremes(times, walk,
                                                np.empty_like(walk))

@@ -217,10 +217,15 @@ _WALK_TESTS = {"bm": ("sup_abs_bm", BMTestResult, "s_star", "location"),
                "bb": ("kolmogorov", BBTestResult, "s_n", "location_bridge")}
 
 
+def _max_abs(walk):
+    # max |walk| without a row-length |walk|
+    return max(float(walk.max()), -float(walk.min()))
+
+
 def _cumulative_ranges(proc, end, crit):
     """A cumulative plot's x and y data ranges."""
     # 1.0 keeps the unit triangle's apexes in view
-    y_max = 1.1 * max(float(np.max(np.abs(proc.walk))), 1.0, abs(end) + crit)
+    y_max = 1.1 * max(_max_abs(proc.walk), 1.0, abs(end) + crit)
     return (0.0, 1.0), (-y_max, y_max)
 
 
@@ -247,28 +252,22 @@ def _cumulative_bound(proc, mode, alpha):
     return end, critical_value(_WALK_TESTS[mode][0], 1.0 - alpha)
 
 
-def _first_per_segment(mask, segment):
-    # the first index of each segment at which ``mask`` holds; every
-    # segment has one
-    hits = np.flatnonzero(mask)
-    return hits[np.diff(segment[hits], prepend=-1) != 0]
-
-
 def _m4_indices(amap, times, walk, marker):
     """Walk indices M4 keeps: per pixel column the first, last, lowest and
     highest vertex (ties to the first), plus ``marker``, in walk order."""
-    columns = np.floor(amap.x_offset + amap.x_scale * times)
-    starts = np.flatnonzero(np.diff(columns, prepend=-np.inf))
-    bounds = np.append(starts, columns.size)
-    segment = np.repeat(np.arange(starts.size), np.diff(bounds))
-    lowest = np.minimum.reduceat(walk, starts)[segment]
-    highest = np.maximum.reduceat(walk, starts)[segment]
-    return np.unique(np.concatenate([
-        starts, bounds[1:] - 1,
-        _first_per_segment(walk == lowest, segment),
-        _first_per_segment(walk == highest, segment),
-        [marker],
-    ]))
+    # the pixel column of each vertex, floor(x_offset + x_scale * t), in
+    # one buffer of the walk's length
+    columns = amap.x_scale * times
+    columns += amap.x_offset
+    np.floor(columns, out=columns)
+    starts = np.flatnonzero(columns[1:] != columns[:-1]) + 1
+    del columns
+    bounds = np.concatenate([[0], starts, [walk.size]])
+    kept = [bounds[:-1], bounds[1:] - 1, [marker]]
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        column = walk[lo:hi]
+        kept.append([lo + column.argmin(), lo + column.argmax()])
+    return np.unique(np.concatenate(kept))
 
 
 def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
@@ -286,7 +285,7 @@ def render_cumulative_plot(proc: CumulativeProcess, mode: str, result,
     """
     end, crit = _cumulative_bound(proc, mode, alpha)
     _, kind, statistic, location = _WALK_TESTS[mode]
-    reference = float(np.max(np.abs(proc.walk))) if mode == "bm" else end
+    reference = _max_abs(proc.walk) if mode == "bm" else end
     if not (isinstance(result, kind) and math.isclose(
             getattr(result, statistic), reference,
             rel_tol=1e-9, abs_tol=1e-12)

@@ -2,11 +2,14 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calibwalk import (
     SimulationScenario,
@@ -31,6 +34,7 @@ from calibwalk.svgplot import (
     _WIDTH,
     _binned_points,
     _fmt,
+    _m4_indices,
     _panel_map,
     cumulative_plot_map,
 )
@@ -343,6 +347,80 @@ class TestM4Decimation:
                 assert count < n + 1
             else:
                 assert count == vertices
+
+
+def _m4_oracle(amap, times, walk, marker):
+    """``_m4_indices`` by scanning each pixel column in Python floats."""
+    columns = {}
+    for i, t in enumerate(times.tolist()):
+        columns.setdefault(math.floor(amap.x_offset + amap.x_scale * t),
+                           []).append(i)
+    kept = {marker}
+    for ks in columns.values():
+        values = [walk[k] for k in ks]
+        # list.index finds the first vertex equal to the extreme
+        kept |= {ks[0], ks[-1], ks[values.index(min(values))],
+                 ks[values.index(max(values))]}
+    return sorted(kept)
+
+
+class TestM4Indices:
+    """``_m4_indices`` against a brute-force scan of each pixel column."""
+
+    amap = _panel_map((0.0, 1.0), (-1.0, 1.0))
+
+    def _check(self, times, walk, marker):
+        got = _m4_indices(self.amap, np.asarray(times), np.asarray(walk),
+                          marker)
+        want = _m4_oracle(self.amap, np.asarray(times), list(walk), marker)
+        assert got.tolist() == want
+        return want
+
+    def test_equal_extremes_keep_the_first(self):
+        # one pixel column: minima at 2 and 4, maxima at 1 and 3
+        times = 0.5 + np.arange(6) * 1e-6
+        kept = self._check(times, [0.0, 2.0, -1.0, 2.0, -1.0, 0.5], 0)
+        assert kept == [0, 1, 2, 5]
+
+    def test_one_vertex_columns(self):
+        # one vertex in each of ten columns, then three in the last
+        times = np.append(np.arange(10) / 646, [0.5, 0.5 + 1e-6, 0.5 + 2e-6])
+        walk = np.sin(np.arange(times.size))
+        assert self._check(times, walk, 3) == list(range(times.size))
+
+    def test_marker_inside_a_column(self):
+        times = 0.25 + np.arange(9) * 1e-6
+        walk = [0.0, 1.0, 0.5, 0.25, 0.5, -1.0, 0.0, 0.2, 0.1]
+        assert self._check(times, walk, 3) == [0, 1, 3, 5, 8]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_walks(self, seed, n, unit_steps):
+        rng = np.random.default_rng(seed)
+        # gaps of very different sizes: dense and one-vertex columns
+        gaps = rng.exponential(size=n) ** 4
+        times = np.cumsum(gaps) / gaps.sum()
+        steps = (rng.integers(-1, 2, n) if unit_steps
+                 else rng.standard_normal(n))
+        self._check(times, np.cumsum(steps).astype(float),
+                    int(rng.integers(n)))
+
+
+def test_render_cumulative_plot_memory_per_row():
+    # an M4-decimated render holds one float64 row of pixel columns and a
+    # 1 B/row comparison, and no |walk|
+    n = 200_000
+    data = _dataset(seed=4, n=n, lo=0.05, hi=0.95)
+    proc, bm, bb = _walk_tests(data)
+    for mode, result in (("bm", bm), ("bb", bb)):
+        render_cumulative_plot(proc, mode, result)  # warm any caches
+        tracemalloc.start()
+        try:
+            render_cumulative_plot(proc, mode, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 10.0, f"{mode}: {peak / n:.2f} B/row"
 
 
 class TestBinnedPlot:
